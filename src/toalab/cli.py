@@ -30,7 +30,8 @@ from .detectors import (MsConfig, default_tau_grid, kijowski_bullet_stats,
                         marchewka_schuss_evolve, sqm_detection_curve)
 from .experiments import (SlitConfig, discrete_continuum_experiment,
                           metric_comparison, single_slit_sweep)
-from .kernels import laplace_first_arrival_check
+from .kernels import (GridResolutionError, NumericalError,
+                      laplace_first_arrival_check)
 from .tqm import TqmPacket, tqm_arrival_distribution, tqm_dispersion_budget
 from .validation import run_all
 from .wavepacket import SpacePacket, TimePacket, space_amplitude
@@ -361,19 +362,21 @@ def run_ms_evolve(r: Runner) -> int:
     pkt = SpacePacket(x0=-p["d"], p0=p["p0"], sigma_x=p["sigma-x"],
                       mass=p["m"])
     x = np.linspace(-p["box"], 0.0, p["n-grid"])
+    # Same rule as kernels._check_resolution: at most pi/4 of phase per
+    # sample across the packet's momentum support |p0| + 8 sigma_p.
+    phase_per_sample = (abs(pkt.p0) + 8.0 * pkt.sigma_p) * (x[1] - x[0])
+    if phase_per_sample > math.pi / 4.0:
+        raise GridResolutionError(
+            f"ms-evolve grid under-resolves the packet: {phase_per_sample:.3g}"
+            " rad per sample exceeds pi/4; raise n-grid or shrink box")
     cfg = MsConfig(lam=p["lambda"], epsilon=p["epsilon"], steps=p["steps"])
-    try:
-        res = marchewka_schuss_evolve(x, space_amplitude(pkt, x), cfg,
-                                      m=p["m"])
-    except RuntimeError as exc:
-        _write_json(r.path("error.json"), {"error": str(exc)})
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    res = marchewka_schuss_evolve(x, space_amplitude(pkt, x), cfg, m=p["m"])
     dist = res.arrival_distribution()
     r.curve_csv(dist)
     budget = res.cumulative_detected + res.final_norm()
     summary = {"cumulative_detected": res.cumulative_detected,
-               "final_norm": res.final_norm(), "budget": budget}
+               "final_norm": res.final_norm(), "budget": budget,
+               "phase_per_sample": phase_per_sample}
     if res.cumulative_detected > 0:
         summary.update({"mean": dist.mean, "uncertainty": dist.uncertainty})
     r.summary_json(summary)
@@ -444,31 +447,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _output_dir(args: argparse.Namespace, file_cfg: dict) -> str:
+    return args.output_dir or file_cfg.get("output-dir") \
+        or os.environ.get(OUTPUT_DIR_ENV) or "."
+
+
+def _fail(args, file_cfg: dict, kind: str, exc: Exception, code: int) -> int:
+    print(f"{kind} error: {exc}", file=sys.stderr)
+    try:
+        out_dir = _output_dir(args, file_cfg)
+        os.makedirs(out_dir, exist_ok=True)
+        _write_json(os.path.join(out_dir, "error.json"),
+                    {"error": str(exc), "experiment": args.experiment})
+    except OSError:
+        pass
+    return code
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    file_cfg = {}
     try:
-        file_cfg = _read_config_file(args.config) if args.config else {}
+        if args.config:
+            file_cfg = _read_config_file(args.config)
         params = _resolve(args.experiment, args, file_cfg)
-        out_dir = args.output_dir or file_cfg.get("output-dir") \
-            or os.environ.get(OUTPUT_DIR_ENV) or "."
-        runner = Runner(args.experiment, params, out_dir, args.seed,
-                        args.threads)
+        runner = Runner(args.experiment, params,
+                        _output_dir(args, file_cfg), args.seed, args.threads)
         runner.manifest()
         with warnings.catch_warnings():
             warnings.simplefilter("always")
             code = RUNNERS[args.experiment](runner)
+    except (NumericalError, RuntimeError) as exc:
+        return _fail(args, file_cfg, "numerical", exc, EXIT_NUMERICAL)
     except (ConfigError, ValueError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        try:
-            _write_json(os.path.join(args.output_dir or ".", "error.json"),
-                        {"error": str(exc), "experiment": args.experiment})
-        except OSError:
-            pass
-        return EXIT_CONFIG
+        return _fail(args, file_cfg, "configuration", exc, EXIT_CONFIG)
     return code
 
 

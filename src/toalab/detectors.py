@@ -23,6 +23,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
+from .kernels import NumericalError
 from .wavepacket import (SpacePacket, space_amplitude, space_amplitude_dx,
                          space_momentum_amplitude)
 
@@ -341,8 +342,35 @@ def ms_step_algebra(norm: float, p_absorb: float) -> tuple:
     (1 - P) * norm.  detected + new norm = norm exactly.
     """
     if not 0.0 <= p_absorb <= 1.0:
-        raise ValueError(f"absorption probability {p_absorb} outside [0, 1]")
+        raise NumericalError(
+            f"absorption probability {p_absorb} outside [0, 1]")
     return p_absorb * norm, (1.0 - p_absorb) * norm
+
+
+def _ms_absorb(dpsi_raw, absorb_coeff: float, norm: float) -> tuple:
+    """Scalar absorption recursion over a hard-wall boundary derivative.
+
+    Absorption only rescales the amplitude, so the absorbed run's boundary
+    derivative at step n is the unabsorbed (hard-wall) one, `dpsi_raw[n]`,
+    times the survival scale prod_(j<n) sqrt(1 - P_j).  Returns
+    (detected, absorb_prob, survival_scale); aborts if any P_n > 1.
+    """
+    detected = np.zeros(len(dpsi_raw))
+    p_abs = np.zeros(len(dpsi_raw))
+    survival_scale = 1.0
+    for n, raw in enumerate(np.asarray(dpsi_raw).tolist()):
+        P = absorb_coeff * abs(raw * survival_scale) ** 2
+        if P > 1.0:
+            raise RuntimeError(
+                f"absorption probability {P:.3g} > 1 at step {n}; "
+                "reduce lam or epsilon")
+        p_abs[n] = P
+        detected[n], norm = ms_step_algebra(norm, P)
+        survival_scale *= math.sqrt(1.0 - P)
+    return detected, p_abs, survival_scale
+
+
+_MS_BLOCK = 32  # steps per phase-power block (32 x N/2 complex values)
 
 
 def marchewka_schuss_evolve(x, psi0, cfg: MsConfig,
@@ -355,6 +383,12 @@ def marchewka_schuss_evolve(x, psi0, cfg: MsConfig,
     bookkeeping identity is exact); then absorption of
     P_n = (epsilon lam / 2 pi m) |dpsi/dx(0)|^2, with the survivor scaled
     by sqrt(1 - P_n).
+
+    Absorption only multiplies the amplitude by a scalar, so the run is the
+    hard-wall evolution plus a scalar recursion on P_n.  The hard-wall
+    boundary derivative (central difference at 0) is a fixed functional of
+    the spectrum, which each step only multiplies by exp(-i k^2 eps / 2m):
+    one FFT in, a phase-power recurrence per step, one IFFT out.
 
     `x` must be a uniform increasing grid ending exactly at 0 with the
     initial amplitude negligible at both ends.  Aborts if any P_n > 1
@@ -374,31 +408,35 @@ def marchewka_schuss_evolve(x, psi0, cfg: MsConfig,
     n_full = 2 * (n_half - 1)
 
     # Odd image about 0 on a periodic box twice the half line; a Dirichlet
-    # node sits at x = 0 and the propagation is exactly unitary.
+    # node sits at x = 0 (index n_full/2) and the propagation is exactly
+    # unitary.
     full = np.zeros(n_full, dtype=complex)
-    i0 = n_half - 1
     full[:n_half] = psi
     full[n_half:] = -psi[-2:0:-1]
-
+    spectrum = np.fft.fft(full)
     k = 2.0 * math.pi * np.fft.fftfreq(n_full, d=h)
-    step_phase = np.exp(-1j * k * k * cfg.epsilon / (2.0 * m))
-    absorb_coeff = cfg.epsilon * cfg.lam / (2.0 * math.pi * m)
 
-    detected = np.zeros(cfg.steps)
-    p_abs = np.zeros(cfg.steps)
-    norm = float(np.trapezoid(np.abs(full[:n_half]) ** 2, x))
-    survival_scale = 1.0  # product of sqrt(1 - P) factors, applied lazily
-    for n in range(cfg.steps):
-        full = np.fft.ifft(step_phase * np.fft.fft(full))
-        dpsi0 = (full[i0 + 1] - full[i0 - 1]) / (2.0 * h) * survival_scale
-        P = absorb_coeff * abs(dpsi0) ** 2
-        if P > 1.0:
-            raise RuntimeError(
-                f"absorption probability {P:.3g} > 1 at step {n}; "
-                "reduce lam or epsilon")
-        p_abs[n] = P
-        detected[n], norm = ms_step_algebra(norm, P)
-        survival_scale *= math.sqrt(1.0 - P)
-    psi_final = full[:n_half] * survival_scale
+    # The central difference (full[i0+1] - full[i0-1]) / 2h at
+    # i0 = n_full/2 is sum_j spectrum[j] (-1)^j i sin(2 pi j/n_full)
+    # / (h n_full).  Modes j and n_full - j share a step phase, so fold
+    # them; j = 0 and n_full/2 carry zero weight.
+    j = np.arange(1, n_half - 1)
+    w = ((-1.0) ** j * 1j * np.sin(math.pi * j / (n_half - 1))
+         / (h * n_full)) * (spectrum[j] - spectrum[n_full - j])
+    block = max(1, min(_MS_BLOCK, cfg.steps))
+    powers = np.cumprod(np.broadcast_to(
+        np.exp(-1j * k[j] ** 2 * cfg.epsilon / (2.0 * m)), (block, j.size)),
+        axis=0)
+    dpsi_raw = np.empty(cfg.steps, dtype=complex)
+    for s in range(0, cfg.steps, block):
+        b = min(block, cfg.steps - s)
+        dpsi_raw[s:s + b] = powers[:b] @ w
+        w *= powers[b - 1]
+
+    norm = float(np.trapezoid(np.abs(psi) ** 2, x))
+    detected, p_abs, survival_scale = _ms_absorb(
+        dpsi_raw, cfg.epsilon * cfg.lam / (2.0 * math.pi * m), norm)
+    final_phase = np.exp(-1j * k * k * (cfg.epsilon * cfg.steps) / (2.0 * m))
+    psi_final = np.fft.ifft(spectrum * final_phase)[:n_half] * survival_scale
     return MsResult(x=x, psi_final=psi_final, detected=detected,
                     absorb_prob=p_abs, cfg=cfg)

@@ -27,6 +27,7 @@ from scipy.integrate import quad
 __all__ = [
     "KernelKind",
     "KernelSpec",
+    "NumericalError",
     "GridResolutionError",
     "free_kernel_space",
     "first_arrival_kernel",
@@ -55,7 +56,11 @@ class KernelSpec:
             raise ValueError(f"mass must be positive, got {self.mass}")
 
 
-class GridResolutionError(ValueError):
+class NumericalError(ValueError):
+    """A numerical path cannot resolve its input or left its valid range."""
+
+
+class GridResolutionError(NumericalError):
     """Raised when a propagation grid under-resolves the kernel phase."""
 
 

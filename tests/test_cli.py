@@ -6,7 +6,7 @@ import json
 import pytest
 
 from toalab.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
-                        main)
+                        OUTPUT_DIR_ENV, main)
 
 
 def run(tmp_path, *argv):
@@ -37,6 +37,34 @@ class TestExitCodes:
         code, _ = run(tmp_path, "ms-evolve", "--lambda", "1e15",
                       "--epsilon", "0.5", "--steps", "5")
         assert code == EXIT_NUMERICAL
+
+    def test_unresolved_ms_grid_is_numerical_error(self, tmp_path, capsys):
+        # h = 4: (p0 + 8 sigma_p) h = 7.2 rad per sample, beyond pi/4.
+        code, out = run(tmp_path, "ms-evolve", "--lambda", "1",
+                        "--n-grid", "65")
+        assert code == EXIT_NUMERICAL
+        assert "pi/4" in capsys.readouterr().err
+        assert "pi/4" in json.loads((out / "error.json").read_text())["error"]
+
+
+class TestErrorJson:
+    def test_written_to_env_output_dir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "env"))
+        assert main(["kijowski-bullet", "--p0", "-1"]) == EXIT_CONFIG
+        error = json.loads((tmp_path / "env" / "error.json").read_text())
+        assert error["experiment"] == "kijowski-bullet"
+        assert not (tmp_path / "error.json").exists()
+
+    def test_written_to_config_file_output_dir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "env"))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"output-dir = {tmp_path / 'file'}\nlambda = 1e15\n"
+                       "epsilon = 0.5\nsteps = 5\n")
+        assert main(["ms-evolve", "--config", str(cfg)]) == EXIT_NUMERICAL
+        assert (tmp_path / "file" / "error.json").exists()
+        assert not (tmp_path / "env" / "error.json").exists()
 
 
 class TestArtifacts:
@@ -71,6 +99,16 @@ class TestArtifacts:
         assert summary["budget"] == pytest.approx(1.0, abs=1e-4)
         assert summary["cumulative_detected"] + summary["final_norm"] == (
             pytest.approx(summary["budget"]))
+        assert summary["phase_per_sample"] == pytest.approx(
+            (1.0 + 8.0 / 5.0) * 256.0 / 4096.0)
+
+    def test_metric_compare_lambda_row(self, tmp_path):
+        code, out = run(tmp_path, "metric-compare", "--lambda", "0.1")
+        assert code == EXIT_OK
+        ms = json.loads((out / "metric-compare_summary.json").read_text())[
+            "rows"]["marchewka_schuss"]
+        assert ms["norm"] > 0.1
+        assert ms["mean"] == pytest.approx(2000.0, rel=1e-2)
 
 
 class TestConfigFile:

@@ -8,16 +8,46 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from toalab.detectors import (ArrivalDistribution, MsConfig, default_tau_grid,
-                              kijowski_bullet_stats, kijowski_curve,
-                              kijowski_density, kijowski_wave_density_origin,
+from toalab.detectors import (ArrivalDistribution, MsConfig, _ms_absorb,
+                              default_tau_grid, kijowski_bullet_stats,
+                              kijowski_curve, kijowski_density,
+                              kijowski_wave_density_origin,
                               marchewka_schuss_evolve, ms_step_algebra,
                               probability_current, sqm_detection_curve)
+from toalab.kernels import NumericalError
 from toalab.wavepacket import SpacePacket, space_amplitude, space_amplitude_dx, \
     space_momentum_amplitude
 
 BULLET = SpacePacket(x0=-2.0e4, p0=10.0, sigma_x=10.0, mass=1.0)
 BULLET_D = 2.0e4  # tau_bar = 2000, sigma_p/p0 = 0.01
+
+
+def reference_ms_evolve(x, psi0, cfg, m=1.0):
+    """Per-step FFT/IFFT Marchewka-Schuss stepper, kept as the oracle for the
+    spectral recurrence: propagate the odd image one step, difference at 0,
+    absorb.  Returns (detected, absorb_prob, psi_final)."""
+    h = x[1] - x[0]
+    n_half = x.size
+    n_full = 2 * (n_half - 1)
+    full = np.zeros(n_full, dtype=complex)
+    i0 = n_half - 1
+    full[:n_half] = psi0
+    full[n_half:] = -psi0[-2:0:-1]
+    k = 2.0 * math.pi * np.fft.fftfreq(n_full, d=h)
+    step_phase = np.exp(-1j * k * k * cfg.epsilon / (2.0 * m))
+    absorb_coeff = cfg.epsilon * cfg.lam / (2.0 * math.pi * m)
+    detected = np.zeros(cfg.steps)
+    p_abs = np.zeros(cfg.steps)
+    norm = float(np.trapezoid(np.abs(psi0) ** 2, x))
+    survival_scale = 1.0
+    for n in range(cfg.steps):
+        full = np.fft.ifft(step_phase * np.fft.fft(full))
+        dpsi0 = (full[i0 + 1] - full[i0 - 1]) / (2.0 * h) * survival_scale
+        P = absorb_coeff * abs(dpsi0) ** 2
+        p_abs[n] = P
+        detected[n], norm = ms_step_algebra(norm, P)
+        survival_scale *= math.sqrt(1.0 - P)
+    return detected, p_abs, full[:n_half] * survival_scale
 
 
 class TestArrivalDistribution:
@@ -191,6 +221,8 @@ class TestMarchewkaSchuss:
     def test_step_algebra_rejects_bad_probability(self):
         with pytest.raises(ValueError):
             ms_step_algebra(1.0, 1.5)
+        with pytest.raises(NumericalError):
+            ms_step_algebra(1.0, -0.1)
 
     @staticmethod
     def _setup(L=64.0, n=1025, d=16.0, sigma=2.0, p0=1.0):
@@ -207,6 +239,29 @@ class TestMarchewkaSchuss:
         assert res.cumulative_detected == 0.0
         assert res.final_norm() == pytest.approx(
             np.trapezoid(np.abs(psi0) ** 2, x), rel=1e-10)
+
+    def test_spectral_recurrence_matches_per_step_stepper(self):
+        x, psi0 = self._setup()
+        cfg = MsConfig(lam=1.0, epsilon=0.02, steps=1200)
+        detected, p_abs, psi_final = reference_ms_evolve(x, psi0, cfg)
+        res = marchewka_schuss_evolve(x, psi0, cfg)
+        assert np.max(np.abs(res.absorb_prob - p_abs)) <= 1e-13
+        assert np.max(np.abs(res.psi_final - psi_final)) <= 1e-11
+        assert res.cumulative_detected == pytest.approx(detected.sum(),
+                                                        abs=1e-12)
+
+    def test_analytic_odd_image_matches_grid(self):
+        # For Gaussian data the hard-wall derivative is 2 dphi/dx(0, tau);
+        # the grid differs by its central-difference error (k h)^2 / 6.
+        x, psi0 = self._setup()
+        cfg = MsConfig(lam=1.0, epsilon=0.02, steps=1200)
+        res = marchewka_schuss_evolve(x, psi0, cfg)
+        pkt = SpacePacket(x0=-16.0, p0=1.0, sigma_x=2.0, mass=1.0)
+        taus = (np.arange(cfg.steps) + 1.0) * cfg.epsilon
+        _, p_abs, _ = _ms_absorb(2.0 * space_amplitude_dx(pkt, 0.0, taus),
+                                 cfg.epsilon / (2.0 * math.pi), 1.0)
+        assert np.max(np.abs(res.absorb_prob - p_abs)) \
+            <= 5e-3 * np.max(p_abs)
 
     def test_probability_budget_closes(self):
         x, psi0 = self._setup()

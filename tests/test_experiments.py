@@ -133,6 +133,15 @@ class TestMetricComparison:
         for name, mean, unc, norm in comp.as_table():
             assert unc > 0
 
+    def test_marchewka_schuss_row_resolves_the_packet(self):
+        # The grid-free odd-image route: a real fraction is detected and
+        # the mean sits on the flight time.
+        pkt = SpacePacket(x0=-2.0e4, p0=10.0, sigma_x=10.0, mass=1.0)
+        ms = metric_comparison(pkt, 2.0e4, lam=0.1).rows["marchewka_schuss"]
+        assert ms["norm"] > 0.1
+        assert ms["mean"] == pytest.approx(2000.0, rel=1e-2)
+        assert ms["uncertainty"] == pytest.approx(14.14, rel=5e-2)
+
     def test_out_of_regime_flagged(self):
         pkt = SpacePacket(x0=-100.0, p0=1.0, sigma_x=10.0, mass=1.0)
         with pytest.warns(UserWarning, match="bullet regime"):
