@@ -109,9 +109,7 @@ PARAMS = {
         "box": (float, 256.0, "half-line extent"),
         "n-grid": (int, 4097, "grid points on the half line"),
     },
-    "validate": {
-        "profile": (str, "fast", "tolerance profile: fast or thorough"),
-    },
+    "validate": {},
 }
 
 
@@ -155,8 +153,7 @@ def _resolve(experiment: str, args: argparse.Namespace,
             raise ConfigError(f"missing required parameter --{name}")
         else:
             resolved[name] = default
-    unknown = set(file_cfg) - set(PARAMS[experiment]) \
-        - {"seed", "output-dir", "threads"}
+    unknown = set(file_cfg) - set(PARAMS[experiment]) - {"output-dir"}
     if unknown:
         raise ConfigError(f"unknown config keys for {experiment}: "
                           f"{sorted(unknown)}")
@@ -193,25 +190,19 @@ def _write_json(path, obj) -> None:
 
 
 class Runner:
-    def __init__(self, experiment: str, params: dict, out_dir: str,
-                 seed: int, threads: int):
+    def __init__(self, experiment: str, params: dict, out_dir: str):
         self.experiment = experiment
         self.params = params
         self.out_dir = out_dir
-        self.seed = seed
-        self.threads = threads
         os.makedirs(out_dir, exist_ok=True)
 
     def path(self, suffix: str) -> str:
         return os.path.join(self.out_dir, f"{self.experiment}_{suffix}")
 
-    def manifest(self, extra=None) -> None:
-        obj = {"experiment": self.experiment, "parameters": self.params,
-               "seed": self.seed, "threads": self.threads,
-               "version": __version__}
-        if extra:
-            obj.update(extra)
-        _write_json(self.path("manifest.json"), obj)
+    def manifest(self) -> None:
+        _write_json(self.path("manifest.json"),
+                    {"experiment": self.experiment,
+                     "parameters": self.params, "version": __version__})
 
     def curve_csv(self, dist) -> None:
         _write_csv(self.path("curve.csv"), ["tau", "rate"],
@@ -221,10 +212,15 @@ class Runner:
         _write_json(self.path("summary.json"), obj)
 
 
+def _space_packet(p: dict) -> SpacePacket:
+    """Packet released a distance d left of the detector at the origin."""
+    return SpacePacket(x0=-p["d"], p0=p["p0"], sigma_x=p["sigma-x"],
+                       mass=p["m"])
+
+
 def run_kijowski_bullet(r: Runner) -> int:
     p = r.params
-    pkt = SpacePacket(x0=-p["d"], p0=p["p0"], sigma_x=p["sigma-x"],
-                      mass=p["m"])
+    pkt = _space_packet(p)
     stats = kijowski_bullet_stats(pkt, p["d"])
     grid = default_tau_grid(stats.tau_bar, stats.uncertainty, n=1201,
                             spread=10.0)
@@ -297,8 +293,7 @@ def run_continuum(r: Runner) -> int:
 
 def run_sqm_detect(r: Runner) -> int:
     p = r.params
-    pkt = SpacePacket(x0=-p["d"], p0=p["p0"], sigma_x=p["sigma-x"],
-                      mass=p["m"])
+    pkt = _space_packet(p)
     curve = sqm_detection_curve(pkt, p["d"])
     r.curve_csv(curve)
     r.summary_json(curve.summary())
@@ -336,8 +331,7 @@ def run_slit_sweep(r: Runner) -> int:
 
 def run_metric_compare(r: Runner) -> int:
     p = r.params
-    pkt = SpacePacket(x0=-p["d"], p0=p["p0"], sigma_x=p["sigma-x"],
-                      mass=p["m"])
+    pkt = _space_packet(p)
     comp = metric_comparison(pkt, p["d"], lam=p["lambda"])
     _write_csv(r.path("table.csv"), ["metric", "mean", "uncertainty", "norm"],
                comp.as_table())
@@ -359,11 +353,10 @@ def run_laplace_check(r: Runner) -> int:
 
 def run_ms_evolve(r: Runner) -> int:
     p = r.params
-    pkt = SpacePacket(x0=-p["d"], p0=p["p0"], sigma_x=p["sigma-x"],
-                      mass=p["m"])
+    pkt = _space_packet(p)
     x = np.linspace(-p["box"], 0.0, p["n-grid"])
-    # Same rule as kernels._check_resolution: at most pi/4 of phase per
-    # sample across the packet's momentum support |p0| + 8 sigma_p.
+    # At most pi/4 of phase per sample (8 samples per wavelength) across
+    # the packet's momentum support |p0| + 8 sigma_p.
     phase_per_sample = (abs(pkt.p0) + 8.0 * pkt.sigma_p) * (x[1] - x[0])
     if phase_per_sample > math.pi / 4.0:
         raise GridResolutionError(
@@ -384,14 +377,10 @@ def run_ms_evolve(r: Runner) -> int:
 
 
 def run_validate(r: Runner) -> int:
-    profile = r.params["profile"]
-    if profile not in ("fast", "thorough"):
-        raise ConfigError(f"unknown profile {profile!r}")
-    results = run_all(profile)
+    results = run_all()
     for res in results:
         print(res.line())
-    r.summary_json({"profile": profile,
-                    "passed": all(res.passed for res in results),
+    r.summary_json({"passed": all(res.passed for res in results),
                     "criteria": [{"cid": res.cid, "title": res.title,
                                   "passed": res.passed,
                                   "seconds": res.seconds,
@@ -440,10 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--output-dir", default=None,
                         help=f"output directory (default ${OUTPUT_DIR_ENV} "
                              "or '.')")
-        sp.add_argument("--seed", type=int, default=20260826,
-                        help="RNG seed for Monte Carlo experiments")
-        sp.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker pool size")
     return parser
 
 
@@ -475,8 +460,7 @@ def main(argv=None) -> int:
         if args.config:
             file_cfg = _read_config_file(args.config)
         params = _resolve(args.experiment, args, file_cfg)
-        runner = Runner(args.experiment, params,
-                        _output_dir(args, file_cfg), args.seed, args.threads)
+        runner = Runner(args.experiment, params, _output_dir(args, file_cfg))
         runner.manifest()
         with warnings.catch_warnings():
             warnings.simplefilter("always")

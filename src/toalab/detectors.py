@@ -13,8 +13,6 @@ Three detector models for the arrival of a packet at the origin:
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -90,23 +88,12 @@ class ArrivalDistribution:
             / self.norm
         return float(math.sqrt(max(var, 0.0)))
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["tau", "rate"])
-            for t, r in zip(self.taus, self.rates):
-                w.writerow([format(t, ".17g"), format(r, ".17g")])
-
     def summary(self) -> dict:
         out = {"norm": self.norm, "mean": self.mean,
                "uncertainty": self.uncertainty,
                "backflow": self.has_backflow}
         out.update(self.meta)
         return out
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2, default=float)
 
 
 # ---------------------------------------------------------------------------

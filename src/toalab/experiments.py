@@ -29,7 +29,6 @@ from . import firstpassage as fp
 from .detectors import (ArrivalDistribution, KijowskiBulletSummary, MsConfig,
                         _ms_absorb, default_tau_grid, kijowski_bullet_stats,
                         kijowski_curve, sqm_detection_curve)
-from .kernels import first_arrival_kernel
 from .tqm import TqmPacket, tqm_arrival_distribution, tqm_dispersion_budget
 from .wavepacket import (SpacePacket, TimePacket, space_amplitude,
                          space_amplitude_dx)
@@ -242,6 +241,11 @@ def metric_comparison(pkt: SpacePacket, d: float,
     first three are mutually consistent (1%) in the bullet regime
     m sigma_x^2 << tau_bar; outside it the `consistent` flag reports the
     disagreement.
+
+    The first-arrival row weights the free kernel by -x'/tau, which equals
+    the kernel's |x'|/tau when the packet's amplitude at the detector is
+    negligible.  Since dK_tau(x; x')/dx = i m (x - x')/tau K_tau, its
+    amplitude int dx' F_tau(0; x') phi_0(x') is then -(i/m) dphi_tau/dx(0).
     """
     stats = kijowski_bullet_stats(pkt, d)
     grid = default_tau_grid(stats.tau_bar, stats.uncertainty, n=1201,
@@ -251,14 +255,9 @@ def metric_comparison(pkt: SpacePacket, d: float,
     kij = kijowski_curve(shifted, grid, nodes=20000)
     cur = sqm_detection_curve(pkt, d, grid)
 
-    # First-arrival-kernel curve: |int dx' F_tau(0; x') phi_0(x')|^2,
-    # normalized over the grid.
-    x = np.linspace(-d - 12.0 * pkt.sigma_x, -d + 12.0 * pkt.sigma_x, 4001)
-    phi0 = space_amplitude(shifted, x)
-    fa = np.empty(grid.size)
-    for i, tau in enumerate(grid):
-        fa[i] = abs(np.trapezoid(
-            first_arrival_kernel(pkt.mass, 0.0, x, tau) * phi0, x)) ** 2
+    # First-arrival-kernel curve, normalized over the grid (the 1/m^2 of
+    # the amplitude cancels).
+    fa = np.abs(space_amplitude_dx(shifted, 0.0, grid)) ** 2
     fa /= np.trapezoid(fa, grid)
     fa_curve = ArrivalDistribution(grid, fa, meta={"metric": "first-arrival"})
 

@@ -15,7 +15,6 @@ first-passage density D_tau = (d/tau) sqrt(m/2 pi tau) exp(-m d^2/2 tau).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +23,6 @@ import numpy as np
 from scipy.special import gammaln
 
 __all__ = [
-    "WalkSpec",
     "DiffusionSpec",
     "walk_probability",
     "surviving_probability",
@@ -41,19 +39,6 @@ __all__ = [
 # Beyond this step count exact binomials get slow and callers are pointed at
 # the floating-point path.
 EXACT_STEP_LIMIT = 200
-
-
-@dataclass(frozen=True)
-class WalkSpec:
-    d: int
-    n_max: int
-    exact: bool = True
-
-    def __post_init__(self):
-        if self.d < 0:
-            raise ValueError(f"start offset d must be >= 0, got {self.d}")
-        if self.n_max < 0:
-            raise ValueError(f"n_max must be >= 0, got {self.n_max}")
 
 
 @dataclass(frozen=True)
@@ -194,17 +179,6 @@ class FirstArrivalHistogram:
         se = np.sqrt(np.maximum(p * (1.0 - p) / self.trials, 1e-300))
         return (self.frequencies() - p) / se
 
-    def to_csv(self, path) -> None:
-        p = self.exact_reference()
-        z = self.z_scores()
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["step", "count", "exact_reference", "z_score"])
-            for n in range(self.n_max + 1):
-                w.writerow([n, int(self.counts[n]),
-                            format(p[n], ".17g"), format(z[n], ".17g")])
-            w.writerow(["never_arrived", self.never_arrived, "", ""])
-
 
 def _mc_chunk(d: int, n_max: int, trials: int, seed: int,
               chunk_index: int) -> tuple:
@@ -231,7 +205,10 @@ def monte_carlo_first_arrival(d: int, n_max: int, trials: int, seed: int,
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    spec = WalkSpec(d=d, n_max=n_max)  # validates d, n_max
+    if d < 0:
+        raise ValueError(f"start offset d must be >= 0, got {d}")
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     chunks = [(i, min(MC_CHUNK, trials - i * MC_CHUNK))
               for i in range((trials + MC_CHUNK - 1) // MC_CHUNK)]
     counts = np.zeros(n_max + 1, dtype=np.int64)
@@ -249,7 +226,7 @@ def monte_carlo_first_arrival(d: int, n_max: int, trials: int, seed: int,
             c, nv = _mc_chunk(d, n_max, size, seed, i)
             counts += c
             never += nv
-    return FirstArrivalHistogram(d=spec.d, n_max=spec.n_max, trials=trials,
+    return FirstArrivalHistogram(d=d, n_max=n_max, trials=trials,
                                  seed=seed, counts=counts,
                                  never_arrived=never)
 

@@ -1,4 +1,4 @@
-"""Free-particle kernels, first-arrival kernel, 4D kernel, and propagation.
+"""Free-particle kernels, first-arrival kernel, 4D kernel, Laplace transforms.
 
 The free kernel in one space dimension is
 
@@ -16,7 +16,6 @@ by direct numerical transform of the oscillatory kernels.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -25,14 +24,11 @@ import numpy as np
 from scipy.integrate import quad
 
 __all__ = [
-    "KernelKind",
-    "KernelSpec",
     "NumericalError",
     "GridResolutionError",
     "free_kernel_space",
     "first_arrival_kernel",
     "tqm_kernel",
-    "propagate",
     "LaplaceCheckReport",
     "laplace_first_arrival_check",
 ]
@@ -40,28 +36,12 @@ __all__ = [
 _SQRT_MINUS_I = np.exp(-1j * math.pi / 4.0)  # principal sqrt of 1/i
 
 
-class KernelKind(enum.Enum):
-    FreeSpace = "FreeSpace"
-    FirstArrival = "FirstArrival"
-    TqmFourD = "TqmFourD"
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    mass: float
-    kind: KernelKind = KernelKind.FreeSpace
-
-    def __post_init__(self):
-        if self.mass <= 0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
-
-
 class NumericalError(ValueError):
     """A numerical path cannot resolve its input or left its valid range."""
 
 
 class GridResolutionError(NumericalError):
-    """Raised when a propagation grid under-resolves the kernel phase."""
+    """Raised when a grid under-resolves the phase it samples."""
 
 
 def _check_tau(tau: float) -> None:
@@ -102,69 +82,6 @@ def tqm_kernel(m: float, t2, x2, t1, x1, tau: float):
     return (time_kernel(m, t2, t1, tau)
             * free_kernel_space(m, x2, x1, tau)
             * np.exp(-0.5j * m * tau))
-
-
-def _check_resolution(m: float, grid_in: np.ndarray, grid_out: np.ndarray,
-                      tau: float, label: str) -> None:
-    # Local phase frequency of exp(i m (x2-x1)^2 / 2 tau) in x1 is
-    # m |x2-x1| / tau; require at least 8 samples per 2 pi of phase at the
-    # worst separation seen by the quadrature.
-    dx = np.diff(grid_in)
-    if dx.size == 0 or np.any(dx <= 0):
-        raise ValueError(f"{label} grid must be strictly increasing")
-    sep = max(abs(grid_out[0] - grid_in[-1]), abs(grid_out[-1] - grid_in[0]))
-    phase_step = m * sep * dx.max() / tau
-    if phase_step > 2.0 * math.pi / 8.0:
-        raise GridResolutionError(
-            f"{label} grid under-resolves the kernel phase: {phase_step:.3g} "
-            f"rad per sample exceeds pi/4; refine the grid or shrink its span")
-
-
-def propagate(grid, psi, spec: KernelSpec, tau: float):
-    """Quadrature convolution of a kernel with sampled amplitudes.
-
-    For FreeSpace and FirstArrival, `grid` is a 1D strictly increasing array
-    and `psi` the amplitude samples; returns the propagated samples on the
-    same grid.  For TqmFourD, `grid` is a pair (t, x) of 1D arrays and `psi`
-    a 2D array indexed [t, x].  The grid must resolve the kernel phase with
-    at least 8 points per oscillation over the support, else
-    GridResolutionError is raised.
-    """
-    _check_tau(tau)
-    m = spec.mass
-    if spec.kind is KernelKind.TqmFourD:
-        t, x = (np.asarray(g, dtype=float) for g in grid)
-        psi = np.asarray(psi)
-        if psi.shape != (t.size, x.size):
-            raise ValueError("psi must be shaped (len(t), len(x))")
-        _check_resolution(m, t, t, tau, "t")
-        _check_resolution(m, x, x, tau, "x")
-        kt = time_kernel(m, t[:, None], t[None, :], tau)
-        kx = free_kernel_space(m, x[:, None], x[None, :], tau)
-        wt = _trapezoid_weights(t)
-        wx = _trapezoid_weights(x)
-        out = kt @ (psi * wt[:, None] * wx[None, :]) @ kx.T
-        return out * np.exp(-0.5j * m * tau)
-
-    x = np.asarray(grid, dtype=float)
-    psi = np.asarray(psi)
-    if psi.shape != x.shape:
-        raise ValueError("psi must be sampled on the given grid")
-    _check_resolution(m, x, x, tau, "x")
-    if spec.kind is KernelKind.FreeSpace:
-        kern = free_kernel_space(m, x[:, None], x[None, :], tau)
-    elif spec.kind is KernelKind.FirstArrival:
-        kern = first_arrival_kernel(m, x[:, None], x[None, :], tau)
-    else:  # pragma: no cover - exhaustiveness
-        raise ValueError(f"unsupported kernel kind {spec.kind}")
-    return kern @ (psi * _trapezoid_weights(x))
-
-
-def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
-    w = np.zeros_like(x)
-    w[1:] += 0.5 * np.diff(x)
-    w[:-1] += 0.5 * np.diff(x)
-    return w
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .detectors import ArrivalDistribution
+from .detectors import ArrivalDistribution, probability_current
 from .wavepacket import (SpacePacket, TimePacket, space_amplitude,
                          space_amplitude_dx, time_amplitude,
                          time_amplitude_dt2)
@@ -92,9 +92,8 @@ def tqm_dispersion_budget(pkt: TqmPacket, d: float) -> TqmDispersions:
 def _sqm_rate(pkt: TqmPacket, d: float, tau):
     """SQM detection rate of the space part: current at the detector."""
     shifted = replace(pkt.space, x0=-d)
-    psi = space_amplitude(shifted, 0.0, tau)
-    dpsi = space_amplitude_dx(shifted, 0.0, tau)
-    return (np.conj(psi) * dpsi).imag / pkt.mass
+    return probability_current(space_amplitude(shifted, 0.0, tau),
+                               space_amplitude_dx(shifted, 0.0, tau), pkt.mass)
 
 
 def tqm_detection_density(pkt: TqmPacket, d: float, tau, t):
@@ -112,27 +111,23 @@ def tqm_detection_density(pkt: TqmPacket, d: float, tau, t):
 
 
 def _gaussian_components(pkt: TqmPacket, d: float, exact_drift: bool):
-    """Frozen Gaussian forms of Dbar(tau) and rho~_tau(t) near tau_bar.
+    """Frozen Gaussian form of Dbar(tau) near tau_bar, and the drift of rho~.
 
-    Dbar is the bullet-regime arrival Gaussian with parameter sigma_bar;
-    rho~ uses the long-clock-time width sigma_tilde = tau_bar/(m sigma_t)
-    and center drifting at E0/m (taken as 1 non-relativistically unless
-    exact_drift is set).  These are the forms whose convolution over tau
-    has the closed-form combined width.
+    Dbar is the bullet-regime arrival Gaussian with parameter sigma_bar.
+    rho~ (built by the caller) uses the long-clock-time width
+    sigma_tilde = tau_bar/(m sigma_t) and a center drifting at E0/m (taken
+    as 1 non-relativistically unless exact_drift is set).  These are the
+    forms whose convolution over tau has the closed-form combined width.
     """
     disp = tqm_dispersion_budget(pkt, d)
     drift = pkt.time.E0 / pkt.mass if exact_drift else 1.0
-    sb, st = disp.sigma_bar_tau, disp.sigma_tilde_tau
+    sb = disp.sigma_bar_tau
 
     def dbar(tau):
         return np.exp(-((tau - disp.tau_bar) / sb) ** 2) \
             / (math.sqrt(math.pi) * sb)
 
-    def rho_tilde(t, tau):
-        return np.exp(-((t - pkt.time.t0 - drift * tau) / st) ** 2) \
-            / (math.sqrt(math.pi) * st)
-
-    return disp, drift, dbar, rho_tilde
+    return disp, drift, dbar
 
 
 def tqm_arrival_distribution(pkt: TqmPacket, d: float, t_grid=None,
@@ -146,7 +141,7 @@ def tqm_arrival_distribution(pkt: TqmPacket, d: float, t_grid=None,
     tau_bar +/- 8 max(sigma_bar, sigma_tilde); the captured norm is
     reported in the metadata.
     """
-    disp, drift, dbar, rho_tilde = _gaussian_components(pkt, d, exact_drift)
+    disp, drift, dbar = _gaussian_components(pkt, d, exact_drift)
     center = pkt.time.t0 + drift * disp.tau_bar
     span = 8.0 * disp.sigma_tau
     if t_grid is None:
@@ -190,7 +185,7 @@ def sqm_limit_curve(pkt: TqmPacket, d: float, t_grid) -> ArrivalDistribution:
     The time contribution drops out and the curve is the bare space-origin
     arrival Gaussian evaluated on the same grid.
     """
-    disp, drift, dbar, _ = _gaussian_components(pkt, d, exact_drift=False)
+    disp, drift, dbar = _gaussian_components(pkt, d, exact_drift=False)
     t_grid = np.asarray(t_grid, dtype=float)
     return ArrivalDistribution(t_grid, dbar(t_grid - pkt.time.t0),
                                meta={"metric": "sqm-limit"})
@@ -201,9 +196,9 @@ def tqm_current(pkt: TqmPacket, t, x, tau):
 
     Factorizes as the spatial current times the coordinate-time density.
     """
-    psi_x = space_amplitude(pkt.space, x, tau)
-    dpsi_x = space_amplitude_dx(pkt.space, x, tau)
-    j_space = (np.conj(psi_x) * dpsi_x).imag / pkt.mass
+    j_space = probability_current(space_amplitude(pkt.space, x, tau),
+                                  space_amplitude_dx(pkt.space, x, tau),
+                                  pkt.mass)
     return j_space * np.abs(time_amplitude(pkt.time, t, tau)) ** 2
 
 

@@ -51,7 +51,7 @@ def _result(cid, title, passed, observed):
                            observed=observed)
 
 
-def criterion_1(profile="fast"):
+def criterion_1():
     """Kijowski wave-case norm integrates to 1/4."""
     norm, err = quad(lambda t: float(kijowski_wave_density_origin(1.0, 1.0, t)),
                      0.0, np.inf, limit=400)
@@ -96,7 +96,7 @@ def _kijowski_exact_moments(pkt: SpacePacket) -> tuple:
     return mean, math.sqrt(second - mean * mean)
 
 
-def criterion_2(profile="fast"):
+def criterion_2():
     """Moments of the full Kijowski quadrature at the bullet parameters.
 
     At this packet m sigma_x^2 = tau_bar, outside the bullet regime, so the
@@ -125,7 +125,7 @@ def criterion_2(profile="fast"):
                         pkt.mass * pkt.sigma_x**2 / bullet.tau_bar})
 
 
-def criterion_3(profile="fast"):
+def criterion_3():
     """Exhaustive path enumeration and exact conservation."""
     n_top = 16
     steps = ((np.arange(1 << n_top)[:, None]
@@ -179,7 +179,7 @@ def criterion_3(profile="fast"):
                     "conservation_exact": conserved})
 
 
-def criterion_4(profile="fast"):
+def criterion_4():
     """Monte Carlo histogram within 4 sigma; deterministic and
     thread-count invariant."""
     trials = 10**6
@@ -197,7 +197,7 @@ def criterion_4(profile="fast"):
                     "never_arrived": h1.never_arrived})
 
 
-def criterion_5(profile="fast"):
+def criterion_5():
     """Lattice first arrival converges monotonically to the diffusion law."""
     tab = discrete_continuum_experiment(d_lattice=2, refinements=(1, 2, 4, 8))
     ok = tab.monotone and tab.max_rel_errors[-1] < 0.03
@@ -207,7 +207,7 @@ def criterion_5(profile="fast"):
                         "monotone": tab.monotone})
 
 
-def criterion_6(profile="fast"):
+def criterion_6():
     """Method-of-images detection rate equals the first-passage density."""
     rng = np.random.Generator(np.random.Philox(key=[735632, 0]))
     worst = 0.0
@@ -225,7 +225,7 @@ def criterion_6(profile="fast"):
                    {"worst_rel_error": worst})
 
 
-def criterion_7(profile="fast"):
+def criterion_7():
     """Laplace transform of the first-arrival kernel vs closed form."""
     points = [(1.0, 1.0), (1.0, 2.0), (1.0, 0.5), (2.0, 1.0), (0.5, 1.5)]
     s_vals = (0.4, 1.0)
@@ -243,7 +243,7 @@ def criterion_7(profile="fast"):
                     "worst_factorization_residual": worst_fact})
 
 
-def criterion_8(profile="fast"):
+def criterion_8():
     """d/dtau of the surviving norm equals -D_tau (current at the origin)."""
     pkt = SpacePacket(x0=-100.0, p0=1.0, sigma_x=10.0, mass=1.0)
     x = np.linspace(-400.0, 0.0, 40001)
@@ -260,7 +260,7 @@ def criterion_8(profile="fast"):
                    worst < 1e-4, {"worst_abs_residual": worst})
 
 
-def criterion_9(profile="fast"):
+def criterion_9():
     """Marchewka-Schuss bookkeeping over 10^4 steps; lam = 0 inert."""
     pkt = SpacePacket(x0=-25.0, p0=1.0, sigma_x=5.0, mass=1.0)
     x = np.linspace(-256.0, 0.0, 4097)
@@ -279,7 +279,7 @@ def criterion_9(profile="fast"):
                     "lam0_norm": res0.final_norm()})
 
 
-def criterion_10(profile="fast"):
+def criterion_10():
     """TQM dispersion additivity and SQM recovery."""
     sp = SpacePacket(x0=-10.0, p0=0.1, sigma_x=10.0, mass=1.0)
     pkt = TqmPacket(time=TimePacket(t0=0.0, E0=1.0, sigma_t=10.0), space=sp)
@@ -305,7 +305,7 @@ def criterion_10(profile="fast"):
                     "sqm_recovery_sup_norm": sup})
 
 
-def criterion_11(profile="fast"):
+def criterion_11():
     """Single-slit falsifiability signature."""
     base = SlitConfig(W=1.0, d=100.0, v0=0.01, sigma_x=100.0, m=1.0)
     W = np.geomspace(1e-3, 10.0, 29)
@@ -330,7 +330,7 @@ def criterion_11(profile="fast"):
                     "min_small_W_ratio": float(sweep.ratio[small].min())})
 
 
-def criterion_12(profile="fast"):
+def criterion_12():
     """Negative-energy sigma distance for the paper's electron numbers."""
     pkt = TimePacket(t0=0.0, E0=5.0e5, sigma_t=1.0 / 6.0e3, mass=1.0)
     rep = negative_energy_fraction(pkt)
@@ -343,14 +343,14 @@ def criterion_12(profile="fast"):
 CRITERIA = {i: globals()[f"criterion_{i}"] for i in range(1, 13)}
 
 
-def run_criterion(cid: int, profile: str = "fast") -> CriterionResult:
+def run_criterion(cid: int) -> CriterionResult:
     t0 = time.time()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        res = CRITERIA[cid](profile)
+        res = CRITERIA[cid]()
     res.seconds = time.time() - t0
     return res
 
 
-def run_all(profile: str = "fast"):
-    return [run_criterion(cid, profile) for cid in sorted(CRITERIA)]
+def run_all():
+    return [run_criterion(cid) for cid in sorted(CRITERIA)]

@@ -2,6 +2,7 @@
 reproducibility."""
 
 import json
+import os
 
 import pytest
 
@@ -76,12 +77,21 @@ class TestArtifacts:
         manifest = json.loads(
             (out / "kijowski-wave_manifest.json").read_text())
         assert manifest["experiment"] == "kijowski-wave"
-        assert "parameters" in manifest and "seed" in manifest
+        assert set(manifest) == {"experiment", "parameters", "version"}
 
     def test_walk_validate_passes(self, tmp_path):
         code, out = run(tmp_path, "walk-validate", "--d", "2", "--n-max", "40")
         assert code == EXIT_OK
         assert (out / "walk-validate_summary.json").exists()
+
+    def test_curve_csv_format(self, tmp_path):
+        code, out = run(tmp_path, "sqm-detect")
+        assert code == EXIT_OK
+        lines = (out / "sqm-detect_curve.csv").read_text().strip().splitlines()
+        assert lines[0] == "tau,rate"
+        assert len(lines) == 1 + 2048                # header + one row per tau
+        tau, rate = (float(v) for v in lines[1].split(","))
+        assert tau > 0 and rate >= 0
 
     def test_slit_sweep_table(self, tmp_path):
         code, out = run(tmp_path, "slit-sweep", "--W", "10,0.1")
@@ -124,10 +134,11 @@ class TestConfigFile:
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("nonsense = 1\n")
+        cfg.write_text("nonsense = 1\nseed = 1\n")
         code, _ = run(tmp_path, "slit-sweep", "--config", str(cfg))
         assert code == EXIT_CONFIG
-        assert "nonsense" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "nonsense" in err and "seed" in err
 
     def test_missing_config_file_rejected(self, tmp_path):
         code, _ = run(tmp_path, "slit-sweep", "--config",
@@ -136,19 +147,29 @@ class TestConfigFile:
 
 
 class TestReproducibility:
-    def test_identical_invocations_yield_identical_bytes(self, tmp_path):
+    def test_identical_invocations_yield_identical_bytes(self, tmp_path,
+                                                          monkeypatch):
+        # The artifacts depend on the configuration only, not on the machine.
         outs = []
-        for sub in ("a", "b"):
+        for sub, cores in (("a", 2), ("b", 64)):
+            monkeypatch.setattr(os, "cpu_count", lambda: cores)
             out = tmp_path / sub
             out.mkdir()
             code = main(["sqm-detect", "--output-dir", str(out)])
             assert code == EXIT_OK
-            outs.append((out / "sqm-detect_curve.csv").read_bytes())
+            outs.append([(out / f"sqm-detect_{suffix}").read_bytes()
+                         for suffix in ("manifest.json", "summary.json",
+                                        "curve.csv")])
         assert outs[0] == outs[1]
 
-    def test_seed_recorded_in_manifest(self, tmp_path):
-        code, out = run(tmp_path, "walk-validate", "--seed", "123")
+    def test_manifest_holds_only_configuration(self, tmp_path):
+        code, out = run(tmp_path, "walk-validate")
         assert code == EXIT_OK
         manifest = json.loads(
             (out / "walk-validate_manifest.json").read_text())
-        assert manifest["seed"] == 123
+        assert set(manifest) == {"experiment", "parameters", "version"}
+        assert manifest["parameters"] == {"d": 3, "n-max": 50}
+        for argv in (["walk-validate", "--seed", "1"],
+                     ["walk-validate", "--threads", "1"],
+                     ["validate", "--profile", "fast"]):
+            assert main(argv) == EXIT_CONFIG

@@ -78,14 +78,6 @@ class TestArrivalDistribution:
         with pytest.raises(ValueError):
             ArrivalDistribution(np.linspace(0, 1, 5), np.zeros(4))
 
-    def test_csv_export(self, tmp_path):
-        dist = ArrivalDistribution(np.linspace(1.0, 2.0, 5), np.ones(5))
-        path = tmp_path / "curve.csv"
-        dist.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "tau,rate"
-        assert len(lines) == 6
-
 
 class TestKijowskiWaveCase:
     def test_initial_value(self):

@@ -6,13 +6,44 @@ import warnings
 import numpy as np
 import pytest
 
+from toalab.detectors import (ArrivalDistribution, default_tau_grid,
+                              kijowski_bullet_stats)
 from toalab.experiments import (SlitConfig, discrete_continuum_experiment,
                                 metric_comparison, single_slit_sqm,
                                 single_slit_sweep, single_slit_tqm,
                                 sqm_slit_uncertainty, tqm_slit_uncertainty)
-from toalab.wavepacket import SpacePacket
+from toalab.kernels import first_arrival_kernel
+from toalab.wavepacket import SpacePacket, space_amplitude
 
 BASE = dict(d=100.0, v0=0.01, sigma_x=100.0, m=1.0)  # tau_bar = 1e4, v sigma_x = 1
+
+
+def reference_first_arrival_row(pkt, d):
+    """The first-arrival-kernel row by direct quadrature, kept as the oracle
+    for the derivative identity: |int dx' F_tau(0; x') phi_0(x')|^2 per tau
+    on metric_comparison's grid, normalized over it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        stats = kijowski_bullet_stats(pkt, d)
+    grid = default_tau_grid(stats.tau_bar, stats.uncertainty, n=1201,
+                            spread=10.0)
+    shifted = SpacePacket(x0=-d, p0=pkt.p0, sigma_x=pkt.sigma_x,
+                          mass=pkt.mass)
+    x = np.linspace(-d - 12.0 * pkt.sigma_x, -d + 12.0 * pkt.sigma_x, 4001)
+    phi0 = space_amplitude(shifted, x)
+    fa = np.empty(grid.size)
+    for i, tau in enumerate(grid):
+        fa[i] = abs(np.trapezoid(
+            first_arrival_kernel(pkt.mass, 0.0, x, tau) * phi0, x)) ** 2
+    fa /= np.trapezoid(fa, grid)
+    return ArrivalDistribution(grid, fa)
+
+
+def assert_first_arrival_row_matches_quadrature(comp, pkt, d):
+    row = comp.rows["first_arrival_kernel"]
+    ref = reference_first_arrival_row(pkt, d)
+    assert row["mean"] == pytest.approx(ref.mean, rel=1e-10)
+    assert row["uncertainty"] == pytest.approx(ref.uncertainty, rel=1e-10)
 
 
 class TestSlitClosedForms:
@@ -132,6 +163,7 @@ class TestMetricComparison:
         assert max(means) - min(means) < 0.02 * 2000.0
         for name, mean, unc, norm in comp.as_table():
             assert unc > 0
+        assert_first_arrival_row_matches_quadrature(comp, pkt, 2.0e4)
 
     def test_marchewka_schuss_row_resolves_the_packet(self):
         # The grid-free odd-image route: a real fraction is detected and
@@ -147,6 +179,8 @@ class TestMetricComparison:
         with pytest.warns(UserWarning, match="bullet regime"):
             comp = metric_comparison(pkt, 100.0)
         assert not comp.consistent
+        # d = 10 sigma_x: the weight -x' still equals |x'| where phi_0 lives.
+        assert_first_arrival_row_matches_quadrature(comp, pkt, 100.0)
 
 
 class TestDiscreteContinuum:

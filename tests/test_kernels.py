@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from toalab.kernels import (GridResolutionError, KernelKind, KernelSpec,
-                            closed_form_laplace_first_arrival,
+from toalab.kernels import (closed_form_laplace_first_arrival,
                             first_arrival_kernel, free_kernel_space,
                             laplace_first_arrival_check,
                             laplace_transform_first_arrival,
                             laplace_transform_free, laplace_transform_origin,
-                            propagate, time_kernel, tqm_kernel)
+                            time_kernel, tqm_kernel)
 from toalab.firstpassage import DiffusionSpec, diffusion_density
 from toalab.wavepacket import (SpacePacket, TimePacket, space_amplitude,
                                time_amplitude)
@@ -93,45 +92,54 @@ class TestSemigroup:
 
 
 class TestPropagate:
+    """Propagation by direct quadrature of the closed-form kernels."""
+
+    SPACE = SpacePacket(x0=-5.0, p0=1.0, sigma_x=1.0, mass=1.0)
+    X = np.linspace(-30.0, 28.0, 901)
+    # The TQM direct product: both parts share the mass m = 2.
+    TQM_SPACE = SpacePacket(x0=0.0, p0=1.0, sigma_x=1.0, mass=2.0)
+    TQM_TIME = TimePacket(t0=0.0, E0=1.0, sigma_t=1.0, mass=2.0)
+    TQM_GRID = np.linspace(-12.5, 13.0, 901)
+
+    def space_quadrature(self, xo, tau):
+        phi0 = space_amplitude(self.SPACE, self.X, 0.0)
+        return np.array([np.trapezoid(free_kernel_space(1.0, x, self.X, tau)
+                                      * phi0, self.X) for x in xo])
+
     def test_free_propagation_matches_dispersion_closed_form(self):
-        pkt = SpacePacket(x0=-5.0, p0=1.0, sigma_x=1.0, mass=1.0)
-        tau = 3.0
-        x = np.linspace(-30.0, 28.0, 1601)
-        out = propagate(x, space_amplitude(pkt, x, 0.0),
-                        KernelSpec(1.0, KernelKind.FreeSpace), tau)
-        exact = space_amplitude(pkt, x, tau)
+        xo = np.array([-9.0, -5.0, -2.0, 0.0, 3.0])
+        out = self.space_quadrature(xo, 3.0)
+        exact = space_amplitude(self.SPACE, xo, 3.0)
         assert np.abs(out - exact).max() / np.abs(exact).max() < 1e-8
 
     def test_free_propagation_preserves_norm(self):
-        pkt = SpacePacket(x0=-5.0, p0=1.0, sigma_x=1.0, mass=1.0)
-        x = np.linspace(-30.0, 28.0, 1601)
-        out = propagate(x, space_amplitude(pkt, x, 0.0),
-                        KernelSpec(1.0, KernelKind.FreeSpace), 3.0)
-        assert np.trapezoid(np.abs(out) ** 2, x) == pytest.approx(1.0, abs=1e-8)
+        xo = np.linspace(-30.0, 28.0, 201)
+        out = self.space_quadrature(xo, 3.0)
+        assert np.trapezoid(np.abs(out) ** 2, xo) == pytest.approx(1.0,
+                                                                   abs=1e-8)
+
+    def test_time_propagation_matches_dispersion_closed_form(self):
+        m, tau, t = 2.0, 2.0, self.TQM_GRID
+        to = np.array([-2.0, 0.0, 1.0, 2.5])
+        phi0 = time_amplitude(self.TQM_TIME, t, 0.0)
+        out = np.array([np.trapezoid(time_kernel(m, ti, t, tau) * phi0, t)
+                        for ti in to])
+        exact = time_amplitude(self.TQM_TIME, to, tau)
+        assert np.abs(out - exact).max() / np.abs(exact).max() < 1e-8
 
     def test_tqm_propagation_preserves_direct_product(self):
         m, tau = 2.0, 2.0
-        sp = SpacePacket(x0=0.0, p0=1.0, sigma_x=1.0, mass=m)
-        tp = TimePacket(t0=0.0, E0=1.0, sigma_t=1.0, mass=m)
-        t = np.linspace(-12.5, 13.0, 901)
-        x = np.linspace(-12.5, 13.0, 901)
-        psi0 = (time_amplitude(tp, t, 0.0)[:, None]
-                * space_amplitude(sp, x, 0.0)[None, :])
-        out = propagate((t, x), psi0, KernelSpec(m, KernelKind.TqmFourD), tau)
-        exact = (time_amplitude(tp, t, tau)[:, None]
-                 * space_amplitude(sp, x, tau)[None, :]
-                 * np.exp(-0.5j * m * tau))
+        t = x = self.TQM_GRID
+        psi0 = (time_amplitude(self.TQM_TIME, t, 0.0)[:, None]
+                * space_amplitude(self.TQM_SPACE, x, 0.0)[None, :])
+        points = [(-1.0, 0.5), (0.0, 0.0), (1.0, 2.0), (2.5, 1.5)]
+        out = np.array([np.trapezoid(np.trapezoid(
+            tqm_kernel(m, to, xo, t[:, None], x[None, :], tau) * psi0,
+            x, axis=1), t) for to, xo in points])
+        exact = np.array([time_amplitude(self.TQM_TIME, to, tau)
+                          * space_amplitude(self.TQM_SPACE, xo, tau)
+                          for to, xo in points]) * np.exp(-0.5j * m * tau)
         assert np.abs(out - exact).max() / np.abs(exact).max() < 1e-8
-
-    def test_under_resolved_grid_raises(self):
-        x = np.linspace(-100.0, 100.0, 64)
-        with pytest.raises(GridResolutionError):
-            propagate(x, np.exp(-x**2), KernelSpec(1.0, KernelKind.FreeSpace), 0.1)
-
-    def test_shape_mismatch_raises(self):
-        x = np.linspace(-1.0, 1.0, 32)
-        with pytest.raises(ValueError):
-            propagate(x, np.zeros(31), KernelSpec(1.0, KernelKind.FreeSpace), 10.0)
 
 
 class TestBulletArrivalAmplitude:
