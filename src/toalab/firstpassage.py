@@ -26,6 +26,7 @@ __all__ = [
     "DiffusionSpec",
     "walk_probability",
     "surviving_probability",
+    "survivor_mass",
     "first_arrival_probability",
     "first_arrival_probability_float",
     "recursion_evolve",
@@ -77,6 +78,12 @@ def surviving_probability(n: int, m: int, d: int) -> Fraction:
         raise ValueError(f"survivor site must satisfy m < 0, got {m}")
     # Displacements from the start at -d: m + d direct, m - d for the image.
     return walk_probability(n, m + d) - walk_probability(n, m - d)
+
+
+def survivor_mass(n: int, d: int) -> Fraction:
+    """Probability that the walk from -d has not reached 0 by step n."""
+    return sum((surviving_probability(n, m, d) for m in range(-n - d, 0)),
+               Fraction(0))
 
 
 def first_arrival_probability(n: int, d: int) -> Fraction:

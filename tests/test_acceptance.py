@@ -14,6 +14,6 @@ from toalab.validation import CRITERIA, run_criterion
 def test_criterion(cid, capsys):
     result = run_criterion(cid)
     with capsys.disabled():
-        print(f"\n{result.line()}  ({result.seconds:.1f}s)")
+        print(f"\n{result.line()}")
     assert result.passed, (
         f"criterion {cid} ({result.title}) failed; observed: {result.observed}")

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from toalab import validation
 from toalab.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                         OUTPUT_DIR_ENV, main)
 
@@ -112,6 +113,13 @@ class TestArtifacts:
         assert summary["phase_per_sample"] == pytest.approx(
             (1.0 + 8.0 / 5.0) * 256.0 / 4096.0)
 
+    def test_laplace_check_far_from_origin_converges(self, tmp_path):
+        code, out = run(tmp_path, "laplace-check", "--x", "10", "--s", "100")
+        assert code == EXIT_OK
+        summary = json.loads((out / "laplace-check_summary.json").read_text())
+        assert summary["converged"] is True
+        assert max(summary["modulus_rel_errors"]) < 1e-10
+
     def test_metric_compare_lambda_row(self, tmp_path):
         code, out = run(tmp_path, "metric-compare", "--lambda", "0.1")
         assert code == EXIT_OK
@@ -161,6 +169,18 @@ class TestReproducibility:
                          for suffix in ("manifest.json", "summary.json",
                                         "curve.csv")])
         assert outs[0] == outs[1]
+
+    def test_validate_summary_is_reproducible(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("toalab.cli.run_all", lambda: [
+            validation.run_criterion(cid) for cid in (1, 12)])
+        summaries = []
+        for sub in ("a", "b"):
+            out = tmp_path / sub
+            assert main(["validate", "--output-dir", str(out)]) == EXIT_OK
+            summaries.append((out / "validate_summary.json").read_bytes())
+        assert summaries[0] == summaries[1]
+        assert [c["cid"] for c in json.loads(summaries[0])["criteria"]] == [
+            1, 12]
 
     def test_manifest_holds_only_configuration(self, tmp_path):
         code, out = run(tmp_path, "walk-validate")

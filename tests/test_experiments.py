@@ -155,7 +155,9 @@ class TestSweep:
 class TestMetricComparison:
     def test_bullet_regime_metrics_agree(self):
         pkt = SpacePacket(x0=-2.0e4, p0=10.0, sigma_x=10.0, mass=1.0)
-        comp = metric_comparison(pkt, 2.0e4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            comp = metric_comparison(pkt, 2.0e4)
         assert comp.consistent
         means = [comp.rows[k]["mean"] for k in
                  ("kijowski_full", "kijowski_bullet", "current",
@@ -176,11 +178,19 @@ class TestMetricComparison:
 
     def test_out_of_regime_flagged(self):
         pkt = SpacePacket(x0=-100.0, p0=1.0, sigma_x=10.0, mass=1.0)
-        with pytest.warns(UserWarning, match="bullet regime"):
+        with pytest.warns(UserWarning, match="bullet regime") as record:
             comp = metric_comparison(pkt, 100.0)
         assert not comp.consistent
         # d = 10 sigma_x: the weight -x' still equals |x'| where phi_0 lives.
+        assert not any("first_arrival_kernel" in str(w.message)
+                       for w in record)
         assert_first_arrival_row_matches_quadrature(comp, pkt, 100.0)
+
+    def test_packet_weight_at_detector_flags_first_arrival_row(self):
+        # d = 2 sigma_x: erfc(2)/2 = 2.3e-3 of the packet sits at x' >= 0.
+        pkt = SpacePacket(x0=-20.0, p0=1.0, sigma_x=10.0, mass=1.0)
+        with pytest.warns(UserWarning, match="first_arrival_kernel row"):
+            metric_comparison(pkt, 20.0)
 
 
 class TestDiscreteContinuum:

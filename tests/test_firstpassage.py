@@ -15,7 +15,8 @@ from toalab.firstpassage import (DiffusionSpec, EXACT_STEP_LIMIT,
                                  first_arrival_probability_float,
                                  images_detection_rate, lattice_arrival_curve,
                                  monte_carlo_first_arrival, recursion_evolve,
-                                 surviving_probability, walk_probability)
+                                 surviving_probability, survivor_mass,
+                                 walk_probability)
 
 
 class TestWalkProbability:
@@ -67,6 +68,7 @@ class TestSurvivingAndFirstArrival:
         arrived = sum(first_arrival_probability(k, d) for k in range(n + 1))
         surviving = sum(surviving_probability(n, m, d) for m in range(-(n + d + 1), 0))
         assert arrived + surviving == Fraction(1)
+        assert survivor_mass(n, d) == surviving
 
     def test_float_path_matches_exact(self):
         n = np.arange(0, 120)

@@ -180,6 +180,19 @@ class TestLaplace:
         assert val == pytest.approx(closed_form_laplace_first_arrival(1.0, 2.0, 0.5),
                                     abs=1e-8)
 
+    @pytest.mark.parametrize("m,x,s", [
+        (1.0, 10.0, 100.0), (10.0, 10.0, 1.0), (1.0, 0.05, 1e-3),
+        (0.5, 0.02, 100.0), (2.0, 10.0, 1e-3)])
+    def test_rotated_contour_transform(self, m, x, s):
+        # |L[F]| = exp(-sqrt(m s)|x|) runs from 3.7e-44 to 0.998 over these
+        # points; the agreement is relative at every one.
+        closed = closed_form_laplace_first_arrival(m, x, s)
+        F = laplace_transform_first_arrival(m, x, s)
+        assert abs(F - closed) < 1e-10 * abs(closed)
+        UF = laplace_transform_origin(m, s) * closed
+        assert abs(laplace_transform_free(m, x, s) - UF) < 1e-10 * abs(UF)
+        assert laplace_first_arrival_check(m, x, (s,)).converged is True
+
     def test_factorization_report(self):
         rep = laplace_first_arrival_check(1.0, 2.0, (0.5,))
         assert rep.converged
