@@ -159,8 +159,10 @@ def single_slit_tqm(cfg: SlitConfig, t_grid=None) -> SlitResult:
     """TQM single slit in time: the gate becomes a temporal source.
 
     Models the gated source as a time packet of width sigma_t (default
-    sqrt(2) W) in direct product with the spatial packet, and builds the
-    arrival curve from the clock-time convolution.
+    sqrt(2) W) in direct product with the spatial packet, and evaluates
+    the frozen closed-form arrival Gaussian of `tqm_arrival_distribution`
+    (valid while sigma_p/p0, m Sigma_x^2/tau_bar and m sigma_t^2/tau_bar
+    are << 1).
     """
     _validity_warning(cfg)
     # The source is on for a clock time W in both theories, so the spatial

@@ -7,13 +7,16 @@ parts evolve independently, so detection at a wall factorizes as
     D_tau(t) = Dbar_tau * rho~_tau(t),
 
 the SQM detection rate times the coordinate-time density.  Integrating over
-clock time gives the arrival distribution in coordinate time, a Gaussian
-whose squared width is the sum of the space and time contributions:
+clock time gives the arrival distribution in coordinate time.  Freezing both
+factors at the mean arrival time tau_bar (a bullet Gaussian for Dbar, the
+long-time width of rho~) makes it a Gaussian, evaluated in closed form, whose
+squared width is the sum of the space and time contributions:
 
     sigma_tau^2 = sigma_bar^2 + sigma_tilde^2,
     sigma_bar = tau_bar / (m v0 sigma_x),   sigma_tilde = tau_bar / (m sigma_t),
 
-with arrival uncertainty sigma_tau / sqrt(2).
+with arrival uncertainty sigma_tau / sqrt(2).  The freeze holds only while
+sigma_p/p0, m sigma_x^2/tau_bar and m sigma_t^2/tau_bar are all << 1.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .detectors import ArrivalDistribution, probability_current
 from .wavepacket import (SpacePacket, TimePacket, space_amplitude,
@@ -110,63 +112,43 @@ def tqm_detection_density(pkt: TqmPacket, d: float, tau, t):
     return _sqm_rate(pkt, d, tau) * rho_t
 
 
-def _gaussian_components(pkt: TqmPacket, d: float, exact_drift: bool):
-    """Frozen Gaussian form of Dbar(tau) near tau_bar, and the drift of rho~.
+def _frozen_gaussian(pkt: TqmPacket, disp: TqmDispersions,
+                     sigma_tilde: float, t_grid):
+    """Frozen arrival Gaussian rho(t) = exp(-((t - c)/S)^2) / (sqrt(pi) S).
 
-    Dbar is the bullet-regime arrival Gaussian with parameter sigma_bar.
-    rho~ (built by the caller) uses the long-clock-time width
-    sigma_tilde = tau_bar/(m sigma_t) and a center drifting at E0/m (taken
-    as 1 non-relativistically unless exact_drift is set).  These are the
-    forms whose convolution over tau has the closed-form combined width.
+    c = t0 + (E0/m) tau_bar and S = hypot((E0/m) sigma_bar, sigma_tilde).
+    A t_grid of None becomes 2048 points on c +/- 8 S; a given grid must
+    bracket that window.  Returns the grid and the density on it.
     """
-    disp = tqm_dispersion_budget(pkt, d)
-    drift = pkt.time.E0 / pkt.mass if exact_drift else 1.0
-    sb = disp.sigma_bar_tau
-
-    def dbar(tau):
-        return np.exp(-((tau - disp.tau_bar) / sb) ** 2) \
-            / (math.sqrt(math.pi) * sb)
-
-    return disp, drift, dbar
-
-
-def tqm_arrival_distribution(pkt: TqmPacket, d: float, t_grid=None,
-                             exact_drift: bool = False) -> ArrivalDistribution:
-    """Arrival distribution in coordinate time t at detector distance d.
-
-    Convolves the detection density over clock time, rho(t) = int dtau
-    Dbar(tau) rho~_tau(t), using the Gaussian component forms; the result
-    is centered at tau_bar with sigma_tau^2 = sigma_bar^2 + sigma_tilde^2
-    and uncertainty sigma_tau/sqrt(2).  The tau integral runs over
-    tau_bar +/- 8 max(sigma_bar, sigma_tilde); the captured norm is
-    reported in the metadata.
-    """
-    disp, drift, dbar = _gaussian_components(pkt, d, exact_drift)
+    drift = pkt.time.E0 / pkt.mass
     center = pkt.time.t0 + drift * disp.tau_bar
-    span = 8.0 * disp.sigma_tau
+    width = math.hypot(drift * disp.sigma_bar_tau, sigma_tilde)
+    span = 8.0 * width
     if t_grid is None:
         t_grid = np.linspace(center - span, center + span, 2048)
     else:
         t_grid = np.asarray(t_grid, dtype=float)
         if t_grid[0] > center - span or t_grid[-1] < center + span:
             raise ValueError("t_grid must bracket the arrival center "
-                             "+/- 8 sigma_tau")
-    # The tau integral is a convolution in t of the (drift-scaled) arrival
-    # Gaussian with the time-density Gaussian; evaluate it on a grid fine
-    # enough for the narrower of the two components, then interpolate.
-    sb_eff = drift * disp.sigma_bar_tau
-    st = disp.sigma_tilde_tau
-    du = min(sb_eff, st) / 10.0
-    w = 8.0 * max(disp.sigma_bar_tau, disp.sigma_tilde_tau)
-    taus = np.arange(disp.tau_bar - w, disp.tau_bar + w, du / drift)
-    kernel = dbar(taus)
-    a = kernel / drift                       # dbar as a density in u = drift*tau
-    u_t = np.arange(-8.0 * st, 8.0 * st + du, du)
-    b = np.exp(-(u_t / st) ** 2) / (math.sqrt(math.pi) * st)
-    conv = fftconvolve(a, b) * du
-    t_fine = pkt.time.t0 + drift * taus[0] + u_t[0] \
-        + du * np.arange(conv.size)
-    rho = np.interp(t_grid, t_fine, conv, left=0.0, right=0.0)
+                             "+/- 8 S")
+    rho = np.exp(-((t_grid - center) / width) ** 2) \
+        / (math.sqrt(math.pi) * width)
+    return t_grid, rho
+
+
+def tqm_arrival_distribution(pkt: TqmPacket, d: float,
+                             t_grid=None) -> ArrivalDistribution:
+    """Frozen arrival distribution in coordinate time t at distance d.
+
+    rho(t) = int dtau Dbar(tau) rho~_tau(t), with Dbar the bullet arrival
+    Gaussian and rho~ at its long-time width sigma_tilde drifting at E0/m,
+    is the Gaussian of `_frozen_gaussian`; for E0 = m its uncertainty is
+    sigma_tau/sqrt(2).  Valid while sigma_p/p0, m sigma_x^2/tau_bar and
+    m sigma_t^2/tau_bar are << 1; the metadata carries the three ratios.
+    """
+    disp = tqm_dispersion_budget(pkt, d)
+    t_grid, rho = _frozen_gaussian(pkt, disp, disp.sigma_tilde_tau, t_grid)
+    sp = pkt.space
     return ArrivalDistribution(t_grid, rho, meta={
         "metric": "tqm",
         "tau_bar": disp.tau_bar,
@@ -174,21 +156,23 @@ def tqm_arrival_distribution(pkt: TqmPacket, d: float, t_grid=None,
         "sigma_tilde_tau": disp.sigma_tilde_tau,
         "sigma_tau": disp.sigma_tau,
         "closed_form_uncertainty": disp.uncertainty,
-        "captured_tau_norm": float(np.trapezoid(kernel, taus)),
-        "drift": drift,
+        "drift": pkt.time.E0 / pkt.mass,
+        "sigma_p_over_p0": sp.sigma_p / sp.p0,
+        "m_sigma_x2_over_tau_bar": sp.mass * sp.sigma_x**2 / disp.tau_bar,
+        "m_sigma_t2_over_tau_bar":
+            pkt.mass * pkt.time.sigma_t**2 / disp.tau_bar,
     })
 
 
 def sqm_limit_curve(pkt: TqmPacket, d: float, t_grid) -> ArrivalDistribution:
     """The sigma_t -> infinity limit of the arrival curve (SQM reference).
 
-    The time contribution drops out and the curve is the bare space-origin
-    arrival Gaussian evaluated on the same grid.
+    The time contribution drops out (sigma_tilde = 0), leaving the bare
+    space-origin arrival Gaussian evaluated on the same grid.
     """
-    disp, drift, dbar = _gaussian_components(pkt, d, exact_drift=False)
-    t_grid = np.asarray(t_grid, dtype=float)
-    return ArrivalDistribution(t_grid, dbar(t_grid - pkt.time.t0),
-                               meta={"metric": "sqm-limit"})
+    t_grid, rho = _frozen_gaussian(pkt, tqm_dispersion_budget(pkt, d), 0.0,
+                                   t_grid)
+    return ArrivalDistribution(t_grid, rho, meta={"metric": "sqm-limit"})
 
 
 def tqm_current(pkt: TqmPacket, t, x, tau):

@@ -9,7 +9,6 @@ observed values, so failures carry their evidence.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -275,7 +274,14 @@ def criterion_9():
 
 
 def criterion_10():
-    """TQM dispersion additivity and SQM recovery."""
+    """TQM dispersion additivity and SQM recovery.
+
+    Checks the frozen closed form of `tqm_arrival_distribution`, which
+    holds only when sigma_p/p0, m sigma_x^2/tau_bar and m sigma_t^2/tau_bar
+    are << 1.  The packet here has all three equal to 1, so the criterion
+    checks the closed form's algebra, not the exact TQM density (ROADMAP
+    D5); `observed` carries the three ratios.
+    """
     sp = SpacePacket(x0=-10.0, p0=0.1, sigma_x=10.0, mass=1.0)
     pkt = TqmPacket(time=TimePacket(t0=0.0, E0=1.0, sigma_t=10.0), space=sp)
     disp = tqm_dispersion_budget(pkt, 10.0)
@@ -297,7 +303,10 @@ def criterion_10():
                    {"sigma_tau_observed": sigma_obs,
                     "sigma_tau_closed": disp.sigma_tau,
                     "additivity_residual": additivity,
-                    "sqm_recovery_sup_norm": sup})
+                    "sqm_recovery_sup_norm": sup,
+                    **{key: curve.meta[key] for key in (
+                        "sigma_p_over_p0", "m_sigma_x2_over_tau_bar",
+                        "m_sigma_t2_over_tau_bar")}})
 
 
 def criterion_11():
@@ -339,9 +348,7 @@ CRITERIA = {i: globals()[f"criterion_{i}"] for i in range(1, 13)}
 
 
 def run_criterion(cid: int) -> CriterionResult:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return CRITERIA[cid]()
+    return CRITERIA[cid]()
 
 
 def run_all():

@@ -3,9 +3,15 @@ reproducibility."""
 
 import json
 import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
+from scipy.integrate import IntegrationWarning
 
+import toalab
 from toalab import validation
 from toalab.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                         OUTPUT_DIR_ENV, main)
@@ -16,6 +22,15 @@ def run(tmp_path, *argv):
     out.mkdir(exist_ok=True)
     code = main([*argv, "--output-dir", str(out)])
     return code, out
+
+
+def run_python(code, cwd):
+    """Run `python -c code` in a fresh interpreter that imports this toalab."""
+    src = str(Path(toalab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
 
 
 class TestExitCodes:
@@ -120,6 +135,17 @@ class TestArtifacts:
         assert summary["converged"] is True
         assert max(summary["modulus_rel_errors"]) < 1e-10
 
+    def test_tqm_detect_summary_is_closed_form(self, tmp_path):
+        code, out = run(tmp_path, "tqm-detect")
+        assert code == EXIT_OK
+        summary = json.loads((out / "tqm-detect_summary.json").read_text())
+        assert summary["uncertainty"] == pytest.approx(
+            summary["closed_form_uncertainty"], rel=1e-9)
+        # The defaults sit outside the frozen form's regime (ROADMAP D5).
+        for key in ("sigma_p_over_p0", "m_sigma_x2_over_tau_bar",
+                    "m_sigma_t2_over_tau_bar"):
+            assert summary[key] == pytest.approx(1.0, rel=1e-12)
+
     def test_metric_compare_lambda_row(self, tmp_path):
         code, out = run(tmp_path, "metric-compare", "--lambda", "0.1")
         assert code == EXIT_OK
@@ -193,3 +219,40 @@ class TestReproducibility:
                      ["walk-validate", "--threads", "1"],
                      ["validate", "--profile", "fast"]):
             assert main(argv) == EXIT_CONFIG
+
+
+class TestWarnings:
+    def test_criterion_warnings_reach_the_caller(self, monkeypatch):
+        def warns():
+            warnings.warn("did not converge", IntegrationWarning)
+            return validation._result(99, "warns", True, {})
+
+        monkeypatch.setitem(validation.CRITERIA, 99, warns)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            with pytest.raises(IntegrationWarning):
+                validation.run_criterion(99)
+
+    def test_validate_prints_criterion_warnings(self, tmp_path):
+        # Criterion 2 runs outside the bullet regime and says so.  A fresh
+        # interpreter, because pytest records warnings instead of printing.
+        proc = run_python(
+            "import sys, toalab.cli as cli\n"
+            "from toalab import validation\n"
+            "cli.run_all = lambda: [validation.run_criterion(2)]\n"
+            "sys.exit(cli.main(['validate', '--output-dir', 'out']))",
+            cwd=tmp_path)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "bullet regime" in proc.stderr
+
+
+class TestImports:
+    def test_cli_does_not_load_signal_or_stats(self, tmp_path):
+        # Both subpackages cost import time and are used by no command.
+        proc = run_python(
+            "import sys, toalab.cli\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith(('scipy.signal', 'scipy.stats'))))",
+            cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

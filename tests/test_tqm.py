@@ -9,6 +9,7 @@ from toalab.tqm import (TqmPacket, coordinate_time_cancellation_check,
                         sqm_limit_curve, tqm_arrival_distribution,
                         tqm_current, tqm_detection_density,
                         tqm_dispersion_budget)
+from toalab.validation import criterion_10
 from toalab.wavepacket import (SpacePacket, TimePacket,
                                max_entropy_time_packet, space_amplitude,
                                space_amplitude_dx, time_amplitude)
@@ -18,6 +19,40 @@ def make_packet(sigma_t=10.0, sigma_x=10.0, p0=1.0, m=1.0, d=100.0):
     space = SpacePacket(x0=-d, p0=p0, sigma_x=sigma_x, mass=m)
     return TqmPacket(time=TimePacket(t0=0.0, E0=m, sigma_t=sigma_t, mass=m),
                      space=space)
+
+
+def reference_frozen_convolution(pkt, d, t_grid):
+    """The frozen clock-time convolution done numerically (test oracle).
+
+    Samples the bullet arrival Gaussian Dbar(tau) (parameter sigma_bar) on
+    tau_bar +/- 8 max(sigma_bar, sigma_tilde), convolves it by FFT with the
+    coordinate-time Gaussian (parameter sigma_tilde) in u = (E0/m) tau, and
+    interpolates onto t_grid.  Shares no code with the closed form.  The
+    sampling step du is a hundredth of the narrower width; at a tenth the
+    linear interpolation alone is off by about du^2/(4 S^2) of the peak,
+    1.2e-3 at make_packet().
+    """
+    from scipy.signal import fftconvolve
+
+    disp = tqm_dispersion_budget(pkt, d)
+    drift = pkt.time.E0 / pkt.mass
+    sb, st = disp.sigma_bar_tau, disp.sigma_tilde_tau
+    du = min(drift * sb, st) / 100.0
+    w = 8.0 * max(sb, st)
+    taus = np.arange(disp.tau_bar - w, disp.tau_bar + w, du / drift)
+    a = np.exp(-((taus - disp.tau_bar) / sb) ** 2) \
+        / (math.sqrt(math.pi) * sb) / drift
+    u_t = np.arange(-8.0 * st, 8.0 * st + du, du)
+    b = np.exp(-(u_t / st) ** 2) / (math.sqrt(math.pi) * st)
+    conv = fftconvolve(a, b) * du
+    t_fine = pkt.time.t0 + drift * taus[0] + u_t[0] \
+        + du * np.arange(conv.size)
+    return np.interp(t_grid, t_fine, conv, left=0.0, right=0.0)
+
+
+# tqm-detect defaults and criterion 10: p0 = m v0 = 0.1, sigma_x = sigma_t
+# = 10, d = 10, so sigma_p/p0 = m sigma_x^2/tau_bar = m sigma_t^2/tau_bar = 1.
+TQM_DETECT = (make_packet(sigma_t=10.0, sigma_x=10.0, p0=0.1, d=10.0), 10.0)
 
 
 class TestPacketAndBudget:
@@ -112,17 +147,40 @@ class TestArrivalDistribution:
 
     def test_captured_norm_reported(self):
         curve = tqm_arrival_distribution(make_packet(), 100.0)
-        assert curve.meta["captured_tau_norm"] == pytest.approx(1.0, abs=1e-6)
+        assert curve.norm == pytest.approx(1.0, abs=1e-6)
         assert curve.meta["sigma_tau"] == pytest.approx(math.sqrt(200.0))
 
     def test_exact_drift_shifts_center(self):
         # Relativistic drift E0/m: with the max-entropy packet E0 = sqrt(
-        # m^2 + p0^2), the arrival center moves to (E0/m) tau_bar.
+        # m^2 + p0^2), the arrival center moves to (E0/m) tau_bar, for the
+        # TQM curve and its SQM limit alike.
         space = SpacePacket(x0=-100.0, p0=1.0, sigma_x=10.0, mass=1.0)
         pkt = TqmPacket(time=max_entropy_time_packet(space), space=space)
-        curve = tqm_arrival_distribution(pkt, 100.0, exact_drift=True)
+        curve = tqm_arrival_distribution(pkt, 100.0)
         assert curve.meta["drift"] == pytest.approx(math.sqrt(2.0))
         assert curve.mean == pytest.approx(100.0 * math.sqrt(2.0), rel=1e-4)
+        sqm = sqm_limit_curve(pkt, 100.0, curve.taus)
+        assert sqm.mean == pytest.approx(100.0 * math.sqrt(2.0), rel=1e-9)
+        disp = tqm_dispersion_budget(pkt, 100.0)
+        span = 8.0 * math.hypot(math.sqrt(2.0) * disp.sigma_bar_tau,
+                                disp.sigma_tilde_tau)
+        assert curve.taus[0] == pytest.approx(curve.mean - span, rel=1e-9)
+        assert curve.taus[-1] == pytest.approx(curve.mean + span, rel=1e-9)
+
+    @pytest.mark.parametrize("pkt, d", [(make_packet(), 100.0), TQM_DETECT],
+                             ids=["make_packet", "tqm_detect"])
+    def test_closed_form_matches_frozen_convolution(self, pkt, d):
+        curve = tqm_arrival_distribution(pkt, d)
+        ref = reference_frozen_convolution(pkt, d, curve.taus)
+        assert np.abs(curve.rates - ref).max() < 1e-4 * curve.rates.max()
+        assert curve.uncertainty == pytest.approx(
+            curve.meta["closed_form_uncertainty"], rel=1e-9)
+
+    def test_criterion_10_reports_regime_ratios(self):
+        observed = criterion_10().observed
+        for key in ("sigma_p_over_p0", "m_sigma_x2_over_tau_bar",
+                    "m_sigma_t2_over_tau_bar"):
+            assert observed[key] == pytest.approx(1.0, rel=1e-12)
 
 
 class TestCancellation:
