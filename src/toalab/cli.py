@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-import warnings
 
 import numpy as np
 from scipy.integrate import quad
@@ -382,7 +381,8 @@ def run_validate(r: Runner) -> int:
     r.summary_json({"passed": all(res.passed for res in results),
                     "criteria": [{"cid": res.cid, "title": res.title,
                                   "passed": res.passed,
-                                  "observed": res.observed}
+                                  "observed": res.observed,
+                                  "warnings": res.warnings}
                                  for res in results]})
     return EXIT_OK if all(res.passed for res in results) else EXIT_VALIDATION
 
@@ -460,9 +460,7 @@ def main(argv=None) -> int:
         params = _resolve(args.experiment, args, file_cfg)
         runner = Runner(args.experiment, params, _output_dir(args, file_cfg))
         runner.manifest()
-        with warnings.catch_warnings():
-            warnings.simplefilter("always")
-            code = RUNNERS[args.experiment](runner)
+        code = RUNNERS[args.experiment](runner)
     except (NumericalError, RuntimeError) as exc:
         return _fail(args, file_cfg, "numerical", exc, EXIT_NUMERICAL)
     except (ConfigError, ValueError) as exc:

@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
 from .kernels import NumericalError
@@ -29,7 +28,6 @@ __all__ = [
     "ArrivalDistribution",
     "MsConfig",
     "MsResult",
-    "kijowski_density",
     "kijowski_curve",
     "KijowskiBulletSummary",
     "kijowski_bullet_stats",
@@ -97,6 +95,32 @@ class ArrivalDistribution:
 
 
 # ---------------------------------------------------------------------------
+# Phase-power sums, shared by the Kijowski curve and the MS stepper
+# ---------------------------------------------------------------------------
+
+
+_MS_BLOCK = 32  # powers per block of _phase_power_sums (32 x len(z) values)
+
+
+def _phase_power_sums(w, z, steps: int) -> np.ndarray:
+    """A_n = sum_j w_j z_j^n for n = 1..steps.
+
+    Blocks of _MS_BLOCK cumulative powers z^1..z^b each give b sums as one
+    mat-vec; the weights then advance by z^b.  Memory is _MS_BLOCK x len(z)
+    whatever the number of steps.
+    """
+    w = np.array(w, dtype=complex)
+    block = max(1, min(_MS_BLOCK, steps))
+    powers = np.cumprod(np.broadcast_to(z, (block, len(z))), axis=0)
+    sums = np.empty(steps, dtype=complex)
+    for s in range(0, steps, block):
+        b = min(block, steps - s)
+        sums[s:s + b] = powers[:b] @ w
+        w *= powers[b - 1]
+    return sums
+
+
+# ---------------------------------------------------------------------------
 # Kijowski metric
 # ---------------------------------------------------------------------------
 
@@ -113,53 +137,6 @@ def _composite_gauss(lo: float, hi: float, n: int):
     return u, w
 
 
-def _half_line_integral(phi, m: float, tau: float, sign: int) -> complex:
-    """int over sign*p > 0 of sqrt(|p|/2 pi m) e^(-i p^2 tau/2m) phi(p) dp.
-
-    The sqrt singularity at p = 0 is removed by the map p = sign * w^2,
-    after which adaptive quadrature handles the endpoint exactly.
-    """
-    # Locate the support of |phi| to bound the integral.
-    probe = np.concatenate([np.geomspace(1e-8, 1.0, 40),
-                            np.linspace(1.0, 400.0, 400)])
-    vals = np.abs(phi(sign * probe))
-    peak = vals.max()
-    if peak == 0.0:
-        return 0.0j
-    above = probe[vals > 1e-12 * peak]
-    w_hi = math.sqrt(above.max()) * 1.05
-
-    def integrand(w, part):
-        p = sign * w * w
-        z = 2.0 * w * w * math.sqrt(1.0 / (2.0 * math.pi * m)) \
-            * np.exp(-1j * p * p * tau / (2.0 * m)) * phi(p)
-        return z.real if part == "re" else z.imag
-
-    re, re_err = quad(integrand, 0.0, w_hi, args=("re",), limit=400)
-    im, im_err = quad(integrand, 0.0, w_hi, args=("im",), limit=400)
-    if max(re_err, im_err) > 1e-6 * max(1.0, abs(re) + abs(im)):
-        warnings.warn(f"kijowski quadrature residual {max(re_err, im_err):.2g}"
-                      " exceeds target", stacklevel=3)
-    return re + 1j * im
-
-
-def kijowski_density(phi_left, phi_right, m: float, tau: float) -> float:
-    """Kijowski arrival density at clock time tau.
-
-    |int_0^inf dp sqrt(p/2 pi m) e^(-i p^2 tau/2m) phi_left(p)|^2
-    + |int_-inf^0 dp sqrt(-p/2 pi m) e^(-i p^2 tau/2m) phi_right(p)|^2
-
-    phi_left / phi_right are momentum amplitude callables for packets
-    arriving from the left / right; pass None for an absent side.
-    """
-    rho = 0.0
-    if phi_left is not None:
-        rho += abs(_half_line_integral(phi_left, m, tau, +1)) ** 2
-    if phi_right is not None:
-        rho += abs(_half_line_integral(phi_right, m, tau, -1)) ** 2
-    return rho
-
-
 def kijowski_curve(pkt: SpacePacket, taus,
                    nodes: int = 4000) -> ArrivalDistribution:
     """Kijowski density of a packet arriving from the left, vectorized.
@@ -168,19 +145,30 @@ def kijowski_curve(pkt: SpacePacket, taus,
     under the substitution p = p0 + sigma_p u (u over the packet support),
     which is accurate for packets whose momentum content at p <= 0 is
     negligible, and fast enough to build full moment-quality curves.
+
+    On a uniform grid tau_k = tau_0 + k dtau the amplitude is
+    sum_j b_j z_j^k with z_j = exp(-i dtau p_j^2/2m), the sum that
+    `_phase_power_sums` forms for the Marchewka-Schuss stepper too, so no
+    tau x nodes matrix is built.  `taus` must be uniformly spaced
+    (ValueError otherwise); one point or none is allowed.
     """
     taus = np.asarray(taus, dtype=float)
+    dtau = 0.0
+    if taus.size > 1:
+        step = np.diff(taus)
+        if not np.allclose(step, step[0], rtol=1e-10):
+            raise ValueError("taus must be uniformly spaced")
+        dtau = (taus[-1] - taus[0]) / (taus.size - 1)
     u_lo = max(-12.0, -pkt.p0 / pkt.sigma_p + 1e-9)
     u, w = _composite_gauss(u_lo, 12.0, nodes)
     p = pkt.p0 + pkt.sigma_p * u
     phi = space_momentum_amplitude(pkt, p)
     base = np.sqrt(p / (2.0 * math.pi * pkt.mass)) * phi * pkt.sigma_p * w
     p2 = p * p / (2.0 * pkt.mass)
-    amp = np.empty(taus.size, dtype=complex)
-    block = max(1, int(4e6) // nodes)  # bound the phase-matrix memory
-    for i in range(0, taus.size, block):
-        phase = np.exp(-1j * np.outer(taus[i:i + block], p2))
-        amp[i:i + block] = phase @ base
+    # The sums start at z^1, so the seed sits one step before tau_0.
+    tau_seed = taus[0] - dtau if taus.size else 0.0
+    amp = _phase_power_sums(base * np.exp(-1j * tau_seed * p2),
+                            np.exp(-1j * dtau * p2), taus.size)
     return ArrivalDistribution(taus, np.abs(amp) ** 2,
                                meta={"metric": "kijowski"})
 
@@ -362,9 +350,6 @@ def _ms_absorb(dpsi_raw, absorb_coeff: float, norm: float) -> tuple:
     return detected, p_abs, survival_scale
 
 
-_MS_BLOCK = 32  # steps per phase-power block (32 x N/2 complex values)
-
-
 def marchewka_schuss_evolve(x, psi0, cfg: MsConfig,
                             m: float = 1.0) -> MsResult:
     """Evolve an amplitude on x <= 0 against an absorbing boundary at 0.
@@ -380,7 +365,8 @@ def marchewka_schuss_evolve(x, psi0, cfg: MsConfig,
     hard-wall evolution plus a scalar recursion on P_n.  The hard-wall
     boundary derivative (central difference at 0) is a fixed functional of
     the spectrum, which each step only multiplies by exp(-i k^2 eps / 2m):
-    one FFT in, a phase-power recurrence per step, one IFFT out.
+    one FFT in, the phase-power sums of `_phase_power_sums` (shared with
+    `kijowski_curve`) for the per-step derivatives, one IFFT out.
 
     `x` must be a uniform increasing grid ending exactly at 0 with the
     initial amplitude negligible at both ends.  Aborts if any P_n > 1
@@ -415,15 +401,8 @@ def marchewka_schuss_evolve(x, psi0, cfg: MsConfig,
     j = np.arange(1, n_half - 1)
     w = ((-1.0) ** j * 1j * np.sin(math.pi * j / (n_half - 1))
          / (h * n_full)) * (spectrum[j] - spectrum[n_full - j])
-    block = max(1, min(_MS_BLOCK, cfg.steps))
-    powers = np.cumprod(np.broadcast_to(
-        np.exp(-1j * k[j] ** 2 * cfg.epsilon / (2.0 * m)), (block, j.size)),
-        axis=0)
-    dpsi_raw = np.empty(cfg.steps, dtype=complex)
-    for s in range(0, cfg.steps, block):
-        b = min(block, cfg.steps - s)
-        dpsi_raw[s:s + b] = powers[:b] @ w
-        w *= powers[b - 1]
+    dpsi_raw = _phase_power_sums(
+        w, np.exp(-1j * k[j] ** 2 * cfg.epsilon / (2.0 * m)), cfg.steps)
 
     norm = float(np.trapezoid(np.abs(psi) ** 2, x))
     detected, p_abs, survival_scale = _ms_absorb(

@@ -9,6 +9,7 @@ observed values, so failures carry their evidence.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -37,6 +38,7 @@ class CriterionResult:
     title: str
     passed: bool
     observed: dict = field(default_factory=dict)
+    warnings: list = field(default_factory=list)  # [{category, message}]
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -348,7 +350,19 @@ CRITERIA = {i: globals()[f"criterion_{i}"] for i in range(1, 13)}
 
 
 def run_criterion(cid: int) -> CriterionResult:
-    return CRITERIA[cid]()
+    """Run one criterion and list the warnings it raised in the result.
+
+    The caller's filters stay in force (an error filter still raises), and
+    each recorded warning is shown again once the criterion returns.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        result = CRITERIA[cid]()
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno,
+                             w.file, w.line)
+    result.warnings = [{"category": w.category.__name__,
+                        "message": str(w.message)} for w in caught]
+    return result
 
 
 def run_all():

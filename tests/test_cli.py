@@ -12,7 +12,7 @@ import pytest
 from scipy.integrate import IntegrationWarning
 
 import toalab
-from toalab import validation
+from toalab import cli, validation
 from toalab.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                         OUTPUT_DIR_ENV, main)
 
@@ -232,6 +232,31 @@ class TestWarnings:
             warnings.simplefilter("error", IntegrationWarning)
             with pytest.raises(IntegrationWarning):
                 validation.run_criterion(99)
+
+    def test_runner_warnings_reach_the_caller(self, tmp_path, monkeypatch):
+        # main must not reset the caller's filters around a subcommand.
+        def warns(r):
+            warnings.warn("did not converge", IntegrationWarning)
+            return EXIT_OK
+
+        monkeypatch.setitem(cli.RUNNERS, "kijowski-wave", warns)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            with pytest.raises(IntegrationWarning):
+                run(tmp_path, "kijowski-wave")
+
+    def test_validate_summary_lists_criterion_warnings(self, tmp_path,
+                                                       monkeypatch):
+        monkeypatch.setattr("toalab.cli.run_all", lambda: [
+            validation.run_criterion(cid) for cid in (1, 2)])
+        with pytest.warns(UserWarning, match="bullet regime"):
+            code, out = run(tmp_path, "validate")
+        assert code == EXIT_OK
+        first, second = json.loads(
+            (out / "validate_summary.json").read_text())["criteria"]
+        assert first["warnings"] == []
+        assert [w["category"] for w in second["warnings"]] == ["UserWarning"]
+        assert "bullet regime" in second["warnings"][0]["message"]
 
     def test_validate_prints_criterion_warnings(self, tmp_path):
         # Criterion 2 runs outside the bullet regime and says so.  A fresh

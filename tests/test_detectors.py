@@ -2,16 +2,17 @@
 boundary evolution."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from toalab.detectors import (ArrivalDistribution, MsConfig, _ms_absorb,
+from toalab.detectors import (ArrivalDistribution, MsConfig, _MS_BLOCK,
+                              _composite_gauss, _ms_absorb, _phase_power_sums,
                               default_tau_grid, kijowski_bullet_stats,
-                              kijowski_curve, kijowski_density,
-                              kijowski_wave_density_origin,
+                              kijowski_curve, kijowski_wave_density_origin,
                               marchewka_schuss_evolve, ms_step_algebra,
                               probability_current, sqm_detection_curve)
 from toalab.kernels import NumericalError
@@ -23,6 +24,80 @@ BULLET = SpacePacket(x0=-2.0e4, p0=10.0, sigma_x=10.0, mass=1.0)
 BULLET_D = 2.0e4  # tau_bar = 2000, sigma_p/p0 = 0.01
 # Criterion 2's packet: tau_bar = 100, sigma_p/p0 = 0.1, m sigma_x^2/tau_bar = 1
 SLOW = SpacePacket(x0=-100.0, p0=1.0, sigma_x=10.0, mass=1.0)
+
+
+def _half_line_integral(phi, m, tau, sign):
+    """int over sign*p > 0 of sqrt(|p|/2 pi m) e^(-i p^2 tau/2m) phi(p) dp.
+
+    The sqrt singularity at p = 0 is removed by the map p = sign * w^2,
+    after which adaptive quadrature handles the endpoint exactly.
+    """
+    # Locate the support of |phi| to bound the integral.
+    probe = np.concatenate([np.geomspace(1e-8, 1.0, 40),
+                            np.linspace(1.0, 400.0, 400)])
+    vals = np.abs(phi(sign * probe))
+    peak = vals.max()
+    if peak == 0.0:
+        return 0.0j
+    above = probe[vals > 1e-12 * peak]
+    w_hi = math.sqrt(above.max()) * 1.05
+
+    def integrand(w, part):
+        p = sign * w * w
+        z = 2.0 * w * w * math.sqrt(1.0 / (2.0 * math.pi * m)) \
+            * np.exp(-1j * p * p * tau / (2.0 * m)) * phi(p)
+        return z.real if part == "re" else z.imag
+
+    re, re_err = quad(integrand, 0.0, w_hi, args=("re",), limit=400)
+    im, im_err = quad(integrand, 0.0, w_hi, args=("im",), limit=400)
+    if max(re_err, im_err) > 1e-6 * max(1.0, abs(re) + abs(im)):
+        warnings.warn(f"kijowski quadrature residual {max(re_err, im_err):.2g}"
+                      " exceeds target", stacklevel=3)
+    return re + 1j * im
+
+
+def kijowski_density(phi_left, phi_right, m, tau):
+    """Kijowski arrival density at clock time tau, by adaptive quadrature.
+
+    |int_0^inf dp sqrt(p/2 pi m) e^(-i p^2 tau/2m) phi_left(p)|^2
+    + |int_-inf^0 dp sqrt(-p/2 pi m) e^(-i p^2 tau/2m) phi_right(p)|^2
+
+    phi_left / phi_right are momentum amplitude callables for packets
+    arriving from the left / right; pass None for an absent side.  The
+    oracle for the fixed-node `kijowski_curve`.
+    """
+    rho = 0.0
+    if phi_left is not None:
+        rho += abs(_half_line_integral(phi_left, m, tau, +1)) ** 2
+    if phi_right is not None:
+        rho += abs(_half_line_integral(phi_right, m, tau, -1)) ** 2
+    return rho
+
+
+def reference_kijowski_curve(pkt, taus, nodes=4000):
+    """Rates of `kijowski_curve` from the tau x nodes matrix of phases,
+    blocked to bound memory: the oracle for its phase-power sums, valid
+    on any grid."""
+    taus = np.asarray(taus, dtype=float)
+    u_lo = max(-12.0, -pkt.p0 / pkt.sigma_p + 1e-9)
+    u, w = _composite_gauss(u_lo, 12.0, nodes)
+    p = pkt.p0 + pkt.sigma_p * u
+    phi = space_momentum_amplitude(pkt, p)
+    base = np.sqrt(p / (2.0 * math.pi * pkt.mass)) * phi * pkt.sigma_p * w
+    p2 = p * p / (2.0 * pkt.mass)
+    amp = np.empty(taus.size, dtype=complex)
+    block = max(1, int(4e6) // nodes)  # bound the phase-matrix memory
+    for i in range(0, taus.size, block):
+        phase = np.exp(-1j * np.outer(taus[i:i + block], p2))
+        amp[i:i + block] = phase @ base
+    return np.abs(amp) ** 2
+
+
+def metric_compare_grid():
+    """`metric-compare`'s Kijowski grid at its defaults (the BULLET packet)."""
+    stats = kijowski_bullet_stats(BULLET, BULLET_D)
+    return default_tau_grid(stats.tau_bar, stats.uncertainty, n=1201,
+                            spread=10.0)
 
 
 def reference_ms_evolve(x, psi0, cfg, m=1.0):
@@ -191,6 +266,61 @@ class TestKijowskiBullet:
         assert curve.uncertainty == pytest.approx(stats.uncertainty, rel=5e-3)
 
 
+class TestKijowskiCurve:
+    # (packet, grid, nodes) of criterion 2 and of `metric-compare`.
+    GRIDS = {"criterion_2": (SLOW, np.linspace(10.0, 190.0, 1601), 6000),
+             "metric_compare": (BULLET, metric_compare_grid(), 20000)}
+
+    @pytest.mark.parametrize("case", sorted(GRIDS))
+    def test_matches_phase_matrix_oracle(self, case):
+        pkt, taus, nodes = self.GRIDS[case]
+        rates = kijowski_curve(pkt, taus, nodes=nodes).rates
+        expect = reference_kijowski_curve(pkt, taus, nodes=nodes)
+        assert np.max(np.abs(rates - expect)) <= 1e-10 * expect.max()
+
+    def test_first_tau_is_not_shifted(self):
+        # The sums start at z^1: a seed at tau_0 instead of tau_0 - dtau
+        # would put every rate one step late.  The grid starts at the peak,
+        # where a one-step shift changes the rate by about 1e-3.
+        taus = np.linspace(100.0, 110.0, 101)
+        first = kijowski_curve(SLOW, taus, nodes=6000).rates[0]
+        assert first == pytest.approx(
+            reference_kijowski_curve(SLOW, taus[:1], nodes=6000)[0],
+            rel=1e-12, abs=0.0)
+
+    def test_single_point_grid(self):
+        curve = kijowski_curve(BULLET, [2000.0])
+        direct = kijowski_density(
+            lambda p: space_momentum_amplitude(BULLET, p), None, BULLET.mass,
+            2000.0)
+        assert curve.rates.shape == (1,)
+        assert curve.rates[0] == pytest.approx(direct, rel=1e-7)
+
+    def test_empty_grid(self):
+        curve = kijowski_curve(SLOW, np.array([]))
+        assert curve.taus.size == 0 and curve.rates.size == 0
+
+    def test_non_uniform_grid_rejected(self):
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            kijowski_curve(SLOW, np.geomspace(10.0, 190.0, 101))
+        taus = np.linspace(10.0, 190.0, 101)
+        taus[50] += 1e-6
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            kijowski_curve(SLOW, taus)
+
+    def test_memory_stays_below_phase_matrix(self):
+        # The tau x nodes phase matrix of `reference_kijowski_curve` peaks
+        # near 184 MiB here; the phase-power sums keep _MS_BLOCK x nodes.
+        pkt, taus, nodes = self.GRIDS["metric_compare"]
+        tracemalloc.start()
+        try:
+            kijowski_curve(pkt, taus, nodes=nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+
 class TestProbabilityCurrent:
     def test_plane_wave_flux(self):
         x = np.linspace(0.0, 1.0, 5)
@@ -273,6 +403,18 @@ class TestMarchewkaSchuss:
         assert np.max(np.abs(res.psi_final - psi_final)) <= 1e-11
         assert res.cumulative_detected == pytest.approx(detected.sum(),
                                                         abs=1e-12)
+
+    @pytest.mark.parametrize("steps", [0, 1, _MS_BLOCK, 3 * _MS_BLOCK + 5])
+    def test_phase_power_sums_match_direct_powers(self, steps):
+        rng = np.random.default_rng(7)
+        w = rng.normal(size=50) + 1j * rng.normal(size=50)
+        z = np.exp(-1j * rng.uniform(0.0, 2.0 * math.pi, size=50))
+        w_in = w.copy()
+        sums = _phase_power_sums(w, z, steps)
+        n = np.arange(1, steps + 1)
+        np.testing.assert_allclose(sums, (z[None, :] ** n[:, None]) @ w,
+                                   rtol=0, atol=1e-12)
+        assert np.array_equal(w, w_in)           # the weights are not consumed
 
     def test_analytic_odd_image_matches_grid(self):
         # For Gaussian data the hard-wall derivative is 2 dphi/dx(0, tau);
