@@ -255,6 +255,8 @@ def run_walk_validate(r: Runner) -> int:
     d, n_max = p["d"], p["n-max"]
     if d < 1:
         raise ConfigError("walk-validate requires d >= 1")
+    if n_max < 0:
+        raise ConfigError("walk-validate requires n-max >= 0")
     all_exact = True
     cum = Fraction(0)
     rows = []

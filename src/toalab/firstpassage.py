@@ -7,10 +7,17 @@ with probability 1/2 each.  All step-n probabilities are dyadic rationals
     P_{n,m} = C(n, (n+m)/2) / 2^n                       (free walk)
     G_{n,m,d} = [C(n,(n+m+d)/2) - C(n,(n+m-d)/2)] / 2^n (survivor, reflection)
     F_{n,d} = (d/n) P_{n,d} = (1/2) G_{n-1,-1,d}        (first arrival)
+    S_{n,d} = sum_{k=-d}^{d-1} P_{n,k}                  (survivor mass)
 
-with F_0 = 1 if d = 0 else 0.  The continuum limit (step eps in clock time,
-sqrt(2 D0 eps) in space, mass scaling tau' = m tau) is the diffusion
-first-passage density D_tau = (d/tau) sqrt(m/2 pi tau) exp(-m d^2/2 tau).
+with F_0 = 1 if d = 0 else 0.  The survivor mass is the reflection formula
+summed over all sites m < 0, which telescopes to the free-walk probability
+P(-d <= X_n <= d-1): O(d) binomials at any n.  The Monte Carlo sampler
+draws one random byte per 8 steps and advances each walker with two
+256-entry tables (net move; first step that reaches the detector), so a
+walker costs one table lookup per 8 steps.  The continuum limit (step eps
+in clock time, sqrt(2 D0 eps) in space, mass scaling tau' = m tau) is the
+diffusion first-passage density
+D_tau = (d/tau) sqrt(m/2 pi tau) exp(-m d^2/2 tau).
 """
 
 from __future__ import annotations
@@ -37,8 +44,9 @@ __all__ = [
     "images_detection_rate",
 ]
 
-# Beyond this step count exact binomials get slow and callers are pointed at
-# the floating-point path.
+# FirstArrivalHistogram.exact_reference builds its exact F_n (one Fraction
+# per step, each with its own big binomial) up to this step count and
+# switches to the log-binomial float path beyond it.
 EXACT_STEP_LIMIT = 200
 
 
@@ -81,9 +89,20 @@ def surviving_probability(n: int, m: int, d: int) -> Fraction:
 
 
 def survivor_mass(n: int, d: int) -> Fraction:
-    """Probability that the walk from -d has not reached 0 by step n."""
-    return sum((surviving_probability(n, m, d) for m in range(-n - d, 0)),
-               Fraction(0))
+    """Probability that the walk from -d has not reached 0 by step n.
+
+    Summing the reflection formula G_{n,m,d} = P_{n,m+d} - P_{n,m-d} over
+    every survivor site m < 0 telescopes to P(-d <= X_n <= d-1) for the
+    free displacement X_n, i.e. sum_{k=-d}^{d-1} C(n, (n+k)/2) / 2^n over
+    the k of n's parity with |k| <= n.  That is at most d binomials, exact.
+    A walk starting on the detector (d = 0) has no survivor mass.
+    """
+    if n < 0 or d < 0:
+        raise ValueError("n and d must be >= 0")
+    lo = max(-d, -n)
+    lo += (n + lo) % 2
+    ways = sum(math.comb(n, (n + k) // 2) for k in range(lo, min(d, n + 1), 2))
+    return Fraction(ways, 2**n)
 
 
 def first_arrival_probability(n: int, d: int) -> Fraction:
@@ -187,6 +206,24 @@ class FirstArrivalHistogram:
         return (self.frequencies() - p) / se
 
 
+def _byte_tables() -> tuple:
+    """Per-byte walk tables; bit i of a byte is step i + 1, 1 = toward 0.
+
+    net[b] is the byte's net move toward the detector.  first[r * 256 + b]
+    is the first step (1-8) at which a walker r sites away reaches the
+    detector, or 9 if it does not within the byte; rows r = 0..9, where
+    row 9 (r >= 9) never arrives and row 0 is never looked up.
+    """
+    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    reach = np.cumsum(2 * bits - 1, axis=1)
+    hit = reach == np.arange(10)[:, None, None]
+    first = np.where(hit.any(axis=2), hit.argmax(axis=2) + 1, 9)
+    return reach[:, -1].astype(np.int32), first.astype(np.uint8).ravel()
+
+
+_BYTE_NET, _BYTE_FIRST = _byte_tables()
+
+
 def _mc_chunk(d: int, n_max: int, trials: int, seed: int,
               chunk_index: int) -> tuple:
     rng = np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
@@ -194,13 +231,18 @@ def _mc_chunk(d: int, n_max: int, trials: int, seed: int,
     if d == 0:
         counts[0] = trials
         return counts, 0
-    steps = rng.integers(0, 2, size=(trials, n_max), dtype=np.int8) * 2 - 1
-    pos = np.cumsum(steps, axis=1, dtype=np.int32) - d
-    hit = pos == 0
-    arrived = hit.any(axis=1)
-    first = np.argmax(hit, axis=1) + 1
-    np.add.at(counts, first[arrived], 1)
-    return counts, int(trials - arrived.sum())
+    r = np.full(trials, d, dtype=np.int32)     # distance of each live walker
+    for start in range(0, n_max, 8):
+        if not r.size:
+            break
+        left = min(8, n_max - start)            # the last byte may be partial
+        b = rng.integers(0, 256, size=r.size, dtype=np.uint8)
+        first = _BYTE_FIRST[np.minimum(r, 9) * 256 + b]
+        hit = first <= left
+        counts[start + 1:start + left + 1] += np.bincount(
+            first[hit], minlength=9)[1:left + 1]
+        r = (r - _BYTE_NET[b])[~hit]
+    return counts, int(r.size)
 
 
 def monte_carlo_first_arrival(d: int, n_max: int, trials: int, seed: int,
@@ -209,7 +251,11 @@ def monte_carlo_first_arrival(d: int, n_max: int, trials: int, seed: int,
 
     Trials run in fixed chunks of MC_CHUNK with counter-based per-chunk
     streams, so the result depends only on (d, n_max, trials, seed).
+    Each chunk draws one byte per live walker per 8 steps (see
+    _byte_tables) and drops walkers as they arrive.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if d < 0:

@@ -50,6 +50,13 @@ class TestExitCodes:
         code, _ = run(tmp_path, "kijowski-bullet", "--p0", "-1")
         assert code == EXIT_CONFIG
 
+    def test_negative_walk_n_max_is_config_error(self, tmp_path, capsys):
+        code, out = run(tmp_path, "walk-validate", "--n-max", "-1")
+        assert code == EXIT_CONFIG
+        assert "n-max >= 0" in capsys.readouterr().err
+        assert not (out / "walk-validate_report.csv").exists()
+        assert not (out / "walk-validate_summary.json").exists()
+
     def test_excessive_ms_coupling_is_numerical_error(self, tmp_path, capsys):
         code, _ = run(tmp_path, "ms-evolve", "--lambda", "1e15",
                       "--epsilon", "0.5", "--steps", "5")

@@ -32,15 +32,16 @@ def _half_line_integral(phi, m, tau, sign):
     The sqrt singularity at p = 0 is removed by the map p = sign * w^2,
     after which adaptive quadrature handles the endpoint exactly.
     """
-    # Locate the support of |phi| to bound the integral.
-    probe = np.concatenate([np.geomspace(1e-8, 1.0, 40),
-                            np.linspace(1.0, 400.0, 400)])
+    # Locate the support of |phi| to bound the integral: the probe steps by
+    # 0.6% of p, so a packet with sigma_p/p0 >= 1e-3 spans several probes,
+    # and the bound is the first probe past the last one above threshold.
+    probe = np.geomspace(1e-8, 400.0, 4001)
     vals = np.abs(phi(sign * probe))
     peak = vals.max()
     if peak == 0.0:
         return 0.0j
-    above = probe[vals > 1e-12 * peak]
-    w_hi = math.sqrt(above.max()) * 1.05
+    last = np.flatnonzero(vals > 1e-12 * peak)[-1]
+    w_hi = math.sqrt(probe[min(last + 1, probe.size - 1)])
 
     def integrand(w, part):
         p = sign * w * w
@@ -294,6 +295,15 @@ class TestKijowskiCurve:
             lambda p: space_momentum_amplitude(BULLET, p), None, BULLET.mass,
             2000.0)
         assert curve.rates.shape == (1,)
+        assert curve.rates[0] == pytest.approx(direct, rel=1e-7)
+
+    def test_narrow_packet_matches_adaptive_density(self):
+        # Criterion 2's packet at its mean arrival time: sigma_p = 0.05, so
+        # the support p in [0.4, 1.6] lies between integer momentum probes.
+        curve = kijowski_curve(SLOW, [100.0], nodes=6000)
+        direct = kijowski_density(
+            lambda p: space_momentum_amplitude(SLOW, p), None, SLOW.mass, 100.0)
+        assert direct == pytest.approx(0.039844, abs=1e-6)
         assert curve.rates[0] == pytest.approx(direct, rel=1e-7)
 
     def test_empty_grid(self):

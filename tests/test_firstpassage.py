@@ -9,14 +9,53 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from toalab.firstpassage import (DiffusionSpec, EXACT_STEP_LIMIT,
-                                 diffusion_density, diffusion_detection_rate,
+from toalab.firstpassage import (DiffusionSpec, EXACT_STEP_LIMIT, MC_CHUNK,
+                                 FirstArrivalHistogram, diffusion_density,
+                                 diffusion_detection_rate,
                                  first_arrival_probability,
                                  first_arrival_probability_float,
                                  images_detection_rate, lattice_arrival_curve,
                                  monte_carlo_first_arrival, recursion_evolve,
                                  surviving_probability, survivor_mass,
                                  walk_probability)
+
+
+def reference_survivor_mass(n: int, d: int) -> Fraction:
+    """Oracle: the reflection formula summed site by site over m < 0."""
+    return sum((surviving_probability(n, m, d) for m in range(-n - d, 0)),
+               Fraction(0))
+
+
+def reference_mc_chunk(d: int, n_max: int, trials: int, seed: int,
+                       chunk_index: int) -> tuple:
+    """Oracle: one int8 step per walker and step, then a cumulative sum."""
+    rng = np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
+    counts = np.zeros(n_max + 1, dtype=np.int64)
+    if d == 0:
+        counts[0] = trials
+        return counts, 0
+    if n_max == 0:               # argmax over an empty step axis would raise
+        return counts, trials
+    steps = rng.integers(0, 2, size=(trials, n_max), dtype=np.int8) * 2 - 1
+    pos = np.cumsum(steps, axis=1, dtype=np.int32) - d
+    hit = pos == 0
+    arrived = hit.any(axis=1)
+    first = np.argmax(hit, axis=1) + 1
+    np.add.at(counts, first[arrived], 1)
+    return counts, int(trials - arrived.sum())
+
+
+def reference_monte_carlo(d: int, n_max: int, trials: int,
+                          seed: int) -> FirstArrivalHistogram:
+    counts = np.zeros(n_max + 1, dtype=np.int64)
+    never = 0
+    for i, start in enumerate(range(0, trials, MC_CHUNK)):
+        c, nv = reference_mc_chunk(d, n_max, min(MC_CHUNK, trials - start),
+                                   seed, i)
+        counts += c
+        never += nv
+    return FirstArrivalHistogram(d=d, n_max=n_max, trials=trials, seed=seed,
+                                 counts=counts, never_arrived=never)
 
 
 class TestWalkProbability:
@@ -66,7 +105,7 @@ class TestSurvivingAndFirstArrival:
     @given(d=st.integers(1, 8), n=st.integers(1, 80))
     def test_surviving_plus_arrived_is_one(self, d, n):
         arrived = sum(first_arrival_probability(k, d) for k in range(n + 1))
-        surviving = sum(surviving_probability(n, m, d) for m in range(-(n + d + 1), 0))
+        surviving = reference_survivor_mass(n, d)
         assert arrived + surviving == Fraction(1)
         assert survivor_mass(n, d) == surviving
 
@@ -81,6 +120,22 @@ class TestSurvivingAndFirstArrival:
         approx = first_arrival_probability_float(np.array([n]), 2)[0]
         exact = float(first_arrival_probability(n, 2))
         assert approx == pytest.approx(exact, rel=1e-10)
+
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_survivor_mass_matches_site_sum(self, d):
+        for n in sorted({0, 1, 2, max(d - 1, 0), d, d + 1, 2 * d, 2 * d + 1,
+                         50, 51, 199, 200, 399, 400}):
+            assert survivor_mass(n, d) == reference_survivor_mass(n, d), n
+
+    def test_survivor_mass_edges(self):
+        assert survivor_mass(0, 5) == 1                    # n = 0
+        assert survivor_mass(3, 5) == 1                    # n < d
+        assert survivor_mass(5, 5) == 1 - Fraction(1, 32)  # one path arrives
+        assert survivor_mass(0, 0) == survivor_mass(7, 0) == 0
+        with pytest.raises(ValueError):
+            survivor_mass(-1, 2)
+        with pytest.raises(ValueError):
+            survivor_mass(2, -1)
 
     def test_eventual_arrival_is_certain(self):
         # One-dimensional walk hits any level with probability 1; the partial
@@ -129,6 +184,38 @@ class TestMonteCarlo:
             monte_carlo_first_arrival(-1, 4, 10, seed=1)
         with pytest.raises(ValueError, match="n_max"):
             monte_carlo_first_arrival(1, -1, 10, seed=1)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_nonpositive_workers_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            monte_carlo_first_arrival(1, 4, 10, seed=1, workers=workers)
+
+    @pytest.mark.parametrize("sampler", ["byte_table", "reference"])
+    @pytest.mark.parametrize("n_max", [0, 1, 7, 8, 9, 100])
+    @pytest.mark.parametrize("d", [1, 2, 8, 9, 12])
+    def test_sampler_within_five_sigma(self, sampler, d, n_max):
+        # Two chunks, the second partial; 5 standard errors over at most
+        # ~100 bins plus the survivors.  Where the exact probability is 0 or
+        # 1 (parity bins, n_max < d) the tolerance is zero.
+        trials, seed = 20000, 1000 * d + n_max
+        hist = (monte_carlo_first_arrival(d, n_max, trials, seed)
+                if sampler == "byte_table"
+                else reference_monte_carlo(d, n_max, trials, seed))
+        p = hist.exact_reference()
+        se = np.sqrt(p * (1.0 - p) / trials)
+        assert np.all(np.abs(hist.frequencies() - p) <= 5.0 * se)
+        s = float(survivor_mass(n_max, d))
+        assert abs(hist.never_arrived / trials - s) <= \
+            5.0 * math.sqrt(s * (1.0 - s) / trials)
+
+    @pytest.mark.parametrize("n_max", [0, 1, 3, 7, 8, 9, 13, 100])
+    @pytest.mark.parametrize("d", [1, 2, 8, 9, 12])
+    def test_every_trial_counted_once_and_parity_bins_empty(self, d, n_max):
+        trials = MC_CHUNK + 123
+        hist = monte_carlo_first_arrival(d, n_max, trials, seed=d + n_max)
+        assert int(hist.counts.sum()) + hist.never_arrived == trials
+        # F_n = 0 for n of the wrong parity and for n < d.
+        assert not hist.counts[hist.exact_reference() == 0].any()
 
     def test_seed_determinism_and_worker_invariance(self):
         a = monte_carlo_first_arrival(2, 20, 50000, seed=7, workers=1)
