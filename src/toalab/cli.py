@@ -20,12 +20,12 @@ import os
 import sys
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import __version__
 from . import firstpassage as fp
 from .detectors import (MsConfig, default_tau_grid, kijowski_bullet_stats,
                         kijowski_curve, kijowski_wave_density_origin,
+                        kijowski_wave_norm,
                         marchewka_schuss_evolve, sqm_detection_curve)
 from .experiments import (SlitConfig, discrete_continuum_experiment,
                           metric_comparison, single_slit_sweep)
@@ -236,8 +236,7 @@ def run_kijowski_bullet(r: Runner) -> int:
 def run_kijowski_wave(r: Runner) -> int:
     p = r.params
     m, sp = p["m"], p["sigma-p"]
-    norm, err = quad(lambda t: float(kijowski_wave_density_origin(m, sp, t)),
-                     0.0, np.inf, limit=400)
+    norm, err = kijowski_wave_norm(m, sp)
     scale = m / sp**2
     taus = np.linspace(0.0, 50.0 * scale, 2001)
     _write_csv(r.path("curve.csv"), ["tau", "rate"],

@@ -23,11 +23,12 @@ D_tau = (d/tau) sqrt(m/2 pi tau) exp(-m d^2/2 tau).
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln
+from numpy.random import Generator, Philox
 
 __all__ = [
     "DiffusionSpec",
@@ -136,9 +137,9 @@ def first_arrival_probability_float(n, d: int):
     ok = (n >= d) & ((n + d) % 2 == 0) & (n > 0)
     nn = n[ok].astype(float)
     k = (n[ok] + d) // 2
-    logp = (gammaln(nn + 1.0) - gammaln(k + 1.0) - gammaln(nn - k + 1.0)
-            - nn * math.log(2.0))
-    out[ok] = (d / nn) * np.exp(logp)
+    logc = [math.lgamma(a + 1.0) - math.lgamma(b + 1.0)
+            - math.lgamma(a - b + 1.0) for a, b in zip(nn.tolist(), k.tolist())]
+    out[ok] = (d / nn) * np.exp(np.array(logc) - nn * math.log(2.0))
     return out
 
 
@@ -226,7 +227,7 @@ _BYTE_NET, _BYTE_FIRST = _byte_tables()
 
 def _mc_chunk(d: int, n_max: int, trials: int, seed: int,
               chunk_index: int) -> tuple:
-    rng = np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
+    rng = Generator(Philox(key=[seed, chunk_index]))
     counts = np.zeros(n_max + 1, dtype=np.int64)
     if d == 0:
         counts[0] = trials
@@ -267,7 +268,6 @@ def monte_carlo_first_arrival(d: int, n_max: int, trials: int, seed: int,
     counts = np.zeros(n_max + 1, dtype=np.int64)
     never = 0
     if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = pool.map(
                 lambda c: _mc_chunk(d, n_max, c[1], seed, c[0]), chunks)

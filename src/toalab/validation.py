@@ -14,16 +14,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import firstpassage as fp
 from .detectors import (kijowski_bullet_stats, kijowski_curve,
-                        kijowski_wave_density_origin,
+                        kijowski_wave_norm,
                         marchewka_schuss_evolve, MsConfig,
                         probability_current)
 from .experiments import (SlitConfig, discrete_continuum_experiment,
                           single_slit_sweep, sqm_slit_uncertainty)
-from .kernels import laplace_first_arrival_check
+from .kernels import _trapezoid, laplace_first_arrival_check
 from .tqm import TqmPacket, sqm_limit_curve, tqm_arrival_distribution, \
     tqm_dispersion_budget
 from .wavepacket import (SpacePacket, TimePacket, negative_energy_fraction,
@@ -52,8 +51,7 @@ def _result(cid, title, passed, observed):
 
 def criterion_1():
     """Kijowski wave-case norm integrates to 1/4."""
-    norm, err = quad(lambda t: float(kijowski_wave_density_origin(1.0, 1.0, t)),
-                     0.0, np.inf, limit=400)
+    norm, err = kijowski_wave_norm(1.0, 1.0)
     return _result(1, "Kijowski wave-case norm = 0.25 +/- 1e-4",
                    abs(norm - 0.25) < 1e-4,
                    {"norm": norm, "quad_error": err})
@@ -70,7 +68,7 @@ def _kijowski_exact_moments(pkt: SpacePacket) -> tuple:
         <tau>   = m d <1/p>
         <tau^2> = m^2 <(d^2 + (1/(2p) + (p - p0)/sigma_p^2)^2) / p^2>
 
-    Both are evaluated by adaptive quadrature over p0 +/- 6 sigma_p, where
+    Both are evaluated by the trapezoid rule over p0 +/- 6 sigma_p, where
     |phi|^2 falls to e^-36 of its peak.  The averages of 1/p and 1/p^4
     diverge at p = 0, so packets with sigma_p/p0 > 1/8 are refused: below
     that the weight at p = 0 is at most e^-64 of the peak and the window
@@ -83,9 +81,8 @@ def _kijowski_exact_moments(pkt: SpacePacket) -> tuple:
                          "the moments diverge")
 
     def average(f):
-        val, _ = quad(lambda p: math.exp(-((p - p0) / sp) ** 2) * f(p),
-                      p0 - 6.0 * sp, p0 + 6.0 * sp, points=[p0],
-                      epsabs=0.0, epsrel=1e-12, limit=200)
+        val, _ = _trapezoid(lambda p: np.exp(-((p - p0) / sp) ** 2) * f(p),
+                            p0 - 6.0 * sp, p0 + 6.0 * sp, 1e-12)
         return val
 
     weight = average(lambda p: 1.0)

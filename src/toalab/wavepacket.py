@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import erfc
 
 __all__ = [
     "SpacePacket",
@@ -229,4 +228,4 @@ def negative_energy_fraction(pkt: TimePacket) -> NegativeEnergyReport:
     """
     z = pkt.E0 / pkt.sigma_E
     return NegativeEnergyReport(sigma_distance=z,
-                                tail_mass=0.5 * erfc(z / math.sqrt(2.0)))
+                                tail_mass=0.5 * math.erfc(z / math.sqrt(2.0)))

@@ -70,6 +70,16 @@ class TestExitCodes:
         assert "pi/4" in capsys.readouterr().err
         assert "pi/4" in json.loads((out / "error.json").read_text())["error"]
 
+    def test_unconverged_quadrature_is_numerical_error(self, tmp_path,
+                                                      monkeypatch, capsys):
+        # One halving cannot resolve the default transforms.
+        monkeypatch.setattr("toalab.kernels._TRAPEZOID_HALVINGS", 1)
+        code, out = run(tmp_path, "laplace-check")
+        assert code == EXIT_NUMERICAL
+        assert "did not converge" in json.loads(
+            (out / "error.json").read_text())["error"]
+        assert not (out / "laplace-check_summary.json").exists()
+
 
 class TestErrorJson:
     def test_written_to_env_output_dir(self, tmp_path, monkeypatch):
@@ -279,12 +289,24 @@ class TestWarnings:
 
 
 class TestImports:
-    def test_cli_does_not_load_signal_or_stats(self, tmp_path):
-        # Both subpackages cost import time and are used by no command.
+    def test_cli_loads_no_scipy(self, tmp_path):
+        # scipy is a test-only dependency: its import cost most of a CLI
+        # call.  A fresh interpreter, checked after the import and after
+        # each subcommand, so a lazy import cannot move that cost into the
+        # run itself.
         proc = run_python(
-            "import sys, toalab.cli\n"
-            "print(sorted(m for m in sys.modules\n"
-            "             if m.startswith(('scipy.signal', 'scipy.stats'))))",
+            "import json, sys, toalab.cli as cli\n"
+            "def scipy():\n"
+            "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "seen = {'import': scipy()}\n"
+            "for exp in ('validate', 'kijowski-wave', 'laplace-check',\n"
+            "            'continuum'):\n"
+            "    seen[exp] = [cli.main([exp, '--output-dir', exp]), scipy()]\n"
+            "print(json.dumps(seen))",
             cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        seen = json.loads(proc.stdout.splitlines()[-1])
+        assert seen == {"import": [], "validate": [EXIT_OK, []],
+                        "kijowski-wave": [EXIT_OK, []],
+                        "laplace-check": [EXIT_OK, []],
+                        "continuum": [EXIT_OK, []]}

@@ -13,6 +13,7 @@ from toalab.detectors import (ArrivalDistribution, MsConfig, _MS_BLOCK,
                               _composite_gauss, _ms_absorb, _phase_power_sums,
                               default_tau_grid, kijowski_bullet_stats,
                               kijowski_curve, kijowski_wave_density_origin,
+                              kijowski_wave_norm,
                               marchewka_schuss_evolve, ms_step_algebra,
                               probability_current, sqm_detection_curve)
 from toalab.kernels import NumericalError
@@ -55,6 +56,23 @@ def _half_line_integral(phi, m, tau, sign):
         warnings.warn(f"kijowski quadrature residual {max(re_err, im_err):.2g}"
                       " exceeds target", stacklevel=3)
     return re + 1j * im
+
+
+def reference_exact_moments(pkt):
+    """`_kijowski_exact_moments` by adaptive quadrature, its replaced path."""
+    p0, sp, m, d = pkt.p0, pkt.sigma_p, pkt.mass, pkt.d
+
+    def average(f):
+        val, _ = quad(lambda p: math.exp(-((p - p0) / sp) ** 2) * f(p),
+                      p0 - 6.0 * sp, p0 + 6.0 * sp, points=[p0],
+                      epsabs=0.0, epsrel=1e-12, limit=200)
+        return val
+
+    weight = average(lambda p: 1.0)
+    mean = m * d * average(lambda p: 1.0 / p) / weight
+    second = m * m * average(
+        lambda p: (d * d + (0.5 / p + (p - p0) / sp**2) ** 2) / p**2) / weight
+    return mean, math.sqrt(second - mean * mean)
 
 
 def kijowski_density(phi_left, phi_right, m, tau):
@@ -167,6 +185,20 @@ class TestKijowskiWaveCase:
                     0, np.inf, limit=400)[0]
         assert norm == pytest.approx(0.25, abs=1e-9)
 
+    @pytest.mark.parametrize("m", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("sigma_p", [0.1, 1.0, 10.0])
+    def test_trapezoid_norm_matches_quad(self, m, sigma_p):
+        # Oracle: the adaptive quad over tau the trapezoid rule in log tau
+        # replaced.  quad lands within 8.5e-12 of 1/4 on this grid, so the
+        # two agree to 1e-10; the trapezoid norm itself to 1e-15.
+        norm, err = kijowski_wave_norm(m, sigma_p)
+        ref, _ = quad(lambda t: float(kijowski_wave_density_origin(m, sigma_p,
+                                                                  t)),
+                      0.0, np.inf, limit=400)
+        assert norm == pytest.approx(ref, abs=1e-10)
+        assert norm == pytest.approx(0.25, abs=1e-15)
+        assert err <= 1e-10 * norm
+
     def test_monotone_decay(self):
         t = np.linspace(0.0, 50.0, 201)
         rho = kijowski_wave_density_origin(1.0, 1.0, t)
@@ -231,6 +263,20 @@ class TestKijowskiBullet:
         mean, dt = _kijowski_exact_moments(BULLET)
         assert mean == pytest.approx(stats.tau_bar, rel=2e-3)
         assert dt == pytest.approx(stats.uncertainty, rel=2e-3)
+
+    @pytest.mark.parametrize("pkt", [
+        SLOW,
+        SpacePacket(x0=-50.0, p0=2.0, sigma_x=50.0, mass=1.5),   # 1/100
+        SpacePacket(x0=-50.0, p0=2.0, sigma_x=4.0, mass=1.5),    # 1/8
+    ], ids=["criterion_2", "sigma_p_1_100", "sigma_p_1_8"])
+    def test_exact_moments_match_quad(self, pkt):
+        # Oracle: the adaptive quad (epsrel 1e-12) the trapezoid rule
+        # replaced.  The spread comes from <tau^2> - <tau>^2, which loses
+        # up to two digits, so both moments are held to 1e-12 relative.
+        mean, dt = _kijowski_exact_moments(pkt)
+        ref_mean, ref_dt = reference_exact_moments(pkt)
+        assert mean == pytest.approx(ref_mean, rel=1e-12)
+        assert dt == pytest.approx(ref_dt, rel=1e-12)
 
     def test_exact_moments_refuse_content_near_zero(self):
         wide = SpacePacket(x0=-100.0, p0=1.0, sigma_x=2.0, mass=1.0)

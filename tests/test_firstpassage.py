@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import gammaln
 
 from toalab.firstpassage import (DiffusionSpec, EXACT_STEP_LIMIT, MC_CHUNK,
                                  FirstArrivalHistogram, diffusion_density,
@@ -114,6 +115,23 @@ class TestSurvivingAndFirstArrival:
         exact = np.array([float(first_arrival_probability(int(k), 4)) for k in n])
         np.testing.assert_allclose(first_arrival_probability_float(n, 4), exact,
                                    rtol=1e-12, atol=1e-300)
+
+    @pytest.mark.parametrize("d", [1, 2, 32])
+    def test_float_path_matches_gammaln(self, d):
+        # Oracle: the vectorised scipy gammaln formula that math.lgamma
+        # replaced.  log(n!) is about 8.2e4 at n = 1e4, where one ulp is
+        # 1.5e-11, so each path carries a few 1e-11 of relative error;
+        # they agree to 2e-10 and keep the same exact zeros.
+        n = np.arange(10001)
+        ok = (n >= d) & ((n + d) % 2 == 0)
+        nn, k = n[ok].astype(float), (n[ok] + d) // 2
+        ref = np.zeros(n.shape)
+        ref[ok] = (d / nn) * np.exp(gammaln(nn + 1.0) - gammaln(k + 1.0)
+                                    - gammaln(nn - k + 1.0)
+                                    - nn * math.log(2.0))
+        got = first_arrival_probability_float(n, d)
+        np.testing.assert_array_equal(got == 0.0, ref == 0.0)
+        np.testing.assert_allclose(got, ref, rtol=2e-10, atol=0.0)
 
     def test_float_path_beyond_exact_limit(self):
         n = EXACT_STEP_LIMIT + 100

@@ -1,11 +1,15 @@
 """Kernel tests: closed forms, semigroup, propagation, Laplace transforms."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from toalab.kernels import (closed_form_laplace_first_arrival,
+from toalab import kernels
+from toalab.kernels import (NumericalError, _trapezoid,
+                            closed_form_laplace_first_arrival,
                             first_arrival_kernel, free_kernel_space,
                             laplace_first_arrival_check,
                             laplace_transform_first_arrival,
@@ -14,6 +18,41 @@ from toalab.kernels import (closed_form_laplace_first_arrival,
 from toalab.firstpassage import DiffusionSpec, diffusion_density
 from toalab.wavepacket import (SpacePacket, TimePacket, space_amplitude,
                                time_amplitude)
+
+
+def reference_power_transform(nu, alpha, s):
+    """`_laplace_power_transform` by two adaptive quads in r, the replaced
+    path: int_0^inf tau^(-nu) e^(i alpha/tau) e^(-s tau) dtau on the ray
+    tau = r e^(-i pi/4), real and imaginary parts at epsrel 1e-10 each."""
+
+    def integrand(r, trig):
+        g = (alpha / r + s * r) / math.sqrt(2.0)
+        return math.exp(-g - nu * math.log(r)) * trig(g)
+
+    re, _ = quad(integrand, 0.0, math.inf, args=(math.cos,), epsabs=0.0,
+                 epsrel=1e-10, limit=200)
+    im, _ = quad(integrand, 0.0, math.inf, args=(math.sin,), epsabs=0.0,
+                 epsrel=1e-10, limit=200)
+    return np.exp(-1j * math.pi / 4) ** (1.0 - nu) * (re + 1j * im)
+
+
+class TestTrapezoid:
+    def test_gaussian_converges_with_error_estimate(self):
+        val, err = _trapezoid(lambda x: np.exp(-x * x), -10.0, 10.0, 1e-12)
+        assert val == pytest.approx(math.sqrt(math.pi), rel=1e-15)
+        assert err <= 1e-12 * val
+
+    def test_unconverged_levels_raise(self):
+        # 1/x on [0, 1]: each halving adds about ln 2, so no two levels
+        # agree; the endpoint itself is set to 0.
+        with pytest.raises(NumericalError, match="did not converge"):
+            _trapezoid(lambda x: np.reciprocal(
+                x, out=np.zeros_like(x), where=x > 0), 0.0, 1.0, 1e-10)
+
+    def test_non_finite_level_raises(self):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="did not converge"):
+                _trapezoid(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, 1e-10)
 
 
 class TestClosedForms:
@@ -192,6 +231,50 @@ class TestLaplace:
         UF = laplace_transform_origin(m, s) * closed
         assert abs(laplace_transform_free(m, x, s) - UF) < 1e-10 * abs(UF)
         assert laplace_first_arrival_check(m, x, (s,)).converged is True
+
+    @pytest.mark.parametrize("m,x,s", list(itertools.product(
+        (0.5, 2.0, 10.0), (0.02, 1.0, 10.0), (1e-3, 1.0, 100.0))))
+    def test_transforms_match_quad(self, m, x, s, monkeypatch):
+        # Oracle: the two-quad path the trapezoid rule in v replaced, on a
+        # grid spanning the stress points (sqrt(2 alpha s) from 4.5e-4 to
+        # 316), held to the 1e-10 relative accuracy it was asked for.
+        new = (laplace_transform_first_arrival(m, x, s),
+               laplace_transform_free(m, x, s))
+        monkeypatch.setattr(kernels, "_laplace_power_transform",
+                            reference_power_transform)
+        old = (laplace_transform_first_arrival(m, x, s),
+               laplace_transform_free(m, x, s))
+        for a, b in zip(new, old):
+            assert abs(a - b) < 1e-10 * abs(b)
+
+    def test_zero_separation_free_transform_is_origin(self):
+        assert laplace_transform_free(2.0, 0.0, 0.7) == \
+            laplace_transform_origin(2.0, 0.7)
+
+    def test_underflowing_window_raises(self):
+        # m x^2 s = 1e-400 is 0 in floating point: there is no window.
+        with pytest.raises(NumericalError, match="underflows"):
+            laplace_transform_free(1.0, 1e-200, 1.0)
+
+    def test_check_reports_disagreement_as_not_converged(self, monkeypatch):
+        # A transform that resolves but misses the closed form by 1% is
+        # reported, not raised.
+        closed = kernels.closed_form_laplace_first_arrival
+        monkeypatch.setattr(kernels, "closed_form_laplace_first_arrival",
+                            lambda m, x, s: 1.01 * closed(m, x, s))
+        rep = laplace_first_arrival_check(1.0, 2.0, (0.5, 1.0))
+        assert rep.converged is False
+        assert rep.max_modulus_error == pytest.approx(1.0 - 1.0 / 1.01,
+                                                      rel=1e-9)
+
+    def test_check_raises_when_quadrature_does_not_converge(self,
+                                                           monkeypatch):
+        # One halving cannot resolve the transform at m = 1, x = 2,
+        # s = 0.5 (it takes three), so the check refuses instead of
+        # reporting a number.
+        monkeypatch.setattr(kernels, "_TRAPEZOID_HALVINGS", 1)
+        with pytest.raises(NumericalError, match="did not converge"):
+            laplace_first_arrival_check(1.0, 2.0, (0.5,))
 
     def test_factorization_report(self):
         rep = laplace_first_arrival_check(1.0, 2.0, (0.5,))
