@@ -256,16 +256,12 @@ def run_walk_validate(r: Runner) -> int:
         raise ConfigError("walk-validate requires d >= 1")
     if n_max < 0:
         raise ConfigError("walk-validate requires n-max >= 0")
-    all_exact = True
-    cum = Fraction(0)
-    rows = []
-    for n in range(n_max + 1):
-        first = fp.first_arrival_probability(n, d)
-        cum += first
-        total = fp.survivor_mass(n, d) + cum
-        exact = total == 1
-        all_exact &= exact
-        rows.append((n, str(first), str(total), exact))
+    steps = range(n_max + 1)
+    rows = [(n, str(Fraction(c, 2**n)), str(1 + Fraction(defect, 2**n)),
+             defect == 0)
+            for n, c, defect in zip(steps, fp.first_arrival_counts(n_max, d),
+                                    fp.conservation_defects(steps, d))]
+    all_exact = all(row[3] for row in rows)
     _write_csv(r.path("report.csv"),
                ["n", "first_arrival", "survivor_plus_cumulative", "exact"],
                rows)

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -56,16 +55,18 @@ class SlitConfig:
     v0: float                 # packet speed, in (0, 1)
     sigma_x: float
     m: float = 1.0
-    sigma_t: float = None     # TQM source width; default sqrt(2) W
 
     def __post_init__(self):
-        if self.sigma_t is None:
-            object.__setattr__(self, "sigma_t", math.sqrt(2.0) * self.W)
-        for name in ("W", "d", "sigma_x", "m", "sigma_t"):
+        for name in ("W", "d", "sigma_x", "m"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 < self.v0 < 1.0:
             raise ValueError(f"v0 must be in (0, 1), got {self.v0}")
+
+    @property
+    def sigma_t(self) -> float:
+        """TQM source width: the gate of width W as a time packet."""
+        return math.sqrt(2.0) * self.W
 
     @property
     def tau_bar(self) -> float:
@@ -99,7 +100,7 @@ def sqm_slit_uncertainty(cfg: SlitConfig) -> float:
 
 
 def tqm_slit_uncertainty(cfg: SlitConfig) -> float:
-    """Closed-form TQM slit arrival spread (sigma_t = sqrt(2) W default).
+    """Closed-form TQM slit arrival spread (sigma_t = sqrt(2) W).
 
     The space term carries the same gate-widened Sigma_x as the SQM case
     (the source is on for a time W either way), so for wide gates the two
@@ -158,11 +159,10 @@ def single_slit_sqm(cfg: SlitConfig, tau_grid=None) -> SlitResult:
 def single_slit_tqm(cfg: SlitConfig, t_grid=None) -> SlitResult:
     """TQM single slit in time: the gate becomes a temporal source.
 
-    Models the gated source as a time packet of width sigma_t (default
-    sqrt(2) W) in direct product with the spatial packet, and evaluates
-    the frozen closed-form arrival Gaussian of `tqm_arrival_distribution`
-    (valid while sigma_p/p0, m Sigma_x^2/tau_bar and m sigma_t^2/tau_bar
-    are << 1).
+    Models the gated source as a time packet of width sigma_t = sqrt(2) W
+    in direct product with the spatial packet, and evaluates the frozen
+    closed-form arrival Gaussian of `tqm_arrival_distribution` (valid while
+    sigma_p/p0, m Sigma_x^2/tau_bar and m sigma_t^2/tau_bar are << 1).
     """
     _validity_warning(cfg)
     # The source is on for a clock time W in both theories, so the spatial
@@ -200,20 +200,14 @@ def single_slit_sweep(base: SlitConfig, W_values) -> SweepResult:
 
     Per W: the SQM spread (non-increasing toward the free-packet floor as
     W -> 0) and the TQM spread (diverging as 1/W), with their ratio growing
-    without bound for narrow gates.  sigma_t follows the sqrt(2) W default
-    unless the base config pins it.
+    without bound for narrow gates.
     """
     W_values = np.asarray(sorted(float(w) for w in W_values))
     if np.any(W_values <= 0):
         raise ValueError("W_values must be positive")
-    pinned = base.sigma_t != math.sqrt(2.0) * base.W
-    sqm = np.empty(W_values.size)
-    tqm = np.empty(W_values.size)
-    for i, W in enumerate(W_values):
-        cfg = SlitConfig(W=W, d=base.d, v0=base.v0, sigma_x=base.sigma_x,
-                         m=base.m, sigma_t=base.sigma_t if pinned else None)
-        sqm[i] = sqm_slit_uncertainty(cfg)
-        tqm[i] = tqm_slit_uncertainty(cfg)
+    cfgs = [replace(base, W=W) for W in W_values]
+    sqm = np.array([sqm_slit_uncertainty(cfg) for cfg in cfgs])
+    tqm = np.array([tqm_slit_uncertainty(cfg) for cfg in cfgs])
     return SweepResult(W_values=W_values, sqm_uncertainty=sqm,
                        tqm_uncertainty=tqm)
 
@@ -325,13 +319,6 @@ class ConvergenceTable:
         return all(e[i + 1] < e[i] for i in range(len(e) - 1))
 
 
-def _exact_conservation(d: int, n: int) -> bool:
-    """Sum of survivors at step n plus cumulative arrivals equals 1 exactly."""
-    arrived = sum((fp.first_arrival_probability(k, d)
-                   for k in range(n + 1)), Fraction(0))
-    return fp.survivor_mass(n, d) + arrived == 1
-
-
 def discrete_continuum_experiment(d_lattice: int = 2,
                                   refinements=(1, 2, 4, 8),
                                   mass: float = 1.0,
@@ -362,7 +349,8 @@ def discrete_continuum_experiment(d_lattice: int = 2,
         ref = fp.diffusion_detection_rate(spec, x_phys, taus[keep])
         errs.append(float(np.max(np.abs(rates[keep] - ref) / ref)))
         dls.append(dl)
-        conserved.append(_exact_conservation(dl, min(n_max, 1200)))
+        conserved.append(
+            fp.conservation_defects([min(n_max, 1200)], dl) == [0])
     return ConvergenceTable(refinements=refinements, d_lattices=tuple(dls),
                             max_rel_errors=tuple(errs),
                             conservation_exact=tuple(conserved))

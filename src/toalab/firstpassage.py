@@ -6,12 +6,13 @@ with probability 1/2 each.  All step-n probabilities are dyadic rationals
 
     P_{n,m} = C(n, (n+m)/2) / 2^n                       (free walk)
     G_{n,m,d} = [C(n,(n+m+d)/2) - C(n,(n+m-d)/2)] / 2^n (survivor, reflection)
-    F_{n,d} = (d/n) P_{n,d} = (1/2) G_{n-1,-1,d}        (first arrival)
+    F_{n,d} = (d/n) P_{n,d} = c_n / 2^n                 (first arrival)
     S_{n,d} = sum_{k=-d}^{d-1} P_{n,k}                  (survivor mass)
 
-with F_0 = 1 if d = 0 else 0.  The survivor mass is the reflection formula
-summed over all sites m < 0, which telescopes to the free-walk probability
-P(-d <= X_n <= d-1): O(d) binomials at any n.  The Monte Carlo sampler
+with F_0 = 1 if d = 0 else 0 and integer path counts c_n.  The survivor
+mass is the reflection formula summed over all sites m < 0, which
+telescopes to the free-walk probability P(-d <= X_n <= d-1): O(d) binomials
+at any n.  The Monte Carlo sampler
 draws one random byte per 8 steps and advances each walker with two
 256-entry tables (net move; first step that reaches the detector), so a
 walker costs one table lookup per 8 steps.  The continuum limit (step eps
@@ -26,6 +27,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -37,19 +39,14 @@ __all__ = [
     "survivor_mass",
     "first_arrival_probability",
     "first_arrival_probability_float",
-    "recursion_evolve",
+    "first_arrival_counts",
+    "conservation_defects",
     "FirstArrivalHistogram",
     "monte_carlo_first_arrival",
     "diffusion_density",
     "diffusion_detection_rate",
     "images_detection_rate",
 ]
-
-# FirstArrivalHistogram.exact_reference builds its exact F_n (one Fraction
-# per step, each with its own big binomial) up to this step count and
-# switches to the log-binomial float path beyond it.
-EXACT_STEP_LIMIT = 200
-
 
 @dataclass(frozen=True)
 class DiffusionSpec:
@@ -89,6 +86,13 @@ def surviving_probability(n: int, m: int, d: int) -> Fraction:
     return walk_probability(n, m + d) - walk_probability(n, m - d)
 
 
+def _survivor_count(n: int, d: int) -> int:
+    """2^n S_{n,d}: the walks from -d that have not reached 0 by step n."""
+    lo = max(-d, -n)
+    lo += (n + lo) % 2
+    return sum(math.comb(n, (n + k) // 2) for k in range(lo, min(d, n + 1), 2))
+
+
 def survivor_mass(n: int, d: int) -> Fraction:
     """Probability that the walk from -d has not reached 0 by step n.
 
@@ -100,75 +104,64 @@ def survivor_mass(n: int, d: int) -> Fraction:
     """
     if n < 0 or d < 0:
         raise ValueError("n and d must be >= 0")
-    lo = max(-d, -n)
-    lo += (n + lo) % 2
-    ways = sum(math.comb(n, (n + k) // 2) for k in range(lo, min(d, n + 1), 2))
-    return Fraction(ways, 2**n)
+    return Fraction(_survivor_count(n, d), 2**n)
 
 
 def first_arrival_probability(n: int, d: int) -> Fraction:
     """Probability the walk from -d first reaches 0 exactly at step n.
 
-    Computed both as (d/n) P_{n,d} and as half the step-(n-1) survivor mass
-    at site -1; the two are asserted equal.  A walk starting on the
-    detector (d = 0) counts as arrived at step 0.
+    The hitting-time theorem F_{n,d} = (d/n) P_{n,d}.  A walk starting on
+    the detector (d = 0) counts as arrived at step 0.
     """
     if n < 0 or d < 0:
         raise ValueError("n and d must be >= 0")
     if n == 0 or d == 0:
-        return Fraction(1) if (n == 0 and d == 0) else Fraction(0)
-    hitting = Fraction(d, n) * walk_probability(n, d)
-    stepping = surviving_probability(n - 1, -1, d) / 2
-    assert hitting == stepping, (n, d, hitting, stepping)
-    return hitting
+        return Fraction(int(n == d))
+    return Fraction(d, n) * walk_probability(n, d)
+
+
+def first_arrival_counts(n_max: int, d: int) -> list:
+    """First-arrival path counts c_n = 2^n F_{n,d} for n = 0..n_max, as ints.
+
+    c_d = 1 (the straight path) and, two steps on, the ballot-number
+    recurrence c_{n+2} = c_n n (n+1) / ((k+1)(n+1-k)) with k = (n+d)/2,
+    whose division is exact; every other c_n is 0.  For d = 0 the
+    recurrence gives c_0 = 1 and zeros after it.
+    """
+    if n_max < 0 or d < 0:
+        raise ValueError("n_max and d must be >= 0")
+    counts = [0] * (n_max + 1)
+    c = 1
+    for n in range(d, n_max + 1, 2):
+        counts[n] = c
+        k = (n + d) // 2
+        c = c * n * (n + 1) // ((k + 1) * (n + 1 - k))
+    return counts
 
 
 def first_arrival_probability_float(n, d: int):
-    """Floating-point F_n for large step counts, via log-binomials.
+    """F_{n,d} as floats, vectorized over n (0 for n < 0).
 
-    Vectorized over n; exact parity zeros preserved.  Use the exact routine
-    below EXACT_STEP_LIMIT when rational results are needed.
+    c_n / 2^n in Python's int true division: the exact value, rounded once.
     """
     n = np.asarray(n, dtype=np.int64)
-    out = np.zeros(n.shape, dtype=float)
-    if d == 0:
-        out[n == 0] = 1.0
-        return out
-    ok = (n >= d) & ((n + d) % 2 == 0) & (n > 0)
-    nn = n[ok].astype(float)
-    k = (n[ok] + d) // 2
-    logc = [math.lgamma(a + 1.0) - math.lgamma(b + 1.0)
-            - math.lgamma(a - b + 1.0) for a, b in zip(nn.tolist(), k.tolist())]
-    out[ok] = (d / nn) * np.exp(np.array(logc) - nn * math.log(2.0))
-    return out
+    counts = first_arrival_counts(int(n.max(initial=0)), d)
+    return np.array([counts[k] / (1 << k) if k >= 0 else 0.0
+                     for k in n.ravel().tolist()]).reshape(n.shape)
 
 
-def recursion_evolve(initial: dict, n: int, absorb_at_zero: bool = False):
-    """Evolve site probabilities by P_{n+1,m} = (P_{n,m-1} + P_{n,m+1}) / 2.
+def conservation_defects(steps, d: int) -> list:
+    """2^n (S_{n,d} + sum_{k<=n} F_{k,d} - 1) at each given step n, as ints.
 
-    `initial` maps site -> probability (Fraction or float).  Returns the
-    final distribution, or with ``absorb_at_zero`` a pair (distribution,
-    absorbed-per-step list): mass stepping onto site 0 is moved to the
-    absorbed tally in the same step, so site 0 never holds mass.
+    Survivors are the binomial sum of `survivor_mass`; A_n = 2 A_{n-1} + c_n
+    counts the walks absorbed by step n.  Zero iff conserved exactly.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    dist = dict(initial)
-    absorbed = []
-    for _ in range(n):
-        nxt: dict = {}
-        for site, p in dist.items():
-            if not p:
-                continue
-            half = p / 2
-            nxt[site - 1] = nxt.get(site - 1, 0) + half
-            nxt[site + 1] = nxt.get(site + 1, 0) + half
-        if absorb_at_zero:
-            absorbed.append(nxt.pop(0, 0))
-        dist = nxt
-    if absorb_at_zero:
-        return dist, absorbed
-    return dist
+    steps = list(steps)
+    if d < 0 or any(n < 0 for n in steps):
+        raise ValueError("steps and d must be >= 0")
+    arrived = list(accumulate(first_arrival_counts(max(steps, default=0), d),
+                              lambda a, c: 2 * a + c))
+    return [_survivor_count(n, d) + arrived[n] - (1 << n) for n in steps]
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +187,8 @@ class FirstArrivalHistogram:
         return self.counts / self.trials
 
     def exact_reference(self) -> np.ndarray:
-        if self.n_max <= EXACT_STEP_LIMIT:
-            return np.array([float(first_arrival_probability(n, self.d))
-                             for n in range(self.n_max + 1)])
-        return first_arrival_probability_float(
-            np.arange(self.n_max + 1), self.d)
+        return first_arrival_probability_float(np.arange(self.n_max + 1),
+                                               self.d)
 
     def z_scores(self) -> np.ndarray:
         """Per-bin (observed - expected) / binomial standard error."""

@@ -157,15 +157,9 @@ def criterion_3():
             if fp.first_arrival_probability(n, d) != \
                     Fraction(count_first, denom):
                 mismatches += 1
-    # Exact conservation for d <= 10, n <= 200.
-    conserved = True
-    for d in range(1, 11):
-        cum_F = Fraction(0)
-        for n in range(201):
-            cum_F += fp.first_arrival_probability(n, d)
-            if (n % 50 == 0 or n == 200) \
-                    and fp.survivor_mass(n, d) + cum_F != 1:
-                conserved = False
+    # Exact conservation for d <= 10 at n = 0, 50, ..., 200.
+    conserved = not any(any(fp.conservation_defects(range(0, 201, 50), d))
+                        for d in range(1, 11))
     return _result(3, "exact first passage vs 2^n enumeration; exact "
                       "conservation to n=200", mismatches == 0 and conserved,
                    {"enumeration_mismatches": mismatches,

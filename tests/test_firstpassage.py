@@ -10,13 +10,16 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammaln
 
-from toalab.firstpassage import (DiffusionSpec, EXACT_STEP_LIMIT, MC_CHUNK,
-                                 FirstArrivalHistogram, diffusion_density,
-                                 diffusion_detection_rate,
+import toalab.firstpassage as fp
+from toalab.cli import EXIT_OK, main
+from toalab.firstpassage import (DiffusionSpec, MC_CHUNK,
+                                 FirstArrivalHistogram, conservation_defects,
+                                 diffusion_density, diffusion_detection_rate,
+                                 first_arrival_counts,
                                  first_arrival_probability,
                                  first_arrival_probability_float,
                                  images_detection_rate, lattice_arrival_curve,
-                                 monte_carlo_first_arrival, recursion_evolve,
+                                 monte_carlo_first_arrival,
                                  surviving_probability, survivor_mass,
                                  walk_probability)
 
@@ -25,6 +28,42 @@ def reference_survivor_mass(n: int, d: int) -> Fraction:
     """Oracle: the reflection formula summed site by site over m < 0."""
     return sum((surviving_probability(n, m, d) for m in range(-n - d, 0)),
                Fraction(0))
+
+
+def reference_first_arrival(n: int, d: int) -> Fraction:
+    """Oracle: the survivor form F_{n,d} = G_{n-1,-1,d} / 2 (n, d >= 1).
+
+    A first arrival at step n is a walk that survives to site -1 at step
+    n - 1 and then steps onto the detector.
+    """
+    return surviving_probability(n - 1, -1, d) / 2
+
+
+def reference_recursion(initial: dict, n: int, absorb_at_zero: bool = False):
+    """Oracle: evolve site probabilities step by step.
+
+    P_{n+1,m} = (P_{n,m-1} + P_{n,m+1}) / 2.  `initial` maps site ->
+    probability (Fraction or float).  Returns the final distribution, or
+    with ``absorb_at_zero`` a pair (distribution, absorbed-per-step list):
+    mass stepping onto site 0 is moved to the absorbed tally in the same
+    step, so site 0 never holds mass.
+    """
+    dist = dict(initial)
+    absorbed = []
+    for _ in range(n):
+        nxt: dict = {}
+        for site, p in dist.items():
+            if not p:
+                continue
+            half = p / 2
+            nxt[site - 1] = nxt.get(site - 1, 0) + half
+            nxt[site + 1] = nxt.get(site + 1, 0) + half
+        if absorb_at_zero:
+            absorbed.append(nxt.pop(0, 0))
+        dist = nxt
+    if absorb_at_zero:
+        return dist, absorbed
+    return dist
 
 
 def reference_mc_chunk(d: int, n_max: int, trials: int, seed: int,
@@ -133,11 +172,16 @@ class TestSurvivingAndFirstArrival:
         np.testing.assert_array_equal(got == 0.0, ref == 0.0)
         np.testing.assert_allclose(got, ref, rtol=2e-10, atol=0.0)
 
-    def test_float_path_beyond_exact_limit(self):
-        n = EXACT_STEP_LIMIT + 100
-        approx = first_arrival_probability_float(np.array([n]), 2)[0]
-        exact = float(first_arrival_probability(n, 2))
-        assert approx == pytest.approx(exact, rel=1e-10)
+    @pytest.mark.parametrize("d", [1, 2, 32])
+    def test_float_path_is_correctly_rounded(self, d):
+        # Every n <= 400, then every 31st step up to 1e4 (math.comb near
+        # n = 1e4 costs about 1 ms, so the full range would take seconds).
+        # Both sides round the same rational once, so they agree bit for bit.
+        n = np.array(sorted({*range(401), *range(401, 10001, 31), 9999,
+                             10000}))
+        exact = [float(first_arrival_probability(int(k), d)) for k in n]
+        np.testing.assert_array_equal(first_arrival_probability_float(n, d),
+                                      exact)
 
     @pytest.mark.parametrize("d", range(1, 17))
     def test_survivor_mass_matches_site_sum(self, d):
@@ -155,6 +199,12 @@ class TestSurvivingAndFirstArrival:
         with pytest.raises(ValueError):
             survivor_mass(2, -1)
 
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_survivor_form_identity(self, d):
+        for n in range(1, 401):
+            assert first_arrival_probability(n, d) == \
+                reference_first_arrival(n, d), n
+
     def test_eventual_arrival_is_certain(self):
         # One-dimensional walk hits any level with probability 1; the partial
         # sums approach 1 from below like 1/sqrt(n).
@@ -162,22 +212,80 @@ class TestSurvivingAndFirstArrival:
         assert 0.85 < total < 1.0
 
 
+class TestCountsAndConservation:
+    @pytest.mark.parametrize("d", range(0, 17))
+    def test_counts_match_closed_form(self, d):
+        counts = first_arrival_counts(400, d)
+        assert len(counts) == 401 and counts[0] == (d == 0)
+        for n, c in enumerate(counts[1:], start=1):
+            assert isinstance(c, int)
+            assert Fraction(c, 2**n) == Fraction(d, n) * walk_probability(n, d)
+
+    def test_counts_edges(self):
+        assert first_arrival_counts(0, 0) == [1]
+        assert first_arrival_counts(0, 3) == [0]
+        assert first_arrival_counts(5, 3) == [0, 0, 0, 1, 0, 3]
+        with pytest.raises(ValueError):
+            first_arrival_counts(-1, 2)
+        with pytest.raises(ValueError):
+            first_arrival_counts(4, -1)
+
+    @pytest.mark.parametrize("d", range(0, 17))
+    def test_conservation_holds_exactly(self, d):
+        assert conservation_defects(range(401), d) == [0] * 401
+        assert conservation_defects([400, 0, 77], d) == [0, 0, 0]
+        assert conservation_defects([], d) == []
+
+    def test_conservation_detects_a_wrong_count(self, monkeypatch):
+        # One extra path at step 9 (d = 3) is counted again, doubled, at
+        # every later step: the defect is 2^(n - 9) from n = 9 on.
+        counts = first_arrival_counts(20, 3)
+        counts[9] += 1
+        monkeypatch.setattr(fp, "first_arrival_counts",
+                            lambda n_max, d: counts[:n_max + 1])
+        assert conservation_defects(range(21), 3) == \
+            [0] * 9 + [2**(n - 9) for n in range(9, 21)]
+
+    def test_conservation_rejects_negative_input(self):
+        with pytest.raises(ValueError):
+            conservation_defects([3, -1], 2)
+        with pytest.raises(ValueError):
+            conservation_defects([3], -1)
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_walk_validate_report_matches_fraction_oracle(self, tmp_path, d):
+        n_max = 120
+        assert main(["walk-validate", "--d", str(d), "--n-max", str(n_max),
+                     "--output-dir", str(tmp_path)]) == EXIT_OK
+        expect = ["n,first_arrival,survivor_plus_cumulative,exact"]
+        cum = Fraction(0)
+        for n in range(n_max + 1):
+            first = Fraction(d, n) * walk_probability(n, d) if n else \
+                Fraction(0)
+            cum += first
+            total = reference_survivor_mass(n, d) + cum
+            expect.append(f"{n},{first},{total},{total == 1}")
+        report = (tmp_path / "walk-validate_report.csv").read_text()
+        assert report.splitlines() == expect
+
+
 class TestRecursion:
     def test_free_recursion_matches_closed_form(self):
-        state = recursion_evolve({0: Fraction(1)}, 12)
+        state = reference_recursion({0: Fraction(1)}, 12)
         for m, p in state.items():
             assert p == walk_probability(12, m)
 
     def test_absorbing_recursion_matches_reflection_counts(self):
         d = 3
-        state, _ = recursion_evolve({-d: Fraction(1)}, 15, absorb_at_zero=True)
+        state, _ = reference_recursion({-d: Fraction(1)}, 15,
+                                       absorb_at_zero=True)
         for m in range(-20, 0):
             assert state.get(m, Fraction(0)) == surviving_probability(15, m, d)
 
     def test_absorbing_mass_balance(self):
         d, n = 3, 20
-        state, absorbed = recursion_evolve({-d: Fraction(1)}, n,
-                                           absorb_at_zero=True)
+        state, absorbed = reference_recursion({-d: Fraction(1)}, n,
+                                              absorb_at_zero=True)
         left = sum(state.values())
         assert left + sum(absorbed) == Fraction(1)
         # per-step absorption reproduces the closed-form first-arrival law
