@@ -319,34 +319,32 @@ class ConvergenceTable:
         return all(e[i + 1] < e[i] for i in range(len(e) - 1))
 
 
-def discrete_continuum_experiment(d_lattice: int = 2,
-                                  refinements=(1, 2, 4, 8),
-                                  mass: float = 1.0,
-                                  x_phys: float = 1.0) -> ConvergenceTable:
+def discrete_continuum_experiment(
+        d_lattice: int = 2, refinements=(1, 2, 4, 8)) -> ConvergenceTable:
     """Convergence of the rescaled lattice first-arrival law to diffusion.
 
     For each refinement r the lattice offset is r * d_lattice and the
-    spacing shrinks accordingly; the rescaled F_n curve is compared with
-    the continuum first-passage density over the fixed clock-time window
-    [tau_peak/2, 12 tau_peak] (tau_peak = m x_phys^2 / 3, the continuum
-    mode), so every level is judged on the same region.  Errors must
-    decrease monotonically; exact conservation is checked per level.
+    spacing 1/(r d_lattice) shrinks accordingly; the rescaled F_n curve is
+    compared with the continuum first-passage density at unit mass and
+    unit distance over the fixed clock-time window [tau_peak/2,
+    12 tau_peak] (tau_peak = 1/3, the continuum mode), so every level is
+    judged on the same region.  Errors must decrease monotonically; exact
+    conservation is checked per level.
     """
     refinements = tuple(int(r) for r in refinements)
     if any(r < 1 for r in refinements):
         raise ValueError("refinement factors must be >= 1")
-    spec = fp.DiffusionSpec(mass=mass)
-    tau_peak = mass * x_phys**2 / 3.0
+    spec = fp.DiffusionSpec()
+    tau_peak = 1.0 / 3.0
     window = (0.5 * tau_peak, 12.0 * tau_peak)
     errs, dls, conserved = [], [], []
     for r in refinements:
         dl = r * d_lattice
-        dx = x_phys / dl
-        dtau = mass * dx * dx * (0.5 / spec.D0)
-        n_max = int(math.ceil(window[1] / dtau)) + 1
-        taus, rates = fp.lattice_arrival_curve(spec, dl, n_max, x_phys)
+        dx = 1.0 / dl
+        n_max = int(math.ceil(window[1] / (dx * dx))) + 1
+        taus, rates = fp.lattice_arrival_curve(spec, dl, n_max, 1.0)
         keep = (taus >= window[0]) & (taus <= window[1])
-        ref = fp.diffusion_detection_rate(spec, x_phys, taus[keep])
+        ref = fp.diffusion_detection_rate(spec, 1.0, taus[keep])
         errs.append(float(np.max(np.abs(rates[keep] - ref) / ref)))
         dls.append(dl)
         conserved.append(

@@ -15,9 +15,8 @@ telescopes to the free-walk probability P(-d <= X_n <= d-1): O(d) binomials
 at any n.  The Monte Carlo sampler
 draws one random byte per 8 steps and advances each walker with two
 256-entry tables (net move; first step that reaches the detector), so a
-walker costs one table lookup per 8 steps.  The continuum limit (step eps
-in clock time, sqrt(2 D0 eps) in space, mass scaling tau' = m tau) is the
-diffusion first-passage density
+walker costs one table lookup per 8 steps.  The continuum limit (step dx
+in space, m dx^2 in clock time) is the diffusion first-passage density
 D_tau = (d/tau) sqrt(m/2 pi tau) exp(-m d^2/2 tau).
 """
 
@@ -36,7 +35,6 @@ __all__ = [
     "DiffusionSpec",
     "walk_probability",
     "surviving_probability",
-    "survivor_mass",
     "first_arrival_probability",
     "first_arrival_probability_float",
     "first_arrival_counts",
@@ -51,11 +49,10 @@ __all__ = [
 @dataclass(frozen=True)
 class DiffusionSpec:
     mass: float = 1.0
-    D0: float = 0.5
 
     def __post_init__(self):
-        if self.mass <= 0 or self.D0 <= 0:
-            raise ValueError("mass and D0 must be positive")
+        if self.mass <= 0:
+            raise ValueError("mass must be positive")
 
 
 def walk_probability(n: int, m: int) -> Fraction:
@@ -91,20 +88,6 @@ def _survivor_count(n: int, d: int) -> int:
     lo = max(-d, -n)
     lo += (n + lo) % 2
     return sum(math.comb(n, (n + k) // 2) for k in range(lo, min(d, n + 1), 2))
-
-
-def survivor_mass(n: int, d: int) -> Fraction:
-    """Probability that the walk from -d has not reached 0 by step n.
-
-    Summing the reflection formula G_{n,m,d} = P_{n,m+d} - P_{n,m-d} over
-    every survivor site m < 0 telescopes to P(-d <= X_n <= d-1) for the
-    free displacement X_n, i.e. sum_{k=-d}^{d-1} C(n, (n+k)/2) / 2^n over
-    the k of n's parity with |k| <= n.  That is at most d binomials, exact.
-    A walk starting on the detector (d = 0) has no survivor mass.
-    """
-    if n < 0 or d < 0:
-        raise ValueError("n and d must be >= 0")
-    return Fraction(_survivor_count(n, d), 2**n)
 
 
 def first_arrival_probability(n: int, d: int) -> Fraction:
@@ -153,7 +136,7 @@ def first_arrival_probability_float(n, d: int):
 def conservation_defects(steps, d: int) -> list:
     """2^n (S_{n,d} + sum_{k<=n} F_{k,d} - 1) at each given step n, as ints.
 
-    Survivors are the binomial sum of `survivor_mass`; A_n = 2 A_{n-1} + c_n
+    Survivors are the binomial sum of `_survivor_count`; A_n = 2 A_{n-1} + c_n
     counts the walks absorbed by step n.  Zero iff conserved exactly.
     """
     steps = list(steps)
@@ -303,13 +286,13 @@ def diffusion_detection_rate(spec: DiffusionSpec, d: float, tau):
 
 
 def images_detection_rate(spec: DiffusionSpec, d: float, tau: float,
-                          method: str = "analytic", h: float = 1e-5):
+                          method: str = "analytic"):
     """Detection rate from the image construction at an absorbing origin.
 
     Builds G_tau(x) = P_tau(x; -d) - P_tau(x; d) and returns the flux into
     the boundary, -(1/2m) dG/dx at x = 0, either from the analytic
-    derivative or a centered finite difference of width h.  Equals
-    diffusion_detection_rate identically.
+    derivative or a centered finite difference of half-width h = 1e-5.
+    Equals diffusion_detection_rate identically.
     """
     if d <= 0 or not tau > 0:
         raise ValueError("d and tau must be > 0")
@@ -319,6 +302,7 @@ def images_detection_rate(spec: DiffusionSpec, d: float, tau: float,
         slope = 2.0 * (m * d / tau) * diffusion_density(spec, 0.0, d, tau)
         return slope / (2.0 * m)
     if method == "fd":
+        h = 1e-5
         g = lambda x: (diffusion_density(spec, x, -d, tau)
                        - diffusion_density(spec, x, d, tau))
         return -(g(h) - g(-h)) / (2.0 * h) / (2.0 * m)
@@ -329,14 +313,13 @@ def lattice_arrival_curve(spec: DiffusionSpec, d_lattice: int, n_max: int,
                           x_phys: float):
     """Rescale the exact lattice F_n to a continuum detection-rate curve.
 
-    The lattice spacing is dx = x_phys / d_lattice and the walk-time step
-    eps = dx^2 / (2 D0); the mass scaling between walk time and clock time
-    makes the clock-time step dtau = m * eps.  (The target density has
-    position variance tau/m, while the walk variance is n dx^2.)
+    The lattice spacing is dx = x_phys / d_lattice and the clock-time step
+    dtau = m dx^2: the target density has position variance tau/m, while
+    the walk variance is n dx^2.
     Returns (tau array, rate array) at the parity steps where F_n != 0.
     """
     dx = x_phys / d_lattice
-    dtau = spec.mass * dx * dx * (0.5 / spec.D0)
+    dtau = spec.mass * dx * dx
     n = np.arange(n_max + 1)
     F = first_arrival_probability_float(n, d_lattice)
     # Nonzero bins are spaced 2 steps apart; the density spreads each bin's

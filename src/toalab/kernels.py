@@ -1,18 +1,18 @@
-"""Free-particle kernels, first-arrival kernel, 4D kernel, Laplace transforms.
+"""Free-particle kernel, first-arrival kernel, Laplace transforms.
 
 The free kernel in one space dimension is
 
     K_tau(x2; x1) = sqrt(m / (2 pi i tau)) exp(i m (x2 - x1)^2 / (2 tau)),
 
-defined for tau > 0 only (the theta(tau) boundary is the caller's job; tau = 0
-is the identity).  The first-arrival kernel multiplies K by |x2 - x1|/tau.
-The 4D kernel is the product of a coordinate-time factor, the space factor,
-and a mass phase exp(-i m tau / 2).
+defined for Re tau > 0 on the principal branch (the theta(tau) boundary is
+the caller's job; tau = 0 is the identity).  The first-arrival kernel
+multiplies K by |x2 - x1|/tau.
 
 laplace_first_arrival_check verifies the closed-form Laplace transform
 L[F](s) = exp((-1 + i) sqrt(m s) |x|) and the factorization L[K] = L[U] L[F]
-by numerical transform of the kernels along the rotated contour
-tau = r e^(-i pi/4), where the integrand neither oscillates nor cancels.
+by transforming the kernels themselves numerically along the rotated
+contour tau = r e^(-i pi/4), where the integrand neither oscillates nor
+cancels.
 
 Every integral the package refines to a tolerance uses _trapezoid: the
 uniform trapezoid rule, refined until two levels agree, on a variable in
@@ -32,7 +32,6 @@ __all__ = [
     "GridResolutionError",
     "free_kernel_space",
     "first_arrival_kernel",
-    "tqm_kernel",
     "LaplaceCheckReport",
     "laplace_first_arrival_check",
 ]
@@ -82,51 +81,38 @@ def _trapezoid(f, lo: float, hi: float, rtol: float) -> tuple:
         f"value {total:.6g})")
 
 
-def _check_tau(tau: float) -> None:
-    if not tau > 0:
-        raise ValueError(f"kernel requires tau > 0, got {tau}")
+def _check_tau(tau):
+    tau = np.asarray(tau)
+    if not (np.all(np.isfinite(tau)) and np.all(tau.real > 0)):
+        raise ValueError(f"kernel requires finite tau with Re tau > 0, "
+                         f"got {tau}")
+    return tau
 
 
-def free_kernel_space(m: float, x2, x1, tau: float):
-    """Free kernel sqrt(m/2 pi i tau) exp(i m (x2-x1)^2 / 2 tau), tau > 0."""
-    _check_tau(tau)
+def free_kernel_space(m: float, x2, x1, tau):
+    """Free kernel sqrt(m/2 pi i tau) exp(i m (x2-x1)^2 / 2 tau), Re tau > 0.
+
+    tau may be complex: the square root is the principal branch, which is
+    continuous from the real axis across the right half plane.
+    """
+    tau = _check_tau(tau)
     dx = np.asarray(x2) - np.asarray(x1)
-    amp = math.sqrt(m / (2.0 * math.pi * tau)) * _SQRT_MINUS_I
-    return amp * np.exp(1j * m * dx**2 / (2.0 * tau))
+    return (np.sqrt(m / (2j * math.pi * tau))
+            * np.exp(1j * m * dx**2 / (2.0 * tau)))
 
 
-def first_arrival_kernel(m: float, x2, x1, tau: float):
-    """First-arrival kernel (|x2-x1|/tau) K_tau(x2; x1), tau > 0."""
-    _check_tau(tau)
+def first_arrival_kernel(m: float, x2, x1, tau):
+    """First-arrival kernel (|x2-x1|/tau) K_tau(x2; x1), Re tau > 0."""
+    tau = _check_tau(tau)
     dx = np.abs(np.asarray(x2) - np.asarray(x1))
     return (dx / tau) * free_kernel_space(m, x2, x1, tau)
-
-
-def time_kernel(m: float, t2, t1, tau: float):
-    """Coordinate-time kernel: conjugate dispersion relative to space.
-
-    K~_tau(t2; t1) = sqrt(i m / (2 pi tau)) exp(-i m (t2-t1)^2 / (2 tau)).
-    Has the same constant modulus sqrt(m/2 pi tau) as the space kernel.
-    """
-    _check_tau(tau)
-    dt = np.asarray(t2) - np.asarray(t1)
-    amp = math.sqrt(m / (2.0 * math.pi * tau)) * np.conj(_SQRT_MINUS_I)
-    return amp * np.exp(-1j * m * dt**2 / (2.0 * tau))
-
-
-def tqm_kernel(m: float, t2, x2, t1, x1, tau: float):
-    """4D kernel: time factor x space factor x mass phase exp(-i m tau / 2)."""
-    _check_tau(tau)
-    return (time_kernel(m, t2, t1, tau)
-            * free_kernel_space(m, x2, x1, tau)
-            * np.exp(-0.5j * m * tau))
 
 
 # ---------------------------------------------------------------------------
 # Numerical Laplace transforms of the singular oscillatory kernels.
 #
-# Every transform needed here is I(nu) below with alpha = m x^2 / 2.  On
-# the arcs tau = r e^(i phi), -pi/2 < phi < 0, both Re(i alpha/tau) =
+# With alpha = m x^2 / 2 both kernels carry e^(i alpha/tau).  On the arcs
+# tau = r e^(i phi), -pi/2 < phi < 0, both Re(i alpha/tau) =
 # alpha sin(phi)/r and Re(-s tau) = -s r cos(phi) are negative, so by
 # Cauchy's theorem the path rotates onto tau = r e^(-i pi/4).  There the
 # exponent is (-1 + i)(alpha/r + s r)/sqrt(2).  With r = sqrt(alpha/s) e^v
@@ -137,36 +123,39 @@ def tqm_kernel(m: float, t2, x2, t1, x1, tau: float):
 # ---------------------------------------------------------------------------
 
 _LAPLACE_TAIL = 45.0  # the window ends where the integrand is e^-45 of e^-c
+_TINY = np.finfo(float).tiny  # |tau| on the window stays in normal floats
 
 
-def _laplace_power_transform(nu: float, alpha: float, s: float) -> complex:
-    """int_0^inf tau^(-nu) e^(i alpha/tau) e^(-s tau) dtau, alpha > 0, s > 0.
+def _ray_transform(kernel, m: float, x: float, s: float) -> complex:
+    """int_0^inf kernel(m, x, 0, tau) e^(-s tau) dtau, x != 0, s > 0.
 
-    On the rotated contour with r = sqrt(alpha/s) e^v this is
-    e^(-i pi/4 (1 - nu)) (alpha/s)^((1 - nu)/2) e^((-1 + i) c)
-    int exp((-1 + i) c (cosh v - 1) + (1 - nu) v) dv.  The window |v| <= V
-    solves c (cosh V - 1) = 45 + |1 - nu| V (each fixed-point step shrinks
-    the residual by |1 - nu| / (c sinh V) < 1/90), so the integrand at its
-    ends is e^-45 of its value at v = 0.
+    On the ray tau = sqrt(alpha/s) e^v e^(-i pi/4), d tau = tau dv, and the
+    integrand kernel e^(-s tau) tau has modulus proportional to
+    exp(-c cosh v -/+ v/2), as F and K go as tau^(-3/2) and tau^(-1/2).
+    The window |v| <= V solves c (cosh V - 1) = 45 + V/2 (each fixed-point
+    step shrinks the residual by 1 / (2 c sinh V) < 1/90), so the integrand
+    at its ends is e^-45 of its value at v = 0.
     """
+    alpha = 0.5 * m * x * x
     c = math.sqrt(2.0 * alpha * s)
     if c == 0.0:
         raise NumericalError(f"alpha s = {alpha:.3g} x {s:.3g} underflows: "
                              "the transform window cannot be placed")
-    kappa = 1.0 - nu
     edge = 0.0
     for _ in range(3):
-        edge = math.acosh(1.0 + (_LAPLACE_TAIL + abs(kappa) * edge) / c)
+        edge = math.acosh(1.0 + (_LAPLACE_TAIL + 0.5 * edge) / c)
+    r = math.sqrt(alpha / s)
+    if not (_TINY <= r * math.exp(-edge) and r * math.exp(edge) <= 1 / _TINY):
+        raise NumericalError(f"alpha = {alpha:.3g}, s = {s:.3g}: the "
+                             f"transform window |tau| = {r:.3g} e^(+/-"
+                             f"{edge:.3g}) leaves the float range")
+    ray = r * _SQRT_MINUS_I
 
     def integrand(v):
-        # cosh v - 1 = 2 sinh^2(v/2), without cancellation near v = 0.
-        return np.exp((-1.0 + 1j) * (2.0 * c) * np.sinh(0.5 * v) ** 2
-                      + kappa * v)
+        tau = ray * np.exp(v)
+        return kernel(m, x, 0.0, tau) * np.exp(-s * tau) * tau
 
-    val, _ = _trapezoid(integrand, -edge, edge, 1e-10)
-    # d tau = e^(-i pi/4) dr and tau^(-nu) = r^(-nu) e^(i nu pi/4).
-    return (_SQRT_MINUS_I ** kappa * (alpha / s) ** (0.5 * kappa)
-            * np.exp((-1.0 + 1j) * c) * val)
+    return _trapezoid(integrand, -edge, edge, 1e-10)[0]
 
 
 def laplace_transform_first_arrival(m: float, x: float, s: float) -> complex:
@@ -174,18 +163,14 @@ def laplace_transform_first_arrival(m: float, x: float, s: float) -> complex:
     if x == 0.0:
         # (|x|/tau) K collapses to an immediate arrival: L[F] = 1.
         return 1.0 + 0.0j
-    alpha = 0.5 * m * x * x
-    pref = abs(x) * math.sqrt(m / (2.0 * math.pi)) * _SQRT_MINUS_I
-    return pref * _laplace_power_transform(1.5, alpha, s)
+    return _ray_transform(first_arrival_kernel, m, x, s)
 
 
 def laplace_transform_free(m: float, x: float, s: float) -> complex:
     """Numerical L[K](s) for the free kernel at separation x."""
     if x == 0.0:
         return laplace_transform_origin(m, s)
-    alpha = 0.5 * m * x * x
-    pref = math.sqrt(m / (2.0 * math.pi)) * _SQRT_MINUS_I
-    return pref * _laplace_power_transform(0.5, alpha, s)
+    return _ray_transform(free_kernel_space, m, x, s)
 
 
 def laplace_transform_origin(m: float, s: float) -> complex:

@@ -28,8 +28,7 @@ import numpy as np
 
 from .detectors import ArrivalDistribution, probability_current
 from .wavepacket import (SpacePacket, TimePacket, space_amplitude,
-                         space_amplitude_dx, time_amplitude,
-                         time_amplitude_dt2)
+                         space_amplitude_dx, time_amplitude)
 
 __all__ = [
     "TqmPacket",
@@ -38,8 +37,6 @@ __all__ = [
     "tqm_detection_density",
     "tqm_arrival_distribution",
     "sqm_limit_curve",
-    "tqm_current",
-    "coordinate_time_cancellation_check",
 ]
 
 
@@ -55,11 +52,6 @@ class TqmPacket:
     @property
     def mass(self) -> float:
         return self.space.mass
-
-    def amplitude(self, t, x, tau=0.0):
-        """Direct-product amplitude phi~_tau(t) * phi-_tau(x)."""
-        return time_amplitude(self.time, t, tau) \
-            * space_amplitude(self.space, x, tau)
 
 
 @dataclass(frozen=True)
@@ -173,39 +165,3 @@ def sqm_limit_curve(pkt: TqmPacket, d: float, t_grid) -> ArrivalDistribution:
     t_grid, rho = _frozen_gaussian(pkt, tqm_dispersion_budget(pkt, d), 0.0,
                                    t_grid)
     return ArrivalDistribution(t_grid, rho, meta={"metric": "sqm-limit"})
-
-
-def tqm_current(pkt: TqmPacket, t, x, tau):
-    """Probability current in x of the 4D amplitude at (t, x; tau).
-
-    Factorizes as the spatial current times the coordinate-time density.
-    """
-    j_space = probability_current(space_amplitude(pkt.space, x, tau),
-                                  space_amplitude_dx(pkt.space, x, tau),
-                                  pkt.mass)
-    return j_space * np.abs(time_amplitude(pkt.time, t, tau)) ** 2
-
-
-def coordinate_time_cancellation_check(pkt: TqmPacket, tau: float,
-                                       x: float = 0.0,
-                                       half_width_sigmas: float = 12.0):
-    """Residual of the second-coordinate-time-derivative cancellation.
-
-    Evaluates (i/2m) int dt [(d2psi*/dt2) psi - psi* (d2psi/dt2)] with
-    analytic derivatives.  For a decaying amplitude this is a pure boundary
-    term and must vanish; shrinking the window (e.g. half_width_sigmas=2)
-    leaves a nonzero residual, demonstrating the test's sensitivity.
-    """
-    tp = pkt.time
-    f = tp.dispersion_factor(tau)
-    width = tp.sigma_t * abs(np.sqrt(f)) * math.sqrt(0.5)
-    center = tp.t0 + (tp.E0 / tp.mass) * tau
-    t = np.linspace(center - half_width_sigmas * width,
-                    center + half_width_sigmas * width, 8192)
-    phi = time_amplitude(tp, t, tau)
-    phi2 = time_amplitude_dt2(tp, t, tau)
-    # (psi2* psi - psi* psi2) = -2i Im(psi* psi2); the i/2m prefactor makes
-    # the integrand real.
-    integrand = (np.conj(phi) * phi2).imag / pkt.mass
-    rho_x = np.abs(space_amplitude(pkt.space, x, tau)) ** 2
-    return float(np.trapezoid(integrand, t) * rho_x)

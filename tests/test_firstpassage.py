@@ -13,15 +13,30 @@ from scipy.special import gammaln
 import toalab.firstpassage as fp
 from toalab.cli import EXIT_OK, main
 from toalab.firstpassage import (DiffusionSpec, MC_CHUNK,
-                                 FirstArrivalHistogram, conservation_defects,
+                                 FirstArrivalHistogram, _survivor_count,
+                                 conservation_defects,
                                  diffusion_density, diffusion_detection_rate,
                                  first_arrival_counts,
                                  first_arrival_probability,
                                  first_arrival_probability_float,
                                  images_detection_rate, lattice_arrival_curve,
                                  monte_carlo_first_arrival,
-                                 surviving_probability, survivor_mass,
-                                 walk_probability)
+                                 surviving_probability, walk_probability)
+
+
+def survivor_mass(n: int, d: int) -> Fraction:
+    """Probability that the walk from -d has not reached 0 by step n.
+
+    The library's survivor count over 2^n.  Summing the reflection formula
+    G_{n,m,d} = P_{n,m+d} - P_{n,m-d} over every survivor site m < 0
+    telescopes to P(-d <= X_n <= d-1) for the free displacement X_n, i.e.
+    sum_{k=-d}^{d-1} C(n, (n+k)/2) / 2^n over the k of n's parity with
+    |k| <= n.  That is at most d binomials, exact.  A walk starting on the
+    detector (d = 0) has no survivor mass.
+    """
+    if n < 0 or d < 0:
+        raise ValueError("n and d must be >= 0")
+    return Fraction(_survivor_count(n, d), 2**n)
 
 
 def reference_survivor_mass(n: int, d: int) -> Fraction:
@@ -366,7 +381,7 @@ class TestDiffusion:
         spec = DiffusionSpec(mass=1.0)
         dx = 0.1
         n = 400
-        tau = spec.mass * n * dx * dx * (0.5 / spec.D0)
+        tau = spec.mass * n * dx * dx
         for m in range(0, 42, 2):
             approx = float(walk_probability(n, m)) / (2.0 * dx)
             exact = diffusion_density(spec, m * dx, 0.0, tau)

@@ -7,23 +7,41 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from toalab import kernels
+from toalab import kernels, validation
 from toalab.kernels import (NumericalError, _trapezoid,
                             closed_form_laplace_first_arrival,
                             first_arrival_kernel, free_kernel_space,
                             laplace_first_arrival_check,
                             laplace_transform_first_arrival,
-                            laplace_transform_free, laplace_transform_origin,
-                            time_kernel, tqm_kernel)
+                            laplace_transform_free, laplace_transform_origin)
 from toalab.firstpassage import DiffusionSpec, diffusion_density
 from toalab.wavepacket import (SpacePacket, TimePacket, space_amplitude,
                                time_amplitude)
 
 
+def time_kernel(m, t2, t1, tau):
+    """Coordinate-time kernel: conjugate dispersion relative to space.
+
+    K~_tau(t2; t1) = sqrt(i m / (2 pi tau)) exp(-i m (t2-t1)^2 / (2 tau)),
+    tau > 0.  Has the same constant modulus sqrt(m/2 pi tau) as the space
+    kernel.
+    """
+    dt = np.asarray(t2) - np.asarray(t1)
+    amp = math.sqrt(m / (2.0 * math.pi * tau)) * np.exp(1j * math.pi / 4)
+    return amp * np.exp(-1j * m * dt**2 / (2.0 * tau))
+
+
+def tqm_kernel(m, t2, x2, t1, x1, tau):
+    """4D kernel: time factor x space factor x mass phase exp(-i m tau / 2)."""
+    return (time_kernel(m, t2, t1, tau)
+            * free_kernel_space(m, x2, x1, tau)
+            * np.exp(-0.5j * m * tau))
+
+
 def reference_power_transform(nu, alpha, s):
-    """`_laplace_power_transform` by two adaptive quads in r, the replaced
-    path: int_0^inf tau^(-nu) e^(i alpha/tau) e^(-s tau) dtau on the ray
-    tau = r e^(-i pi/4), real and imaginary parts at epsrel 1e-10 each."""
+    """int_0^inf tau^(-nu) e^(i alpha/tau) e^(-s tau) dtau by two adaptive
+    quads in r on the ray tau = r e^(-i pi/4), real and imaginary parts at
+    epsrel 1e-10 each."""
 
     def integrand(r, trig):
         g = (alpha / r + s * r) / math.sqrt(2.0)
@@ -34,6 +52,16 @@ def reference_power_transform(nu, alpha, s):
     im, _ = quad(integrand, 0.0, math.inf, args=(math.sin,), epsabs=0.0,
                  epsrel=1e-10, limit=200)
     return np.exp(-1j * math.pi / 4) ** (1.0 - nu) * (re + 1j * im)
+
+
+def reference_transforms(m, x, s):
+    """(L[F], L[K]) with the kernels written as prefactor x tau^(-nu)
+    e^(i alpha/tau), alpha = m x^2 / 2: F has |x| sqrt(m/2 pi) e^(-i pi/4)
+    and nu = 3/2, K has sqrt(m/2 pi) e^(-i pi/4) and nu = 1/2."""
+    alpha = 0.5 * m * x * x
+    pref = math.sqrt(m / (2.0 * math.pi)) * np.exp(-1j * math.pi / 4)
+    return (abs(x) * pref * reference_power_transform(1.5, alpha, s),
+            pref * reference_power_transform(0.5, alpha, s))
 
 
 class TestTrapezoid:
@@ -108,6 +136,54 @@ class TestClosedForms:
         np.testing.assert_allclose(
             real, np.sqrt(m / (2.0 * math.pi * tau)) * np.exp(-m * x**2 / (2 * tau)),
             rtol=1e-12)
+
+
+class TestComplexTau:
+    RAY = np.exp(-1j * math.pi / 4)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, 1j, -1.0 + 1j, -1.0 - 1j,
+                                     math.nan, math.inf,
+                                     complex(1.0, math.nan),
+                                     complex(math.inf, -1.0)])
+    @pytest.mark.parametrize("kernel", [free_kernel_space,
+                                        first_arrival_kernel])
+    def test_refused_off_the_right_half_plane(self, kernel, bad):
+        with pytest.raises(ValueError, match="Re tau > 0"):
+            kernel(1.0, 1.0, 0.0, bad)
+        with pytest.raises(ValueError, match="Re tau > 0"):
+            kernel(1.0, 1.0, 0.0, np.array([1.0 + 0.5j, bad]))
+
+    @pytest.mark.parametrize("kernel", [free_kernel_space,
+                                        first_arrival_kernel])
+    def test_scalar_and_array_tau(self, kernel):
+        taus = np.array([0.3, 2.0 * self.RAY, 1.0 + 4.0j, 5.0 - 0.1j])
+        vals = kernel(1.5, 2.0, -0.5, taus)
+        assert vals.shape == taus.shape
+        for tau, val in zip(taus, vals):
+            assert kernel(1.5, 2.0, -0.5, tau) == val
+
+    @pytest.mark.parametrize("m,r", [(1.0, 0.5), (2.0, 3.0), (0.5, 40.0)])
+    def test_principal_branch_on_the_ray(self, m, r):
+        # On tau = r e^(-i pi/4): 2 pi i tau = 2 pi r e^(i pi/4), so the
+        # principal root is sqrt(m/2 pi r) e^(-i pi/8), and i m x^2/2 tau =
+        # (-1 + i) m x^2 / (2 sqrt(2) r): the modulus decays in |x|.
+        x = np.linspace(0.0, 6.0, 25)
+        k = free_kernel_space(m, x, 0.0, r * self.RAY)
+        expect = (math.sqrt(m / (2.0 * math.pi * r))
+                  * np.exp(-1j * math.pi / 8)
+                  * np.exp((-1.0 + 1j) * m * x**2
+                           / (2.0 * math.sqrt(2.0) * r)))
+        np.testing.assert_allclose(k, expect, rtol=1e-13)
+        assert np.all(np.diff(np.abs(k)) < 0)
+
+    @pytest.mark.parametrize("m,tau", [(1.0, 2.0), (0.3, 1e-3), (7.0, 5e4)])
+    def test_real_axis_matches_real_formula(self, m, tau):
+        x = np.linspace(-20.0, 20.0, 41)
+        real = (math.sqrt(m / (2.0 * math.pi * tau))
+                * np.exp(-1j * math.pi / 4)
+                * np.exp(1j * m * x**2 / (2.0 * tau)))
+        np.testing.assert_allclose(free_kernel_space(m, x, 0.0, tau), real,
+                                   rtol=1e-15, atol=0.0)
 
 
 class TestSemigroup:
@@ -234,17 +310,13 @@ class TestLaplace:
 
     @pytest.mark.parametrize("m,x,s", list(itertools.product(
         (0.5, 2.0, 10.0), (0.02, 1.0, 10.0), (1e-3, 1.0, 100.0))))
-    def test_transforms_match_quad(self, m, x, s, monkeypatch):
-        # Oracle: the two-quad path the trapezoid rule in v replaced, on a
-        # grid spanning the stress points (sqrt(2 alpha s) from 4.5e-4 to
+    def test_transforms_match_quad(self, m, x, s):
+        # Oracle: the kernels' power-law form transformed by two quads, on
+        # a grid spanning the stress points (sqrt(2 alpha s) from 4.5e-4 to
         # 316), held to the 1e-10 relative accuracy it was asked for.
         new = (laplace_transform_first_arrival(m, x, s),
                laplace_transform_free(m, x, s))
-        monkeypatch.setattr(kernels, "_laplace_power_transform",
-                            reference_power_transform)
-        old = (laplace_transform_first_arrival(m, x, s),
-               laplace_transform_free(m, x, s))
-        for a, b in zip(new, old):
+        for a, b in zip(new, reference_transforms(m, x, s)):
             assert abs(a - b) < 1e-10 * abs(b)
 
     def test_zero_separation_free_transform_is_origin(self):
@@ -255,6 +327,29 @@ class TestLaplace:
         # m x^2 s = 1e-400 is 0 in floating point: there is no window.
         with pytest.raises(NumericalError, match="underflows"):
             laplace_transform_free(1.0, 1e-200, 1.0)
+
+    @pytest.mark.parametrize("x,s", [(1e-150, 1e300), (1e100, 1e-300),
+                                     (1e-158, 1.0)])
+    def test_window_outside_float_range_raises(self, x, s):
+        # |tau| = sqrt(m x^2 / 2 s) is 0 or inf in floating point, with
+        # sqrt(m s)|x| = 1; or it is 7e-159 and the window reaches
+        # |tau| = 7e-159 e^-370, below the normal floats.
+        with pytest.raises(NumericalError, match="float range"):
+            laplace_transform_free(1.0, x, s)
+
+    @pytest.mark.parametrize("name,perturbed", [
+        ("first_arrival_kernel",
+         lambda m, x2, x1, tau: (1.01 * abs(x2 - x1) / tau
+                                 * kernels.free_kernel_space(m, x2, x1, tau))),
+        ("free_kernel_space",
+         lambda m, x2, x1, tau: (np.sqrt(m / (2j * math.pi * tau))
+                                 * np.conj(np.exp(1j * m * (x2 - x1) ** 2
+                                                  / (2.0 * tau)))))],
+        ids=["first_arrival_weight", "free_conjugate_phase"])
+    def test_criterion_7_fails_for_a_perturbed_kernel(self, monkeypatch,
+                                                      name, perturbed):
+        monkeypatch.setattr(kernels, name, perturbed)
+        assert validation.criterion_7().passed is False
 
     def test_check_reports_disagreement_as_not_converged(self, monkeypatch):
         # A transform that resolves but misses the closed form by 1% is

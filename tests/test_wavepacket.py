@@ -9,13 +9,45 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from toalab.wavepacket import (SpacePacket, TimePacket,
-                               max_entropy_time_packet,
                                negative_energy_fraction, space_amplitude,
                                space_amplitude_dx, space_momentum_amplitude,
-                               time_amplitude, time_amplitude_dt,
-                               time_amplitude_dt2)
+                               time_amplitude)
 
 PI_QUARTER = math.pi ** -0.25
+
+
+def _time_logderiv(pkt, t, tau):
+    f = pkt.dispersion_factor(tau)
+    return -1j * pkt.E0 - (np.asarray(t, dtype=float) - pkt.t0
+                           - (pkt.E0 / pkt.mass) * tau) / (pkt.sigma_t**2 * f)
+
+
+def time_amplitude_dt(pkt, t, tau=0.0):
+    """Analytic d/dt of :func:`time_amplitude`."""
+    return _time_logderiv(pkt, t, tau) * time_amplitude(pkt, t, tau)
+
+
+def time_amplitude_dt2(pkt, t, tau=0.0):
+    """Analytic d^2/dt^2 of :func:`time_amplitude`."""
+    g = _time_logderiv(pkt, t, tau)
+    f = pkt.dispersion_factor(tau)
+    # d/dt of the log-derivative is the constant -1/(sigma_t^2 f).
+    return (g**2 - 1.0 / (pkt.sigma_t**2 * f)) * time_amplitude(pkt, t, tau)
+
+
+def max_entropy_time_packet(pkt):
+    """Time packet matched to a spatial packet.
+
+    The Gaussian is the maximum-entropy profile for fixed mean energy and
+    energy variance.  Matching the momentum widths gives sigma_E = sigma_p,
+    i.e. sigma_t = sigma_x, with relativistic mean energy
+    E0 = sqrt(mass^2 + p0^2) and t0 = 0 (the overall phase is carried by the
+    spatial part).
+    """
+    return TimePacket(t0=0.0,
+                      E0=math.hypot(pkt.mass, pkt.p0),
+                      sigma_t=pkt.sigma_x,
+                      mass=pkt.mass)
 
 
 def _space_norm(pkt, tau):
