@@ -342,7 +342,7 @@ def discrete_continuum_experiment(
         dl = r * d_lattice
         dx = 1.0 / dl
         n_max = int(math.ceil(window[1] / (dx * dx))) + 1
-        taus, rates = fp.lattice_arrival_curve(spec, dl, n_max, 1.0)
+        taus, rates = fp.lattice_arrival_curve(spec, dl, n_max)
         keep = (taus >= window[0]) & (taus <= window[1])
         ref = fp.diffusion_detection_rate(spec, 1.0, taus[keep])
         errs.append(float(np.max(np.abs(rates[keep] - ref) / ref)))

@@ -211,11 +211,15 @@ def _mc_chunk(d: int, n_max: int, trials: int, seed: int,
             break
         left = min(8, n_max - start)            # the last byte may be partial
         b = rng.integers(0, 256, size=r.size, dtype=np.uint8)
-        first = _BYTE_FIRST[np.minimum(r, 9) * 256 + b]
-        hit = first <= left
+        idx = np.minimum(r, 9)
+        idx <<= 8
+        idx |= b
+        first = _BYTE_FIRST.take(idx)
+        # Bins past `left` (and 9, no arrival) are the walkers that stay.
         counts[start + 1:start + left + 1] += np.bincount(
-            first[hit], minlength=9)[1:left + 1]
-        r = (r - _BYTE_NET[b])[~hit]
+            first, minlength=9)[1:left + 1]
+        r -= _BYTE_NET.take(b)
+        r = r.compress(first > left)
     return counts, int(r.size)
 
 
@@ -309,16 +313,16 @@ def images_detection_rate(spec: DiffusionSpec, d: float, tau: float,
     raise ValueError(f"unknown method {method!r}")
 
 
-def lattice_arrival_curve(spec: DiffusionSpec, d_lattice: int, n_max: int,
-                          x_phys: float):
+def lattice_arrival_curve(spec: DiffusionSpec, d_lattice: int, n_max: int):
     """Rescale the exact lattice F_n to a continuum detection-rate curve.
 
-    The lattice spacing is dx = x_phys / d_lattice and the clock-time step
-    dtau = m dx^2: the target density has position variance tau/m, while
-    the walk variance is n dx^2.
+    The walk starts d_lattice sites, a physical distance 1, from the
+    detector, so the lattice spacing is dx = 1 / d_lattice and the
+    clock-time step dtau = m dx^2: the target density has position
+    variance tau/m, while the walk variance is n dx^2.
     Returns (tau array, rate array) at the parity steps where F_n != 0.
     """
-    dx = x_phys / d_lattice
+    dx = 1.0 / d_lattice
     dtau = spec.mass * dx * dx
     n = np.arange(n_max + 1)
     F = first_arrival_probability_float(n, d_lattice)

@@ -121,39 +121,64 @@ def criterion_2():
                         pkt.mass * pkt.sigma_x**2 / bullet.tau_bar})
 
 
+def _path_counts(n_top: int) -> tuple:
+    """Count all 2^n_top walks by step, running maximum and position.
+
+    Returns integer arrays (free, alive): free[n, k + n_top] walks are k
+    sites from the start after n steps, and alive[n, d, k + n_top] of them
+    have never been d or more sites to the right (d = 0..8), i.e. survive a
+    detector d sites away.  Every walk is counted once, in one histogram
+    over the key (n, min(running max, 9), position); because suffix steps
+    are free, the counts at step n < n_top are exact too.
+    """
+    paths = np.arange(1 << n_top)
+    pos = np.zeros((n_top + 1, paths.size), dtype=np.int8)
+    for n in range(n_top):
+        pos[n + 1] = pos[n] + 2 * ((paths >> n) & 1) - 1
+    width = 2 * n_top + 1
+    key = np.maximum.accumulate(pos, axis=0).astype(np.intp)
+    np.minimum(key, 9, out=key)
+    key += 10 * np.arange(n_top + 1)[:, None]
+    key *= width
+    key += pos
+    key += n_top
+    joint = np.bincount(key.ravel(), minlength=(n_top + 1) * 10 * width)
+    joint = joint.reshape(n_top + 1, 10, width)
+    below = np.cumsum(joint, axis=1)      # below[n, h]: running max <= h
+    alive = np.zeros((n_top + 1, 9, width), dtype=below.dtype)
+    alive[:, 1:] = below[:, :8]
+    return below[:, -1], alive
+
+
 def criterion_3():
-    """Exhaustive path enumeration and exact conservation."""
+    """Exhaustive path enumeration and exact conservation.
+
+    All 2^16 walks are counted in one joint histogram over (step, running
+    maximum, position) (`_path_counts`).  Its sum over the maximum gives
+    the free-walk counts at every n <= 16, its cumulative sum the survivors
+    for every d <= 8, and the drop in survivors from step n - 1 to n the
+    first arrivals.  Each count over 2^16 must equal the library's exact
+    Fraction.
+    """
     n_top = 16
-    steps = ((np.arange(1 << n_top)[:, None]
-              >> np.arange(n_top)[None, :]) & 1) * 2 - 1
-    cum = np.cumsum(steps, axis=1)  # positions relative to the start
     denom = 1 << n_top
+    free, alive = (a.tolist() for a in _path_counts(n_top))
     mismatches = 0
-    # Free-walk counts at every n <= 16 (suffix steps are free, so prefix
-    # counts over all 2^16 paths give exact probabilities).
     for n in range(n_top + 1):
-        pos = cum[:, n - 1] if n else np.zeros(denom, dtype=cum.dtype)
-        vals, counts = np.unique(pos, return_counts=True)
-        table = dict(zip(vals.tolist(), counts.tolist()))
         for m in range(-n, n + 1):
-            if fp.walk_probability(n, m) != Fraction(table.get(m, 0), denom):
+            if fp.walk_probability(n, m) != \
+                    Fraction(free[n][m + n_top], denom):
                 mismatches += 1
-    # Survivors and first arrivals for every d <= 8, n <= 16.
+    # Survivors and first arrivals for every d <= 8, n <= 16; survivor
+    # site m is m + d sites from the start.
     for d in range(1, 9):
-        hit = cum >= d  # from -d, touching 0 means cum >= d
-        ever = np.cumsum(hit, axis=1) > 0
         for n in range(n_top + 1):
-            alive = ~ever[:, n - 1] if n else np.ones(denom, dtype=bool)
-            pos = (cum[:, n - 1] if n else np.zeros(denom, dtype=cum.dtype)) - d
-            vals, counts = np.unique(pos[alive], return_counts=True)
-            table = dict(zip(vals.tolist(), counts.tolist()))
+            row = alive[n][d]
             for m in range(-n - d, 0):
                 if fp.surviving_probability(n, m, d) != \
-                        Fraction(table.get(m, 0), denom):
+                        Fraction(row[m + d + n_top], denom):
                     mismatches += 1
-            first_now = (ever[:, n - 1] if n else np.zeros(denom, bool)) \
-                & ~(ever[:, n - 2] if n > 1 else np.zeros(denom, bool))
-            count_first = int(first_now.sum()) if n else int(d == 0)
+            count_first = sum(alive[n - 1][d]) - sum(row) if n else 0
             if fp.first_arrival_probability(n, d) != \
                     Fraction(count_first, denom):
                 mismatches += 1

@@ -1,6 +1,7 @@
 """Random-walk first passage: exact combinatorics, sampling, diffusion limit."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 import toalab.firstpassage as fp
+from toalab import validation
 from toalab.cli import EXIT_OK, main
 from toalab.firstpassage import (DiffusionSpec, MC_CHUNK,
                                  FirstArrivalHistogram, _survivor_count,
@@ -100,17 +102,71 @@ def reference_mc_chunk(d: int, n_max: int, trials: int, seed: int,
     return counts, int(trials - arrived.sum())
 
 
-def reference_monte_carlo(d: int, n_max: int, trials: int,
-                          seed: int) -> FirstArrivalHistogram:
+def reference_byte_chunk(d: int, n_max: int, trials: int, seed: int,
+                         chunk_index: int) -> tuple:
+    """Oracle: the byte-table sampler with a boolean mask per 8-step column.
+
+    Same Philox draws and tables as `fp._mc_chunk`, which must match it bit
+    for bit; here hits are masked out for the histogram and the survivors
+    are selected by fancy indexing.
+    """
+    rng = np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
+    counts = np.zeros(n_max + 1, dtype=np.int64)
+    if d == 0:
+        counts[0] = trials
+        return counts, 0
+    r = np.full(trials, d, dtype=np.int32)
+    for start in range(0, n_max, 8):
+        if not r.size:
+            break
+        left = min(8, n_max - start)
+        b = rng.integers(0, 256, size=r.size, dtype=np.uint8)
+        first = fp._BYTE_FIRST[np.minimum(r, 9) * 256 + b]
+        hit = first <= left
+        counts[start + 1:start + left + 1] += np.bincount(
+            first[hit], minlength=9)[1:left + 1]
+        r = (r - fp._BYTE_NET[b])[~hit]
+    return counts, int(r.size)
+
+
+def reference_monte_carlo(d: int, n_max: int, trials: int, seed: int,
+                          chunk=reference_mc_chunk) -> FirstArrivalHistogram:
     counts = np.zeros(n_max + 1, dtype=np.int64)
     never = 0
     for i, start in enumerate(range(0, trials, MC_CHUNK)):
-        c, nv = reference_mc_chunk(d, n_max, min(MC_CHUNK, trials - start),
-                                   seed, i)
+        c, nv = chunk(d, n_max, min(MC_CHUNK, trials - start), seed, i)
         counts += c
         never += nv
     return FirstArrivalHistogram(d=d, n_max=n_max, trials=trials, seed=seed,
                                  counts=counts, never_arrived=never)
+
+
+def reference_path_counts(n_top: int) -> tuple:
+    """Oracle for `validation._path_counts`: per-(n, d) np.unique tables.
+
+    Builds every path's positions, marks for each d the paths that have
+    reached d sites to the right, and tallies the positions of the rest
+    step by step.
+    """
+    width = 2 * n_top + 1
+    free = np.zeros((n_top + 1, width), dtype=np.int64)
+    alive = np.zeros((n_top + 1, 9, width), dtype=np.int64)
+    steps = ((np.arange(1 << n_top)[:, None]
+              >> np.arange(n_top)[None, :]) & 1) * 2 - 1
+    cum = np.cumsum(steps, axis=1)
+    zero = np.zeros(1 << n_top, dtype=cum.dtype)
+    for n in range(n_top + 1):
+        vals, counts = np.unique(cum[:, n - 1] if n else zero,
+                                 return_counts=True)
+        free[n, vals + n_top] = counts
+    for d in range(1, 9):
+        ever = np.cumsum(cum >= d, axis=1) > 0
+        for n in range(n_top + 1):
+            pos = cum[:, n - 1] if n else zero
+            keep = ~ever[:, n - 1] if n else np.ones(1 << n_top, dtype=bool)
+            vals, counts = np.unique(pos[keep], return_counts=True)
+            alive[n, d, vals + n_top] = counts
+    return free, alive
 
 
 class TestWalkProbability:
@@ -358,6 +414,27 @@ class TestMonteCarlo:
         # F_n = 0 for n of the wrong parity and for n < d.
         assert not hist.counts[hist.exact_reference() == 0].any()
 
+    @pytest.mark.parametrize("n_max", [0, 1, 7, 8, 9, 13, 100])
+    @pytest.mark.parametrize("d", [0, 1, 2, 8, 9, 12])
+    def test_kernel_matches_masked_byte_sampler(self, d, n_max):
+        for trials in (1, 1000, MC_CHUNK):
+            for chunk_index in (0, 5):
+                args = (d, n_max, trials, 31 * d + n_max, chunk_index)
+                counts, never = fp._mc_chunk(*args)
+                ref_counts, ref_never = reference_byte_chunk(*args)
+                np.testing.assert_array_equal(counts, ref_counts)
+                assert never == ref_never
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_histogram_matches_masked_byte_sampler(self, workers):
+        trials = MC_CHUNK + 123
+        hist = monte_carlo_first_arrival(2, 100, trials, seed=11,
+                                         workers=workers)
+        ref = reference_monte_carlo(2, 100, trials, 11,
+                                    chunk=reference_byte_chunk)
+        np.testing.assert_array_equal(hist.counts, ref.counts)
+        assert hist.never_arrived == ref.never_arrived
+
     def test_seed_determinism_and_worker_invariance(self):
         a = monte_carlo_first_arrival(2, 20, 50000, seed=7, workers=1)
         b = monte_carlo_first_arrival(2, 20, 50000, seed=7, workers=4)
@@ -365,6 +442,45 @@ class TestMonteCarlo:
         np.testing.assert_array_equal(a.counts, b.counts)
         assert a.never_arrived == b.never_arrived
         assert not np.array_equal(a.counts, c.counts)
+
+
+class TestEnumeration:
+    @pytest.mark.parametrize("n_top", [1, 9, 16])
+    def test_joint_histogram_matches_per_step_tables(self, n_top):
+        free, alive = validation._path_counts(n_top)
+        ref_free, ref_alive = reference_path_counts(n_top)
+        np.testing.assert_array_equal(free, ref_free)
+        np.testing.assert_array_equal(alive, ref_alive)
+
+    def test_criterion_3_catches_a_wrong_survivor(self, monkeypatch):
+        exact = fp.surviving_probability
+        monkeypatch.setattr(
+            fp, "surviving_probability",
+            lambda n, m, d: exact(n, m, d)
+            + (Fraction(1, 2**16) if (n, m, d) == (9, -2, 3) else 0))
+        result = validation.criterion_3()
+        assert not result.passed
+        assert result.observed["enumeration_mismatches"] == 1
+
+    def test_criterion_3_catches_a_wrong_first_arrival(self, monkeypatch):
+        exact = fp.first_arrival_probability
+        monkeypatch.setattr(
+            fp, "first_arrival_probability",
+            lambda n, d: exact(n, d)
+            + (Fraction(1, 2**16) if (n, d) == (12, 4) else 0))
+        result = validation.criterion_3()
+        assert not result.passed
+        assert result.observed["enumeration_mismatches"] == 1
+
+    def test_criterion_3_peak_memory(self):
+        # The per-d int64 cumulative sums it replaced peaked at 34.6 MiB.
+        tracemalloc.start()
+        try:
+            assert validation.criterion_3().passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
 
 
 class TestDiffusion:
@@ -412,7 +528,7 @@ class TestDiffusion:
 
     def test_lattice_curve_converges_to_continuum(self):
         spec = DiffusionSpec(mass=1.0)
-        taus, rates = lattice_arrival_curve(spec, 50, 10_000, x_phys=1.0)
+        taus, rates = lattice_arrival_curve(spec, 50, 10_000)
         tau_pk = spec.mass / 3.0
         sel = (taus > 0.5 * tau_pk) & (taus < 12.0 * tau_pk)
         exact = diffusion_detection_rate(spec, 1.0, taus[sel])
@@ -420,8 +536,7 @@ class TestDiffusion:
         assert rel.max() < 0.02
 
     def test_lattice_curve_mass_conservation(self):
-        taus, rates = lattice_arrival_curve(DiffusionSpec(mass=1.0), 4, 2000,
-                                            x_phys=1.0)
+        taus, rates = lattice_arrival_curve(DiffusionSpec(mass=1.0), 4, 2000)
         dtau = taus[1] - taus[0]
         total = rates.sum() * dtau
         exact = float(sum(first_arrival_probability(k, 4) for k in range(2001)))
