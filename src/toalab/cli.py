@@ -23,15 +23,15 @@ import numpy as np
 
 from . import __version__
 from . import firstpassage as fp
-from .detectors import (MsConfig, default_tau_grid, kijowski_bullet_stats,
-                        kijowski_curve, kijowski_wave_density_origin,
-                        kijowski_wave_norm,
+from .detectors import (ArrivalDistribution, MsConfig, default_tau_grid,
+                        kijowski_bullet_stats, kijowski_curve,
+                        kijowski_wave_density_origin, kijowski_wave_norm,
                         marchewka_schuss_evolve, sqm_detection_curve)
 from .experiments import (SlitConfig, discrete_continuum_experiment,
                           metric_comparison, single_slit_sweep)
 from .kernels import (GridResolutionError, NumericalError,
                       laplace_first_arrival_check)
-from .tqm import TqmPacket, tqm_arrival_distribution, tqm_dispersion_budget
+from .tqm import TqmPacket, tqm_arrival_distribution
 from .validation import run_all
 from .wavepacket import SpacePacket, TimePacket, space_amplitude
 
@@ -159,18 +159,14 @@ def _resolve(experiment: str, args: argparse.Namespace,
     return resolved
 
 
-def _float_list(text: str) -> list:
+def _parse_list(text: str, typ=float) -> list:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [typ(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise ConfigError(f"bad numeric list {text!r}: {exc}") from exc
-
-
-def _int_list(text: str) -> list:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad integer list {text!r}: {exc}") from exc
+        raise ConfigError(f"bad {typ.__name__} list {text!r}: {exc}") from exc
+    if not values:
+        raise ConfigError(f"empty list {text!r}")
+    return values
 
 
 def _write_csv(path, header, rows) -> None:
@@ -220,7 +216,7 @@ def _space_packet(p: dict) -> SpacePacket:
 def run_kijowski_bullet(r: Runner) -> int:
     p = r.params
     pkt = _space_packet(p)
-    stats = kijowski_bullet_stats(pkt, p["d"])
+    stats = kijowski_bullet_stats(pkt)
     grid = default_tau_grid(stats.tau_bar, stats.uncertainty, n=1201,
                             spread=10.0)
     curve = kijowski_curve(pkt, grid, nodes=8000)
@@ -239,9 +235,8 @@ def run_kijowski_wave(r: Runner) -> int:
     norm, err = kijowski_wave_norm(m, sp)
     scale = m / sp**2
     taus = np.linspace(0.0, 50.0 * scale, 2001)
-    _write_csv(r.path("curve.csv"), ["tau", "rate"],
-               zip(taus.tolist(),
-                   kijowski_wave_density_origin(m, sp, taus).tolist()))
+    r.curve_csv(ArrivalDistribution(
+        taus, kijowski_wave_density_origin(m, sp, taus)))
     r.summary_json({"norm": norm, "quad_error": err,
                     "tau0_value": float(kijowski_wave_density_origin(m, sp,
                                                                      0.0))})
@@ -272,8 +267,8 @@ def run_walk_validate(r: Runner) -> int:
 def run_continuum(r: Runner) -> int:
     p = r.params
     tab = discrete_continuum_experiment(d_lattice=p["d-lattice"],
-                                        refinements=_int_list(
-                                            p["refinements"]))
+                                        refinements=_parse_list(
+                                            p["refinements"], int))
     _write_csv(r.path("table.csv"),
                ["refinement", "d_lattice", "max_rel_error",
                 "conservation_exact"],
@@ -289,7 +284,7 @@ def run_continuum(r: Runner) -> int:
 def run_sqm_detect(r: Runner) -> int:
     p = r.params
     pkt = _space_packet(p)
-    curve = sqm_detection_curve(pkt, p["d"])
+    curve = sqm_detection_curve(pkt)
     r.curve_csv(curve)
     r.summary_json(curve.summary())
     return EXIT_OK
@@ -302,7 +297,7 @@ def run_tqm_detect(r: Runner) -> int:
         time=TimePacket(t0=0.0, E0=m, sigma_t=p["sigma-t"], mass=m),
         space=SpacePacket(x0=-p["d"], p0=m * p["v0"], sigma_x=p["sigma-x"],
                           mass=m))
-    curve = tqm_arrival_distribution(pkt, p["d"])
+    curve = tqm_arrival_distribution(pkt)
     r.curve_csv(curve)
     r.summary_json(curve.summary())
     return EXIT_OK
@@ -312,7 +307,7 @@ def run_slit_sweep(r: Runner) -> int:
     p = r.params
     base = SlitConfig(W=1.0, d=p["d"], v0=p["v0"], sigma_x=p["sigma-x"],
                       m=p["m"])
-    sweep = single_slit_sweep(base, _float_list(p["W"]))
+    sweep = single_slit_sweep(base, _parse_list(p["W"]))
     _write_csv(r.path("table.csv"),
                ["W", "sqm_uncertainty", "tqm_uncertainty", "ratio"],
                sweep.rows())
@@ -327,7 +322,7 @@ def run_slit_sweep(r: Runner) -> int:
 def run_metric_compare(r: Runner) -> int:
     p = r.params
     pkt = _space_packet(p)
-    comp = metric_comparison(pkt, p["d"], lam=p["lambda"])
+    comp = metric_comparison(pkt, lam=p["lambda"])
     _write_csv(r.path("table.csv"), ["metric", "mean", "uncertainty", "norm"],
                comp.as_table())
     r.summary_json({"rows": comp.rows, "consistent": comp.consistent})
@@ -336,7 +331,7 @@ def run_metric_compare(r: Runner) -> int:
 
 def run_laplace_check(r: Runner) -> int:
     p = r.params
-    rep = laplace_first_arrival_check(p["m"], p["x"], _float_list(p["s"]))
+    rep = laplace_first_arrival_check(p["m"], p["x"], _parse_list(p["s"]))
     r.summary_json({
         "s_values": list(rep.s_values),
         "modulus_rel_errors": list(rep.modulus_rel_errors),
@@ -458,7 +453,7 @@ def main(argv=None) -> int:
         runner = Runner(args.experiment, params, _output_dir(args, file_cfg))
         runner.manifest()
         code = RUNNERS[args.experiment](runner)
-    except (NumericalError, RuntimeError) as exc:
+    except NumericalError as exc:
         return _fail(args, file_cfg, "numerical", exc, EXIT_NUMERICAL)
     except (ConfigError, ValueError) as exc:
         return _fail(args, file_cfg, "configuration", exc, EXIT_CONFIG)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -180,20 +180,21 @@ class KijowskiBulletSummary:
     uncertainty: float
 
 
-def kijowski_bullet_stats(pkt: SpacePacket, d: float) -> KijowskiBulletSummary:
+def kijowski_bullet_stats(pkt: SpacePacket) -> KijowskiBulletSummary:
     """Closed-form arrival statistics for a narrow-momentum (bullet) packet.
 
-    mean tau_bar = d/v0, effective dispersion sigma_bar = tau_bar/(m v0
-    sigma_x), uncertainty = sigma_bar/sqrt(2).  The closed form keeps only
-    the momentum spread, so it warns outside the bullet regime, that is
-    when sigma_p/p0 > 0.1 (the <1/p> shift of the mean grows) or when
-    m sigma_x^2/tau_bar > 0.1 (the position width adds to the spread).
+    mean tau_bar = d/v0 with d = pkt.d, effective dispersion sigma_bar =
+    tau_bar/(m v0 sigma_x), uncertainty = sigma_bar/sqrt(2).  The closed
+    form keeps only the momentum spread, so it warns outside the bullet
+    regime, that is when sigma_p/p0 > 0.1 (the <1/p> shift of the mean
+    grows) or when m sigma_x^2/tau_bar > 0.1 (the position width adds to
+    the spread).
     """
     if pkt.p0 <= 0:
         raise ValueError("bullet statistics require p0 > 0")
-    if d <= 0:
+    if pkt.d <= 0:
         raise ValueError("detector distance d must be > 0")
-    tau_bar = d / pkt.v0
+    tau_bar = pkt.d / pkt.v0
     ratios = {"sigma_p/p0": pkt.sigma_p / pkt.p0,
               "m sigma_x^2/tau_bar": pkt.mass * pkt.sigma_x**2 / tau_bar}
     outside = [f"{name} = {value:.3g}" for name, value in ratios.items()
@@ -258,21 +259,21 @@ def default_tau_grid(tau_bar: float, width: float, n: int = 2048,
     return np.linspace(lo, tau_bar + spread * width, n)
 
 
-def sqm_detection_curve(pkt: SpacePacket, d: float,
+def sqm_detection_curve(pkt: SpacePacket,
                         tau_grid=None) -> ArrivalDistribution:
-    """Detection-rate curve of a black-box detector a distance d downstream.
+    """Detection-rate curve of a black-box detector at the origin, pkt.d
+    downstream of the packet center.
 
     The rate is the probability current at the detector, evaluated with the
     analytic spatial derivative of the dispersing Gaussian.  The summary
     metadata carries the closed forms mean = tau_bar = d/v0 and uncertainty
     (1/sqrt(2)) tau_bar/(m v0 sigma_x).
     """
-    if d <= 0:
+    if pkt.d <= 0:
         raise ValueError("d must be > 0")
     if pkt.p0 <= 0:
         raise ValueError("detection curve requires a right-moving packet")
-    shifted = replace(pkt, x0=-d)
-    tau_bar = d / pkt.v0
+    tau_bar = pkt.d / pkt.v0
     dtau = tau_bar / (pkt.mass * pkt.v0 * pkt.sigma_x) / math.sqrt(2.0)
     if tau_grid is None:
         tau_grid = default_tau_grid(tau_bar, dtau)
@@ -281,8 +282,8 @@ def sqm_detection_curve(pkt: SpacePacket, d: float,
         if tau_grid[0] > tau_bar - 8.0 * dtau + 1e-12 * tau_bar \
                 or tau_grid[-1] < tau_bar + 8.0 * dtau - 1e-12 * tau_bar:
             raise ValueError("tau_grid must bracket tau_bar +/- 8 widths")
-    psi = space_amplitude(shifted, 0.0, tau_grid)
-    dpsi = space_amplitude_dx(shifted, 0.0, tau_grid)
+    psi = space_amplitude(pkt, 0.0, tau_grid)
+    dpsi = space_amplitude_dx(pkt, 0.0, tau_grid)
     rates = probability_current(psi, dpsi, pkt.mass)
     return ArrivalDistribution(tau_grid, rates, meta={
         "metric": "current",
@@ -359,7 +360,7 @@ def _ms_absorb(dpsi_raw, absorb_coeff: float, norm: float) -> tuple:
     for n, raw in enumerate(np.asarray(dpsi_raw).tolist()):
         P = absorb_coeff * abs(raw * survival_scale) ** 2
         if P > 1.0:
-            raise RuntimeError(
+            raise NumericalError(
                 f"absorption probability {P:.3g} > 1 at step {n}; "
                 "reduce lam or epsilon")
         p_abs[n] = P

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import firstpassage as fp
-from .detectors import (ArrivalDistribution, KijowskiBulletSummary, MsConfig,
-                        _ms_absorb, default_tau_grid, kijowski_bullet_stats,
+from .detectors import (ArrivalDistribution, MsConfig, _ms_absorb,
+                        default_tau_grid, kijowski_bullet_stats,
                         kijowski_curve, sqm_detection_curve)
 from .tqm import TqmPacket, tqm_arrival_distribution, tqm_dispersion_budget
 from .wavepacket import (SpacePacket, TimePacket, space_amplitude,
@@ -172,11 +172,11 @@ def single_slit_tqm(cfg: SlitConfig, t_grid=None) -> SlitResult:
     pkt = TqmPacket(
         time=TimePacket(t0=0.0, E0=cfg.m, sigma_t=cfg.sigma_t, mass=cfg.m),
         space=space)
-    curve = tqm_arrival_distribution(pkt, cfg.d, t_grid=t_grid)
+    curve = tqm_arrival_distribution(pkt, t_grid=t_grid)
     return SlitResult(curve=curve,
                       closed_form_uncertainty=tqm_slit_uncertainty(cfg),
                       tau_bar=cfg.tau_bar,
-                      extras={"dispersions": tqm_dispersion_budget(pkt, cfg.d)})
+                      extras={"dispersions": tqm_dispersion_budget(pkt)})
 
 
 @dataclass(frozen=True)
@@ -227,7 +227,7 @@ class MetricComparison:
             yield name, r.get("mean"), r.get("uncertainty"), r.get("norm")
 
 
-def metric_comparison(pkt: SpacePacket, d: float,
+def metric_comparison(pkt: SpacePacket,
                       lam: float = None) -> MetricComparison:
     """Tabulate arrival mean and spread across detector models.
 
@@ -245,22 +245,20 @@ def metric_comparison(pkt: SpacePacket, d: float,
     A warning names the row when the packet's weight at x' >= 0,
     erfc(d/sigma_x)/2, exceeds 1e-9.
     """
-    stats = kijowski_bullet_stats(pkt, d)
+    stats = kijowski_bullet_stats(pkt)
     grid = default_tau_grid(stats.tau_bar, stats.uncertainty, n=1201,
                             spread=10.0)
-    shifted = SpacePacket(x0=-d, p0=pkt.p0, sigma_x=pkt.sigma_x,
-                          mass=pkt.mass)
-    kij = kijowski_curve(shifted, grid, nodes=20000)
-    cur = sqm_detection_curve(pkt, d, grid)
+    kij = kijowski_curve(pkt, grid, nodes=20000)
+    cur = sqm_detection_curve(pkt, grid)
 
     # First-arrival-kernel curve, normalized over the grid (the 1/m^2 of
     # the amplitude cancels).
-    beyond = 0.5 * math.erfc(d / pkt.sigma_x)
+    beyond = 0.5 * math.erfc(pkt.d / pkt.sigma_x)
     if beyond > 1e-9:
         warnings.warn(f"first_arrival_kernel row: the packet has weight "
                       f"{beyond:.2g} at x' >= 0, where the row's weight -x' "
                       "differs from the kernel's |x'|", stacklevel=2)
-    fa = np.abs(space_amplitude_dx(shifted, 0.0, grid)) ** 2
+    fa = np.abs(space_amplitude_dx(pkt, 0.0, grid)) ** 2
     fa /= np.trapezoid(fa, grid)
     fa_curve = ArrivalDistribution(grid, fa, meta={"metric": "first-arrival"})
 
@@ -282,7 +280,7 @@ def metric_comparison(pkt: SpacePacket, d: float,
         cfg = MsConfig(lam=lam, epsilon=stats.tau_bar / 2500.0, steps=5000)
         taus = (np.arange(cfg.steps) + 1.0) * cfg.epsilon
         detected, _, _ = _ms_absorb(
-            2.0 * space_amplitude_dx(shifted, 0.0, taus),
+            2.0 * space_amplitude_dx(pkt, 0.0, taus),
             cfg.epsilon * lam / (2.0 * math.pi * pkt.mass), 1.0)
         ms = ArrivalDistribution(taus, detected / cfg.epsilon)
         rows["marchewka_schuss"] = {
@@ -334,7 +332,6 @@ def discrete_continuum_experiment(
     refinements = tuple(int(r) for r in refinements)
     if any(r < 1 for r in refinements):
         raise ValueError("refinement factors must be >= 1")
-    spec = fp.DiffusionSpec()
     tau_peak = 1.0 / 3.0
     window = (0.5 * tau_peak, 12.0 * tau_peak)
     errs, dls, conserved = [], [], []
@@ -342,9 +339,9 @@ def discrete_continuum_experiment(
         dl = r * d_lattice
         dx = 1.0 / dl
         n_max = int(math.ceil(window[1] / (dx * dx))) + 1
-        taus, rates = fp.lattice_arrival_curve(spec, dl, n_max)
+        taus, rates = fp.lattice_arrival_curve(dl, n_max)
         keep = (taus >= window[0]) & (taus <= window[1])
-        ref = fp.diffusion_detection_rate(spec, 1.0, taus[keep])
+        ref = fp.diffusion_detection_rate(1.0, 1.0, taus[keep])
         errs.append(float(np.max(np.abs(rates[keep] - ref) / ref)))
         dls.append(dl)
         conserved.append(

@@ -32,7 +32,6 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 __all__ = [
-    "DiffusionSpec",
     "walk_probability",
     "surviving_probability",
     "first_arrival_probability",
@@ -45,14 +44,6 @@ __all__ = [
     "diffusion_detection_rate",
     "images_detection_rate",
 ]
-
-@dataclass(frozen=True)
-class DiffusionSpec:
-    mass: float = 1.0
-
-    def __post_init__(self):
-        if self.mass <= 0:
-            raise ValueError("mass must be positive")
 
 
 def walk_probability(n: int, m: int) -> Fraction:
@@ -266,17 +257,18 @@ def monte_carlo_first_arrival(d: int, n_max: int, trials: int, seed: int,
 # ---------------------------------------------------------------------------
 
 
-def diffusion_density(spec: DiffusionSpec, x: float, x1: float, tau: float):
+def diffusion_density(m: float, x: float, x1: float, tau: float):
     """Mass-scaled diffusion propagator sqrt(m/2 pi tau) e^(-m(x-x1)^2/2 tau)."""
+    if m <= 0:
+        raise ValueError("mass must be positive")
     tau = np.asarray(tau, dtype=float)
     if np.any(tau <= 0):
         raise ValueError(f"tau must be > 0, got {tau}")
-    m = spec.mass
     dx = np.asarray(x) - np.asarray(x1)
     return np.sqrt(m / (2.0 * math.pi * tau)) * np.exp(-m * dx**2 / (2.0 * tau))
 
 
-def diffusion_detection_rate(spec: DiffusionSpec, d: float, tau):
+def diffusion_detection_rate(m: float, d: float, tau):
     """First-passage density (d/tau) sqrt(m/2 pi tau) e^(-m d^2/2 tau).
 
     Normalized: the integral over tau in (0, inf) is exactly 1.
@@ -286,10 +278,10 @@ def diffusion_detection_rate(spec: DiffusionSpec, d: float, tau):
     tau = np.asarray(tau, dtype=float)
     if np.any(tau <= 0):
         raise ValueError("tau must be > 0")
-    return (d / tau) * diffusion_density(spec, 0.0, d, tau)
+    return (d / tau) * diffusion_density(m, 0.0, d, tau)
 
 
-def images_detection_rate(spec: DiffusionSpec, d: float, tau: float,
+def images_detection_rate(m: float, d: float, tau: float,
                           method: str = "analytic"):
     """Detection rate from the image construction at an absorbing origin.
 
@@ -300,30 +292,29 @@ def images_detection_rate(spec: DiffusionSpec, d: float, tau: float,
     """
     if d <= 0 or not tau > 0:
         raise ValueError("d and tau must be > 0")
-    m = spec.mass
     if method == "analytic":
         # d/dx of the two Gaussians at x = 0; the image pair doubles the term.
-        slope = 2.0 * (m * d / tau) * diffusion_density(spec, 0.0, d, tau)
+        slope = 2.0 * (m * d / tau) * diffusion_density(m, 0.0, d, tau)
         return slope / (2.0 * m)
     if method == "fd":
         h = 1e-5
-        g = lambda x: (diffusion_density(spec, x, -d, tau)
-                       - diffusion_density(spec, x, d, tau))
+        g = lambda x: (diffusion_density(m, x, -d, tau)
+                       - diffusion_density(m, x, d, tau))
         return -(g(h) - g(-h)) / (2.0 * h) / (2.0 * m)
     raise ValueError(f"unknown method {method!r}")
 
 
-def lattice_arrival_curve(spec: DiffusionSpec, d_lattice: int, n_max: int):
+def lattice_arrival_curve(d_lattice: int, n_max: int):
     """Rescale the exact lattice F_n to a continuum detection-rate curve.
 
     The walk starts d_lattice sites, a physical distance 1, from the
-    detector, so the lattice spacing is dx = 1 / d_lattice and the
-    clock-time step dtau = m dx^2: the target density has position
-    variance tau/m, while the walk variance is n dx^2.
+    detector, so the lattice spacing is dx = 1 / d_lattice and, at unit
+    mass, the clock-time step is dtau = dx^2: the target density has
+    position variance tau, while the walk variance is n dx^2.
     Returns (tau array, rate array) at the parity steps where F_n != 0.
     """
     dx = 1.0 / d_lattice
-    dtau = spec.mass * dx * dx
+    dtau = dx * dx
     n = np.arange(n_max + 1)
     F = first_arrival_probability_float(n, d_lattice)
     # Nonzero bins are spaced 2 steps apart; the density spreads each bin's

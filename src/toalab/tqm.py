@@ -22,7 +22,7 @@ sigma_p/p0, m sigma_x^2/tau_bar and m sigma_t^2/tau_bar are all << 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,28 +69,28 @@ class TqmDispersions:
         return self.sigma_tau / math.sqrt(2.0)
 
 
-def tqm_dispersion_budget(pkt: TqmPacket, d: float) -> TqmDispersions:
-    """Closed-form arrival-time dispersion budget at detector distance d."""
+def tqm_dispersion_budget(pkt: TqmPacket) -> TqmDispersions:
+    """Closed-form arrival-time dispersion budget at distance pkt.space.d."""
     sp = pkt.space
     if sp.v0 <= 0:
         raise ValueError("dispersion budget requires v0 > 0")
-    if d <= 0:
+    if sp.d <= 0:
         raise ValueError("d must be > 0")
-    tau_bar = d / sp.v0
+    tau_bar = sp.d / sp.v0
     return TqmDispersions(
         tau_bar=tau_bar,
         sigma_bar_tau=tau_bar / (sp.mass * sp.v0 * sp.sigma_x),
         sigma_tilde_tau=tau_bar / (sp.mass * pkt.time.sigma_t))
 
 
-def _sqm_rate(pkt: TqmPacket, d: float, tau):
+def _sqm_rate(pkt: TqmPacket, tau):
     """SQM detection rate of the space part: current at the detector."""
-    shifted = replace(pkt.space, x0=-d)
-    return probability_current(space_amplitude(shifted, 0.0, tau),
-                               space_amplitude_dx(shifted, 0.0, tau), pkt.mass)
+    return probability_current(space_amplitude(pkt.space, 0.0, tau),
+                               space_amplitude_dx(pkt.space, 0.0, tau),
+                               pkt.mass)
 
 
-def tqm_detection_density(pkt: TqmPacket, d: float, tau, t):
+def tqm_detection_density(pkt: TqmPacket, tau, t):
     """Detection density D_tau(t) = Dbar_tau * rho~_tau(t).
 
     Dbar is the SQM (probability-current) detection rate of the space part
@@ -98,10 +98,10 @@ def tqm_detection_density(pkt: TqmPacket, d: float, tau, t):
     tau (unit integral over t, so integrating the product over t returns
     Dbar exactly).
     """
-    if d <= 0:
+    if pkt.space.d <= 0:
         raise ValueError("d must be > 0")
     rho_t = np.abs(time_amplitude(pkt.time, t, tau)) ** 2
-    return _sqm_rate(pkt, d, tau) * rho_t
+    return _sqm_rate(pkt, tau) * rho_t
 
 
 def _frozen_gaussian(pkt: TqmPacket, disp: TqmDispersions,
@@ -128,7 +128,7 @@ def _frozen_gaussian(pkt: TqmPacket, disp: TqmDispersions,
     return t_grid, rho
 
 
-def tqm_arrival_distribution(pkt: TqmPacket, d: float,
+def tqm_arrival_distribution(pkt: TqmPacket,
                              t_grid=None) -> ArrivalDistribution:
     """Frozen arrival distribution in coordinate time t at distance d.
 
@@ -138,7 +138,7 @@ def tqm_arrival_distribution(pkt: TqmPacket, d: float,
     sigma_tau/sqrt(2).  Valid while sigma_p/p0, m sigma_x^2/tau_bar and
     m sigma_t^2/tau_bar are << 1; the metadata carries the three ratios.
     """
-    disp = tqm_dispersion_budget(pkt, d)
+    disp = tqm_dispersion_budget(pkt)
     t_grid, rho = _frozen_gaussian(pkt, disp, disp.sigma_tilde_tau, t_grid)
     sp = pkt.space
     return ArrivalDistribution(t_grid, rho, meta={
@@ -156,12 +156,12 @@ def tqm_arrival_distribution(pkt: TqmPacket, d: float,
     })
 
 
-def sqm_limit_curve(pkt: TqmPacket, d: float, t_grid) -> ArrivalDistribution:
+def sqm_limit_curve(pkt: TqmPacket, t_grid) -> ArrivalDistribution:
     """The sigma_t -> infinity limit of the arrival curve (SQM reference).
 
     The time contribution drops out (sigma_tilde = 0), leaving the bare
     space-origin arrival Gaussian evaluated on the same grid.
     """
-    t_grid, rho = _frozen_gaussian(pkt, tqm_dispersion_budget(pkt, d), 0.0,
+    t_grid, rho = _frozen_gaussian(pkt, tqm_dispersion_budget(pkt), 0.0,
                                    t_grid)
     return ArrivalDistribution(t_grid, rho, meta={"metric": "sqm-limit"})

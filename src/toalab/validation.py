@@ -21,7 +21,7 @@ from .detectors import (kijowski_bullet_stats, kijowski_curve,
                         marchewka_schuss_evolve, MsConfig,
                         probability_current)
 from .experiments import (SlitConfig, discrete_continuum_experiment,
-                          single_slit_sweep, sqm_slit_uncertainty)
+                          single_slit_sweep)
 from .kernels import _trapezoid, laplace_first_arrival_check
 from .tqm import TqmPacket, sqm_limit_curve, tqm_arrival_distribution, \
     tqm_dispersion_budget
@@ -106,7 +106,7 @@ def criterion_2():
     curve = kijowski_curve(pkt, taus, nodes=6000)
     mean, dt = curve.mean, curve.uncertainty
     exact_mean, exact_dt = _kijowski_exact_moments(pkt)
-    bullet = kijowski_bullet_stats(pkt, pkt.d)
+    bullet = kijowski_bullet_stats(pkt)
     ok = abs(mean - exact_mean) < 0.1 and abs(dt - exact_dt) / exact_dt < 0.01
     return _result(2, "Kijowski quadrature vs exact momentum-space moments: "
                       "mean +/- 0.1, uncertainty +/- 1% (bullet closed form "
@@ -227,10 +227,9 @@ def criterion_6():
         m = float(rng.uniform(0.5, 2.0))
         d = float(rng.uniform(0.5, 3.0))
         tau = float(rng.uniform(0.2, 5.0))
-        spec = fp.DiffusionSpec(mass=m)
-        ref = float(fp.diffusion_detection_rate(spec, d, tau))
-        a = fp.images_detection_rate(spec, d, tau, method="analytic")
-        f = fp.images_detection_rate(spec, d, tau, method="fd")
+        ref = float(fp.diffusion_detection_rate(m, d, tau))
+        a = fp.images_detection_rate(m, d, tau, method="analytic")
+        f = fp.images_detection_rate(m, d, tau, method="fd")
         worst = max(worst, abs(a - ref) / ref, abs(f - ref) / ref)
     return _result(6, "images detection rate = diffusion rate to 1e-7 "
                       "relative at 20 random points", worst < 1e-7,
@@ -302,8 +301,8 @@ def criterion_10():
     """
     sp = SpacePacket(x0=-10.0, p0=0.1, sigma_x=10.0, mass=1.0)
     pkt = TqmPacket(time=TimePacket(t0=0.0, E0=1.0, sigma_t=10.0), space=sp)
-    disp = tqm_dispersion_budget(pkt, 10.0)
-    curve = tqm_arrival_distribution(pkt, 10.0)
+    disp = tqm_dispersion_budget(pkt)
+    curve = tqm_arrival_distribution(pkt)
     sigma_obs = math.sqrt(2.0) * curve.uncertainty
     additivity = abs(sigma_obs**2 - disp.sigma_bar_tau**2
                      - disp.sigma_tilde_tau**2) / disp.sigma_tau**2
@@ -312,8 +311,8 @@ def criterion_10():
                      space=sp)
     grid = np.linspace(100.0 - 8.5 * disp.sigma_tau,
                        100.0 + 8.5 * disp.sigma_tau, 2048)
-    sup = float(np.max(np.abs(tqm_arrival_distribution(wide, 10.0, grid).rates
-                              - sqm_limit_curve(wide, 10.0, grid).rates)))
+    sup = float(np.max(np.abs(tqm_arrival_distribution(wide, grid).rates
+                              - sqm_limit_curve(wide, grid).rates)))
     ok = abs(sigma_obs - disp.sigma_tau) / disp.sigma_tau < 0.01 \
         and additivity < 0.01 and sup < 1e-3
     return _result(10, "TQM: sigma_tau = 100.50 +/- 1%, quadratic "

@@ -57,6 +57,25 @@ class TestExitCodes:
         assert not (out / "walk-validate_report.csv").exists()
         assert not (out / "walk-validate_summary.json").exists()
 
+    @pytest.mark.parametrize("argv", [["continuum", "--refinements", ","],
+                                      ["slit-sweep", "--W", ","],
+                                      ["laplace-check", "--s", ","]],
+                             ids=["continuum", "slit-sweep", "laplace-check"])
+    def test_empty_list_is_config_error(self, tmp_path, capsys, argv):
+        code, out = run(tmp_path, *argv)
+        assert code == EXIT_CONFIG
+        assert "empty list" in capsys.readouterr().err
+        assert not (out / f"{argv[0]}_summary.json").exists()
+
+    def test_programming_error_is_not_numerical(self, tmp_path, monkeypatch):
+        # Only NumericalError maps to exit 4; anything else propagates.
+        def broken(r):
+            raise RuntimeError("bug")
+
+        monkeypatch.setitem(cli.RUNNERS, "kijowski-wave", broken)
+        with pytest.raises(RuntimeError, match="bug"):
+            run(tmp_path, "kijowski-wave")
+
     def test_excessive_ms_coupling_is_numerical_error(self, tmp_path, capsys):
         code, _ = run(tmp_path, "ms-evolve", "--lambda", "1e15",
                       "--epsilon", "0.5", "--steps", "5")

@@ -4,6 +4,7 @@ boundary evolution."""
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,8 +22,8 @@ from toalab.validation import _kijowski_exact_moments
 from toalab.wavepacket import SpacePacket, space_amplitude, space_amplitude_dx, \
     space_momentum_amplitude
 
+# tau_bar = 2000, sigma_p/p0 = 0.01
 BULLET = SpacePacket(x0=-2.0e4, p0=10.0, sigma_x=10.0, mass=1.0)
-BULLET_D = 2.0e4  # tau_bar = 2000, sigma_p/p0 = 0.01
 # Criterion 2's packet: tau_bar = 100, sigma_p/p0 = 0.1, m sigma_x^2/tau_bar = 1
 SLOW = SpacePacket(x0=-100.0, p0=1.0, sigma_x=10.0, mass=1.0)
 
@@ -114,7 +115,7 @@ def reference_kijowski_curve(pkt, taus, nodes=4000):
 
 def metric_compare_grid():
     """`metric-compare`'s Kijowski grid at its defaults (the BULLET packet)."""
-    stats = kijowski_bullet_stats(BULLET, BULLET_D)
+    stats = kijowski_bullet_stats(BULLET)
     return default_tau_grid(stats.tau_bar, stats.uncertainty, n=1201,
                             spread=10.0)
 
@@ -218,38 +219,38 @@ class TestKijowskiWaveCase:
 
 class TestKijowskiBullet:
     def test_closed_form_statistics(self):
-        stats = kijowski_bullet_stats(BULLET, BULLET_D)
+        stats = kijowski_bullet_stats(BULLET)
         assert stats.tau_bar == pytest.approx(2000.0)
         assert stats.sigma_bar_tau == pytest.approx(20.0)
         assert stats.uncertainty == pytest.approx(20.0 / math.sqrt(2))
 
     def test_uncertainty_ratio_identity(self):
         # Delta tau / tau_bar = (1/sqrt 2) sigma_p / p0
-        stats = kijowski_bullet_stats(BULLET, BULLET_D)
+        stats = kijowski_bullet_stats(BULLET)
         assert stats.uncertainty / stats.tau_bar == pytest.approx(
             BULLET.sigma_p / BULLET.p0 / math.sqrt(2.0), rel=1e-12)
 
     def test_distance_scaling(self):
-        a = kijowski_bullet_stats(BULLET, BULLET_D)
-        b = kijowski_bullet_stats(BULLET, 2 * BULLET_D)
+        a = kijowski_bullet_stats(BULLET)
+        b = kijowski_bullet_stats(replace(BULLET, x0=-2 * BULLET.d))
         assert b.tau_bar == pytest.approx(2 * a.tau_bar)
         assert b.uncertainty == pytest.approx(2 * a.uncertainty)
 
     def test_out_of_regime_warns(self):
         wide = SpacePacket(x0=-100.0, p0=1.0, sigma_x=2.0, mass=1.0)
         with pytest.warns(UserWarning, match="bullet regime"):
-            kijowski_bullet_stats(wide, 100.0)
+            kijowski_bullet_stats(wide)
 
     def test_position_width_out_of_regime_warns(self):
         # sigma_p/p0 = 0.1 passes, but m sigma_x^2/tau_bar = 1 does not.
         with pytest.warns(UserWarning,
                           match=r"m sigma_x\^2/tau_bar = 1 .*bullet regime"):
-            kijowski_bullet_stats(SLOW, SLOW.d)
+            kijowski_bullet_stats(SLOW)
 
     def test_in_regime_is_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            kijowski_bullet_stats(BULLET, BULLET_D)
+            kijowski_bullet_stats(BULLET)
 
     def test_exact_moments_mean_matches_series(self):
         # <tau> = m d <1/p> = m d/p0 (1 + s^2/2 + 3 s^4/4 + ...), s = sigma_p/p0
@@ -259,7 +260,7 @@ class TestKijowskiBullet:
         assert mean == pytest.approx(series, rel=1e-5)
 
     def test_exact_moments_match_closed_form_in_regime(self):
-        stats = kijowski_bullet_stats(BULLET, BULLET_D)
+        stats = kijowski_bullet_stats(BULLET)
         mean, dt = _kijowski_exact_moments(BULLET)
         assert mean == pytest.approx(stats.tau_bar, rel=2e-3)
         assert dt == pytest.approx(stats.uncertainty, rel=2e-3)
@@ -284,30 +285,24 @@ class TestKijowskiBullet:
             _kijowski_exact_moments(wide)
 
     def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            kijowski_bullet_stats(SpacePacket(x0=0, p0=-1.0, sigma_x=1, mass=1),
-                                  1.0)
-        with pytest.raises(ValueError):
-            kijowski_bullet_stats(BULLET, -1.0)
+        # d <= 0: test_experiments.py::test_packet_at_or_past_detector_rejected.
+        with pytest.raises(ValueError, match="p0 > 0"):
+            kijowski_bullet_stats(SpacePacket(x0=-1.0, p0=-1.0, sigma_x=1,
+                                              mass=1))
 
     def test_curve_matches_adaptive_density(self):
         # Fixed-node curve vs adaptive half-line quadrature at three times.
-        pkt = replace_x0 = SpacePacket(x0=-BULLET_D, p0=10.0, sigma_x=10.0,
-                                       mass=1.0)
-        phi = lambda p: space_momentum_amplitude(pkt, p) \
-            * np.exp(-1j * p * p * 0.0)
+        phi = lambda p: space_momentum_amplitude(BULLET, p)
         taus = np.array([1980.0, 2000.0, 2020.0])
-        curve = kijowski_curve(pkt, taus, nodes=4000)
+        curve = kijowski_curve(BULLET, taus, nodes=4000)
         for i, tau in enumerate(taus):
-            direct = kijowski_density(phi, None, pkt.mass, tau)
+            direct = kijowski_density(phi, None, BULLET.mass, tau)
             assert curve.rates[i] == pytest.approx(direct, rel=1e-7)
 
     def test_curve_moments_match_closed_form(self):
-        stats = kijowski_bullet_stats(BULLET, BULLET_D)
+        stats = kijowski_bullet_stats(BULLET)
         taus = default_tau_grid(stats.tau_bar, stats.uncertainty, n=1200)
-        pkt = SpacePacket(x0=-BULLET_D, p0=BULLET.p0, sigma_x=BULLET.sigma_x,
-                          mass=BULLET.mass)
-        curve = kijowski_curve(pkt, taus, nodes=4000)
+        curve = kijowski_curve(BULLET, taus, nodes=4000)
         assert curve.norm == pytest.approx(1.0, abs=1e-3)
         assert curve.mean == pytest.approx(stats.tau_bar, rel=1e-3)
         assert curve.uncertainty == pytest.approx(stats.uncertainty, rel=5e-3)
@@ -394,17 +389,15 @@ class TestProbabilityCurrent:
 
     def test_bullet_current_is_velocity_times_density(self):
         tau = 1990.0
-        shifted = SpacePacket(x0=-BULLET_D, p0=BULLET.p0,
-                              sigma_x=BULLET.sigma_x, mass=BULLET.mass)
-        psi = space_amplitude(shifted, 0.0, tau)
-        j = probability_current(psi, space_amplitude_dx(shifted, 0.0, tau),
+        psi = space_amplitude(BULLET, 0.0, tau)
+        j = probability_current(psi, space_amplitude_dx(BULLET, 0.0, tau),
                                 BULLET.mass)
         assert j == pytest.approx(BULLET.v0 * abs(psi) ** 2, rel=1e-2)
 
 
 class TestSqmDetectionCurve:
     def test_moments_in_bullet_regime(self):
-        curve = sqm_detection_curve(BULLET, BULLET_D)
+        curve = sqm_detection_curve(BULLET)
         assert curve.norm == pytest.approx(1.0, abs=1e-3)
         assert curve.mean == pytest.approx(2000.0, rel=1e-3)
         assert curve.uncertainty == pytest.approx(
@@ -412,13 +405,13 @@ class TestSqmDetectionCurve:
 
     def test_grid_must_bracket_arrival_window(self):
         with pytest.raises(ValueError, match="bracket"):
-            sqm_detection_curve(BULLET, BULLET_D,
+            sqm_detection_curve(BULLET,
                                 tau_grid=np.linspace(1995.0, 2005.0, 64))
 
     def test_left_mover_rejected(self):
-        with pytest.raises(ValueError):
-            sqm_detection_curve(SpacePacket(x0=0, p0=-1.0, sigma_x=1, mass=1),
-                                10.0)
+        with pytest.raises(ValueError, match="right-moving"):
+            sqm_detection_curve(SpacePacket(x0=-10.0, p0=-1.0, sigma_x=1,
+                                            mass=1))
 
 
 class TestMarchewkaSchuss:
@@ -496,7 +489,7 @@ class TestMarchewkaSchuss:
 
     def test_excessive_coupling_aborts(self):
         x, psi0 = self._setup()
-        with pytest.raises(RuntimeError, match="> 1"):
+        with pytest.raises(NumericalError, match="> 1"):
             marchewka_schuss_evolve(x, psi0, MsConfig(lam=1e6, epsilon=0.5,
                                                       steps=50))
 

@@ -12,25 +12,27 @@ from toalab.experiments import (SlitConfig, discrete_continuum_experiment,
                                 metric_comparison, single_slit_sqm,
                                 single_slit_sweep, single_slit_tqm,
                                 sqm_slit_uncertainty, tqm_slit_uncertainty)
+from toalab.detectors import sqm_detection_curve
 from toalab.kernels import first_arrival_kernel
-from toalab.wavepacket import SpacePacket, space_amplitude
+from toalab.tqm import (TqmPacket, sqm_limit_curve, tqm_arrival_distribution,
+                        tqm_detection_density, tqm_dispersion_budget)
+from toalab.wavepacket import SpacePacket, TimePacket, space_amplitude
 
 BASE = dict(d=100.0, v0=0.01, sigma_x=100.0, m=1.0)  # tau_bar = 1e4, v sigma_x = 1
 
 
-def reference_first_arrival_row(pkt, d):
+def reference_first_arrival_row(pkt):
     """The first-arrival-kernel row by direct quadrature, kept as the oracle
     for the derivative identity: |int dx' F_tau(0; x') phi_0(x')|^2 per tau
     on metric_comparison's grid, normalized over it."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        stats = kijowski_bullet_stats(pkt, d)
+        stats = kijowski_bullet_stats(pkt)
     grid = default_tau_grid(stats.tau_bar, stats.uncertainty, n=1201,
                             spread=10.0)
-    shifted = SpacePacket(x0=-d, p0=pkt.p0, sigma_x=pkt.sigma_x,
-                          mass=pkt.mass)
-    x = np.linspace(-d - 12.0 * pkt.sigma_x, -d + 12.0 * pkt.sigma_x, 4001)
-    phi0 = space_amplitude(shifted, x)
+    x = np.linspace(pkt.x0 - 12.0 * pkt.sigma_x, pkt.x0 + 12.0 * pkt.sigma_x,
+                    4001)
+    phi0 = space_amplitude(pkt, x)
     fa = np.empty(grid.size)
     for i, tau in enumerate(grid):
         fa[i] = abs(np.trapezoid(
@@ -39,11 +41,34 @@ def reference_first_arrival_row(pkt, d):
     return ArrivalDistribution(grid, fa)
 
 
-def assert_first_arrival_row_matches_quadrature(comp, pkt, d):
+def assert_first_arrival_row_matches_quadrature(comp, pkt):
     row = comp.rows["first_arrival_kernel"]
-    ref = reference_first_arrival_row(pkt, d)
+    ref = reference_first_arrival_row(pkt)
     assert row["mean"] == pytest.approx(ref.mean, rel=1e-10)
     assert row["uncertainty"] == pytest.approx(ref.uncertainty, rel=1e-10)
+
+
+def _tqm(space):
+    return TqmPacket(time=TimePacket(t0=0.0, E0=1.0, sigma_t=1.0),
+                     space=space)
+
+
+@pytest.mark.parametrize("build", [
+    kijowski_bullet_stats,
+    sqm_detection_curve,
+    metric_comparison,
+    lambda sp: tqm_dispersion_budget(_tqm(sp)),
+    lambda sp: tqm_detection_density(_tqm(sp), 1.0, 0.0),
+    lambda sp: tqm_arrival_distribution(_tqm(sp)),
+    lambda sp: sqm_limit_curve(_tqm(sp), np.linspace(-1.0, 1.0, 8)),
+], ids=["kijowski_bullet_stats", "sqm_detection_curve", "metric_comparison",
+        "tqm_dispersion_budget", "tqm_detection_density",
+        "tqm_arrival_distribution", "sqm_limit_curve"])
+@pytest.mark.parametrize("x0", [0.0, 5.0])
+def test_packet_at_or_past_detector_rejected(build, x0):
+    # Every builder reads d = -x0 from the packet; d <= 0 is refused.
+    with pytest.raises(ValueError, match="d must be > 0"):
+        build(SpacePacket(x0=x0, p0=1.0, sigma_x=1.0, mass=1.0))
 
 
 class TestSlitClosedForms:
@@ -157,7 +182,7 @@ class TestMetricComparison:
         pkt = SpacePacket(x0=-2.0e4, p0=10.0, sigma_x=10.0, mass=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            comp = metric_comparison(pkt, 2.0e4)
+            comp = metric_comparison(pkt)
         assert comp.consistent
         means = [comp.rows[k]["mean"] for k in
                  ("kijowski_full", "kijowski_bullet", "current",
@@ -165,13 +190,13 @@ class TestMetricComparison:
         assert max(means) - min(means) < 0.02 * 2000.0
         for name, mean, unc, norm in comp.as_table():
             assert unc > 0
-        assert_first_arrival_row_matches_quadrature(comp, pkt, 2.0e4)
+        assert_first_arrival_row_matches_quadrature(comp, pkt)
 
     def test_marchewka_schuss_row_resolves_the_packet(self):
         # The grid-free odd-image route: a real fraction is detected and
         # the mean sits on the flight time.
         pkt = SpacePacket(x0=-2.0e4, p0=10.0, sigma_x=10.0, mass=1.0)
-        ms = metric_comparison(pkt, 2.0e4, lam=0.1).rows["marchewka_schuss"]
+        ms = metric_comparison(pkt, lam=0.1).rows["marchewka_schuss"]
         assert ms["norm"] > 0.1
         assert ms["mean"] == pytest.approx(2000.0, rel=1e-2)
         assert ms["uncertainty"] == pytest.approx(14.14, rel=5e-2)
@@ -179,18 +204,18 @@ class TestMetricComparison:
     def test_out_of_regime_flagged(self):
         pkt = SpacePacket(x0=-100.0, p0=1.0, sigma_x=10.0, mass=1.0)
         with pytest.warns(UserWarning, match="bullet regime") as record:
-            comp = metric_comparison(pkt, 100.0)
+            comp = metric_comparison(pkt)
         assert not comp.consistent
         # d = 10 sigma_x: the weight -x' still equals |x'| where phi_0 lives.
         assert not any("first_arrival_kernel" in str(w.message)
                        for w in record)
-        assert_first_arrival_row_matches_quadrature(comp, pkt, 100.0)
+        assert_first_arrival_row_matches_quadrature(comp, pkt)
 
     def test_packet_weight_at_detector_flags_first_arrival_row(self):
         # d = 2 sigma_x: erfc(2)/2 = 2.3e-3 of the packet sits at x' >= 0.
         pkt = SpacePacket(x0=-20.0, p0=1.0, sigma_x=10.0, mass=1.0)
         with pytest.warns(UserWarning, match="first_arrival_kernel row"):
-            metric_comparison(pkt, 20.0)
+            metric_comparison(pkt)
 
 
 class TestDiscreteContinuum:

@@ -14,7 +14,7 @@ from scipy.special import gammaln
 import toalab.firstpassage as fp
 from toalab import validation
 from toalab.cli import EXIT_OK, main
-from toalab.firstpassage import (DiffusionSpec, MC_CHUNK,
+from toalab.firstpassage import (MC_CHUNK,
                                  FirstArrivalHistogram, _survivor_count,
                                  conservation_defects,
                                  diffusion_density, diffusion_detection_rate,
@@ -485,58 +485,65 @@ class TestEnumeration:
 
 class TestDiffusion:
     def test_density_peak_and_norm(self):
-        spec = DiffusionSpec(mass=1.0)
-        assert diffusion_density(spec, 0.0, 0.0, 1.0) == pytest.approx(
+        assert diffusion_density(1.0, 0.0, 0.0, 1.0) == pytest.approx(
             1.0 / math.sqrt(2.0 * math.pi))
-        norm = quad(lambda x: diffusion_density(spec, x, 0.0, 2.5), -50, 50)[0]
+        norm = quad(lambda x: diffusion_density(1.0, x, 0.0, 2.5), -50, 50)[0]
         assert norm == pytest.approx(1.0, abs=1e-10)
 
     def test_rescaled_walk_matches_density_pointwise(self):
         # De Moivre-Laplace: P(n, m)/(2 dx) at x = m dx approaches the
         # diffusion density with tau = n dtau.
-        spec = DiffusionSpec(mass=1.0)
         dx = 0.1
         n = 400
-        tau = spec.mass * n * dx * dx
+        tau = n * dx * dx
         for m in range(0, 42, 2):
             approx = float(walk_probability(n, m)) / (2.0 * dx)
-            exact = diffusion_density(spec, m * dx, 0.0, tau)
+            exact = diffusion_density(1.0, m * dx, 0.0, tau)
             assert approx == pytest.approx(exact, rel=0.02)
 
     def test_detection_rate_fixed_value(self):
         # (m=1, d=1, tau=1): (d / tau) * density = 0.2420 to 4 digits.
-        rate = diffusion_detection_rate(DiffusionSpec(mass=1.0), 1.0, 1.0)
+        rate = diffusion_detection_rate(1.0, 1.0, 1.0)
         assert rate == pytest.approx(0.24197, abs=5e-6)
 
     def test_detection_is_certain(self):
-        spec = DiffusionSpec(mass=1.0)
-        d = 1.0
-        body = quad(lambda t: diffusion_detection_rate(spec, d, t), 0, 1e4,
+        m, d = 1.0, 1.0
+        body = quad(lambda t: diffusion_detection_rate(m, d, t), 0, 1e4,
                     limit=500)[0]
         # Analytic tail of the inverse-Gaussian law beyond tau = 1e4.
-        tail = math.erf(math.sqrt(spec.mass * d * d / (2.0 * 1e4)))
+        tail = math.erf(math.sqrt(m * d * d / (2.0 * 1e4)))
         assert body + tail == pytest.approx(1.0, abs=1e-8)
 
     def test_images_rate_equals_direct_rate(self):
-        spec = DiffusionSpec(mass=1.3)
+        m = 1.3
         for tau in (0.5, 2.0, 10.0):
-            direct = diffusion_detection_rate(spec, 2.0, tau)
-            assert images_detection_rate(spec, 2.0, tau) == pytest.approx(
+            direct = diffusion_detection_rate(m, 2.0, tau)
+            assert images_detection_rate(m, 2.0, tau) == pytest.approx(
                 direct, rel=1e-10)
-            assert images_detection_rate(spec, 2.0, tau, method="fd") == (
+            assert images_detection_rate(m, 2.0, tau, method="fd") == (
                 pytest.approx(direct, rel=1e-6))
 
+    @pytest.mark.parametrize("rate", [
+        lambda m: diffusion_density(m, 0.0, 1.0, 1.0),
+        lambda m: diffusion_detection_rate(m, 1.0, 1.0),
+        lambda m: images_detection_rate(m, 1.0, 1.0),
+        lambda m: images_detection_rate(m, 1.0, 1.0, method="fd"),
+    ], ids=["density", "detection_rate", "images", "images_fd"])
+    @pytest.mark.parametrize("m", [0.0, -1.0])
+    def test_nonpositive_mass_rejected(self, rate, m):
+        with pytest.raises(ValueError, match="mass must be positive"):
+            rate(m)
+
     def test_lattice_curve_converges_to_continuum(self):
-        spec = DiffusionSpec(mass=1.0)
-        taus, rates = lattice_arrival_curve(spec, 50, 10_000)
-        tau_pk = spec.mass / 3.0
+        taus, rates = lattice_arrival_curve(50, 10_000)
+        tau_pk = 1.0 / 3.0
         sel = (taus > 0.5 * tau_pk) & (taus < 12.0 * tau_pk)
-        exact = diffusion_detection_rate(spec, 1.0, taus[sel])
+        exact = diffusion_detection_rate(1.0, 1.0, taus[sel])
         rel = np.abs(rates[sel] - exact) / exact.max()
         assert rel.max() < 0.02
 
     def test_lattice_curve_mass_conservation(self):
-        taus, rates = lattice_arrival_curve(DiffusionSpec(mass=1.0), 4, 2000)
+        taus, rates = lattice_arrival_curve(4, 2000)
         dtau = taus[1] - taus[0]
         total = rates.sum() * dtau
         exact = float(sum(first_arrival_probability(k, 4) for k in range(2001)))

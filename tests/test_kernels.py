@@ -14,7 +14,7 @@ from toalab.kernels import (NumericalError, _trapezoid,
                             laplace_first_arrival_check,
                             laplace_transform_first_arrival,
                             laplace_transform_free, laplace_transform_origin)
-from toalab.firstpassage import DiffusionSpec, diffusion_density
+from toalab.firstpassage import diffusion_density
 from toalab.wavepacket import (SpacePacket, TimePacket, space_amplitude,
                                time_amplitude)
 
@@ -132,7 +132,7 @@ class TestClosedForms:
                    * np.exp(-m * x**2 / (2.0 * 1j * tau)))
         np.testing.assert_allclose(free_kernel_space(m, x, 0.0, tau), rotated,
                                    rtol=1e-12)
-        real = diffusion_density(DiffusionSpec(mass=m), x, 0.0, tau)
+        real = diffusion_density(m, x, 0.0, tau)
         np.testing.assert_allclose(
             real, np.sqrt(m / (2.0 * math.pi * tau)) * np.exp(-m * x**2 / (2 * tau)),
             rtol=1e-12)

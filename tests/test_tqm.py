@@ -61,7 +61,7 @@ def make_packet(sigma_t=10.0, sigma_x=10.0, p0=1.0, m=1.0, d=100.0):
                      space=space)
 
 
-def reference_frozen_convolution(pkt, d, t_grid):
+def reference_frozen_convolution(pkt, t_grid):
     """The frozen clock-time convolution done numerically (test oracle).
 
     Samples the bullet arrival Gaussian Dbar(tau) (parameter sigma_bar) on
@@ -74,7 +74,7 @@ def reference_frozen_convolution(pkt, d, t_grid):
     """
     from scipy.signal import fftconvolve
 
-    disp = tqm_dispersion_budget(pkt, d)
+    disp = tqm_dispersion_budget(pkt)
     drift = pkt.time.E0 / pkt.mass
     sb, st = disp.sigma_bar_tau, disp.sigma_tilde_tau
     du = min(drift * sb, st) / 100.0
@@ -92,7 +92,7 @@ def reference_frozen_convolution(pkt, d, t_grid):
 
 # tqm-detect defaults and criterion 10: p0 = m v0 = 0.1, sigma_x = sigma_t
 # = 10, d = 10, so sigma_p/p0 = m sigma_x^2/tau_bar = m sigma_t^2/tau_bar = 1.
-TQM_DETECT = (make_packet(sigma_t=10.0, sigma_x=10.0, p0=0.1, d=10.0), 10.0)
+TQM_DETECT = make_packet(sigma_t=10.0, sigma_x=10.0, p0=0.1, d=10.0)
 
 
 class TestPacketAndBudget:
@@ -110,7 +110,7 @@ class TestPacketAndBudget:
 
     def test_budget_components(self):
         # tau_bar = 100, space term 100/(1*1*10) = 10, time term 100/10 = 10
-        disp = tqm_dispersion_budget(make_packet(), 100.0)
+        disp = tqm_dispersion_budget(make_packet())
         assert disp.tau_bar == pytest.approx(100.0)
         assert disp.sigma_bar_tau == pytest.approx(10.0)
         assert disp.sigma_tilde_tau == pytest.approx(10.0)
@@ -118,13 +118,13 @@ class TestPacketAndBudget:
         assert disp.uncertainty == pytest.approx(10.0)
 
     def test_quadratic_additivity(self):
-        disp = tqm_dispersion_budget(make_packet(sigma_t=3.0), 100.0)
+        disp = tqm_dispersion_budget(make_packet(sigma_t=3.0))
         assert disp.sigma_tau**2 == pytest.approx(
             disp.sigma_bar_tau**2 + disp.sigma_tilde_tau**2, rel=1e-12)
         assert disp.sigma_tau >= disp.sigma_bar_tau
 
     def test_wide_time_packet_recovers_space_only_budget(self):
-        tight = tqm_dispersion_budget(make_packet(sigma_t=1e6), 100.0)
+        tight = tqm_dispersion_budget(make_packet(sigma_t=1e6))
         assert tight.sigma_tau == pytest.approx(tight.sigma_bar_tau, rel=1e-7)
 
 
@@ -133,11 +133,10 @@ class TestDetectionDensity:
         pkt = make_packet()
         tau = 95.0
         t = np.linspace(-400.0, 600.0, 8001)
-        dens = tqm_detection_density(pkt, 100.0, tau, t)
+        dens = tqm_detection_density(pkt, tau, t)
         marginal = np.trapezoid(dens, t)
-        shifted = pkt.space  # already released at -d
-        psi = space_amplitude(shifted, 0.0, tau)
-        dpsi = space_amplitude_dx(shifted, 0.0, tau)
+        psi = space_amplitude(pkt.space, 0.0, tau)
+        dpsi = space_amplitude_dx(pkt.space, 0.0, tau)
         sqm = (np.conj(psi) * dpsi).imag / pkt.mass
         assert marginal == pytest.approx(float(sqm), rel=1e-8)
 
@@ -165,8 +164,8 @@ class TestDetectionDensity:
 class TestArrivalDistribution:
     def test_combined_width_matches_closed_form(self):
         pkt = make_packet()
-        curve = tqm_arrival_distribution(pkt, 100.0)
-        disp = tqm_dispersion_budget(pkt, 100.0)
+        curve = tqm_arrival_distribution(pkt)
+        disp = tqm_dispersion_budget(pkt)
         assert curve.norm == pytest.approx(1.0, abs=1e-6)
         assert curve.mean == pytest.approx(100.0, rel=1e-6)
         assert curve.uncertainty == pytest.approx(disp.uncertainty, rel=1e-3)
@@ -175,18 +174,18 @@ class TestArrivalDistribution:
         pkt = make_packet(sigma_t=1e4 * 10.0)  # sigma_tilde << sigma_bar
         t = np.linspace(100.0 - 8 * 10.1 * math.sqrt(2),
                         100.0 + 8 * 10.1 * math.sqrt(2), 4001)
-        tqm = tqm_arrival_distribution(pkt, 100.0, t_grid=t)
-        sqm = sqm_limit_curve(pkt, 100.0, t)
+        tqm = tqm_arrival_distribution(pkt, t_grid=t)
+        sqm = sqm_limit_curve(pkt, t)
         assert np.abs(tqm.rates - sqm.rates).max() < 1e-4 * sqm.rates.max()
 
     def test_grid_must_bracket_arrival_window(self):
         pkt = make_packet()
         with pytest.raises(ValueError, match="bracket"):
-            tqm_arrival_distribution(pkt, 100.0,
+            tqm_arrival_distribution(pkt,
                                      t_grid=np.linspace(90.0, 110.0, 64))
 
     def test_captured_norm_reported(self):
-        curve = tqm_arrival_distribution(make_packet(), 100.0)
+        curve = tqm_arrival_distribution(make_packet())
         assert curve.norm == pytest.approx(1.0, abs=1e-6)
         assert curve.meta["sigma_tau"] == pytest.approx(math.sqrt(200.0))
 
@@ -196,22 +195,22 @@ class TestArrivalDistribution:
         # TQM curve and its SQM limit alike.
         space = SpacePacket(x0=-100.0, p0=1.0, sigma_x=10.0, mass=1.0)
         pkt = TqmPacket(time=max_entropy_time_packet(space), space=space)
-        curve = tqm_arrival_distribution(pkt, 100.0)
+        curve = tqm_arrival_distribution(pkt)
         assert curve.meta["drift"] == pytest.approx(math.sqrt(2.0))
         assert curve.mean == pytest.approx(100.0 * math.sqrt(2.0), rel=1e-4)
-        sqm = sqm_limit_curve(pkt, 100.0, curve.taus)
+        sqm = sqm_limit_curve(pkt, curve.taus)
         assert sqm.mean == pytest.approx(100.0 * math.sqrt(2.0), rel=1e-9)
-        disp = tqm_dispersion_budget(pkt, 100.0)
+        disp = tqm_dispersion_budget(pkt)
         span = 8.0 * math.hypot(math.sqrt(2.0) * disp.sigma_bar_tau,
                                 disp.sigma_tilde_tau)
         assert curve.taus[0] == pytest.approx(curve.mean - span, rel=1e-9)
         assert curve.taus[-1] == pytest.approx(curve.mean + span, rel=1e-9)
 
-    @pytest.mark.parametrize("pkt, d", [(make_packet(), 100.0), TQM_DETECT],
+    @pytest.mark.parametrize("pkt", [make_packet(), TQM_DETECT],
                              ids=["make_packet", "tqm_detect"])
-    def test_closed_form_matches_frozen_convolution(self, pkt, d):
-        curve = tqm_arrival_distribution(pkt, d)
-        ref = reference_frozen_convolution(pkt, d, curve.taus)
+    def test_closed_form_matches_frozen_convolution(self, pkt):
+        curve = tqm_arrival_distribution(pkt)
+        ref = reference_frozen_convolution(pkt, curve.taus)
         assert np.abs(curve.rates - ref).max() < 1e-4 * curve.rates.max()
         assert curve.uncertainty == pytest.approx(
             curve.meta["closed_form_uncertainty"], rel=1e-9)
