@@ -28,7 +28,7 @@ __all__ = [
     "MsConfig",
     "MsResult",
     "kijowski_curve",
-    "KijowskiBulletSummary",
+    "BulletDispersions",
     "kijowski_bullet_stats",
     "kijowski_wave_density_origin",
     "kijowski_wave_norm",
@@ -174,37 +174,64 @@ def kijowski_curve(pkt: SpacePacket, taus,
 
 
 @dataclass(frozen=True)
-class KijowskiBulletSummary:
-    tau_bar: float
-    sigma_bar_tau: float
-    uncertainty: float
+class BulletDispersions:
+    """Frozen arrival law: mean tau_bar, arrival uncertainty sigma_tau/sqrt 2.
 
-
-def kijowski_bullet_stats(pkt: SpacePacket) -> KijowskiBulletSummary:
-    """Closed-form arrival statistics for a narrow-momentum (bullet) packet.
-
-    mean tau_bar = d/v0 with d = pkt.d, effective dispersion sigma_bar =
-    tau_bar/(m v0 sigma_x), uncertainty = sigma_bar/sqrt(2).  The closed
-    form keeps only the momentum spread, so it warns outside the bullet
-    regime, that is when sigma_p/p0 > 0.1 (the <1/p> shift of the mean
-    grows) or when m sigma_x^2/tau_bar > 0.1 (the position width adds to
-    the spread).
+    sigma_tau = hypot(sigma_bar, sigma_tilde): the space contribution
+    sigma_bar = tau_bar/(m v0 sigma_x) and the time contribution
+    sigma_tilde = tau_bar/(m sigma_t), which is 0 in SQM.
     """
-    if pkt.p0 <= 0:
-        raise ValueError("bullet statistics require p0 > 0")
+
+    tau_bar: float
+    sigma_bar_tau: float            # space contribution
+    sigma_tilde_tau: float = 0.0    # time contribution (TQM)
+
+    @property
+    def sigma_tau(self) -> float:
+        return math.hypot(self.sigma_bar_tau, self.sigma_tilde_tau)
+
+    @property
+    def uncertainty(self) -> float:
+        return self.sigma_tau / math.sqrt(2.0)
+
+
+def _bullet_dispersions(pkt: SpacePacket) -> BulletDispersions:
+    """The SQM (sigma_tilde = 0) frozen law of a packet pkt.d from the
+    detector: tau_bar = d/v0, sigma_bar = tau_bar/(m v0 sigma_x)."""
     if pkt.d <= 0:
         raise ValueError("detector distance d must be > 0")
+    if pkt.p0 <= 0:
+        raise ValueError("arrival requires a right-moving packet, p0 > 0")
     tau_bar = pkt.d / pkt.v0
-    ratios = {"sigma_p/p0": pkt.sigma_p / pkt.p0,
-              "m sigma_x^2/tau_bar": pkt.mass * pkt.sigma_x**2 / tau_bar}
-    outside = [f"{name} = {value:.3g}" for name, value in ratios.items()
+    return BulletDispersions(
+        tau_bar=tau_bar,
+        sigma_bar_tau=tau_bar / (pkt.mass * pkt.v0 * pkt.sigma_x))
+
+
+def _regime_ratios(pkt: SpacePacket, tau_bar: float) -> dict:
+    """sigma_p/p0 and m sigma_x^2/tau_bar; the frozen law needs both << 1."""
+    return {"sigma_p_over_p0": pkt.sigma_p / pkt.p0,
+            "m_sigma_x2_over_tau_bar": pkt.mass * pkt.sigma_x**2 / tau_bar}
+
+
+def kijowski_bullet_stats(pkt: SpacePacket) -> BulletDispersions:
+    """Closed-form arrival statistics for a narrow-momentum (bullet) packet.
+
+    The SQM frozen law of `BulletDispersions`: mean tau_bar = d/v0 with
+    d = pkt.d, uncertainty sigma_bar/sqrt(2).  The closed form keeps only
+    the momentum spread, so it warns outside the bullet regime, that is
+    when sigma_p/p0 > 0.1 (the <1/p> shift of the mean grows) or when
+    m sigma_x^2/tau_bar > 0.1 (the position width adds to the spread).
+    """
+    disp = _bullet_dispersions(pkt)
+    ratios = _regime_ratios(pkt, disp.tau_bar).values()
+    outside = [f"{label} = {value:.3g}" for label, value
+               in zip(("sigma_p/p0", "m sigma_x^2/tau_bar"), ratios)
                if value > 0.1]
     if outside:
         warnings.warn(f"{', '.join(outside)} > 0.1: outside the bullet "
                       "regime, closed form is approximate", stacklevel=2)
-    sigma_bar = tau_bar / (pkt.mass * pkt.v0 * pkt.sigma_x)
-    return KijowskiBulletSummary(tau_bar=tau_bar, sigma_bar_tau=sigma_bar,
-                                 uncertainty=sigma_bar / math.sqrt(2.0))
+    return disp
 
 
 def kijowski_wave_density_origin(m: float, sigma_p: float, tau) -> np.ndarray:
@@ -266,15 +293,11 @@ def sqm_detection_curve(pkt: SpacePacket,
 
     The rate is the probability current at the detector, evaluated with the
     analytic spatial derivative of the dispersing Gaussian.  The summary
-    metadata carries the closed forms mean = tau_bar = d/v0 and uncertainty
-    (1/sqrt(2)) tau_bar/(m v0 sigma_x).
+    metadata carries the closed forms of `BulletDispersions`: mean
+    tau_bar = d/v0 and uncertainty sigma_bar/sqrt(2).
     """
-    if pkt.d <= 0:
-        raise ValueError("d must be > 0")
-    if pkt.p0 <= 0:
-        raise ValueError("detection curve requires a right-moving packet")
-    tau_bar = pkt.d / pkt.v0
-    dtau = tau_bar / (pkt.mass * pkt.v0 * pkt.sigma_x) / math.sqrt(2.0)
+    disp = _bullet_dispersions(pkt)
+    tau_bar, dtau = disp.tau_bar, disp.uncertainty
     if tau_grid is None:
         tau_grid = default_tau_grid(tau_bar, dtau)
     else:

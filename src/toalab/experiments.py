@@ -2,25 +2,22 @@
 the lattice-to-continuum convergence study.
 
 The single slit in time gates a steady source with a Gaussian window of
-clock-time width W.  Under SQM the gate clips the wave function, adding
-v0 W in quadrature to the effective spatial width,
-
-    Sigma_x^2 = sigma_x^2 + v0^2 W^2,   dtau = tau_bar / (sqrt(2) m v0 Sigma_x),
-
-so the arrival spread has a floor as W -> 0.  Under TQM the gate diffracts
-the wave function in time (a source of temporal width sigma_t = sqrt(2) W),
-
-    dtau/tau_bar = (1/(sqrt(2) m)) sqrt(1/(v0^2 sigma_x^2) + 1/(2 W^2)),
-
-which diverges as 1/W: the two theories separate without bound for narrow
-gates.
+clock-time width W.  The source is on for a clock time W in both theories,
+so the gate adds v0 W in quadrature to the spatial width,
+Sigma_x = hypot(sigma_x, v0 W).  Under TQM the gate also diffracts the wave
+function in time, as a source of temporal width sigma_t = sqrt(2) W.
+`SlitConfig.tqm_packet` is that gated source, and `single_slit_sweep` reads
+both spreads from its `tqm_dispersion_budget`: SQM is sigma_bar/sqrt(2),
+with a floor as W -> 0, and TQM is hypot(sigma_bar, sigma_tilde)/sqrt(2),
+whose time term tau_bar/(m sqrt(2) W) diverges as 1/W, so the two theories
+separate without bound for narrow gates.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,18 +25,14 @@ from . import firstpassage as fp
 from .detectors import (ArrivalDistribution, MsConfig, _ms_absorb,
                         default_tau_grid, kijowski_bullet_stats,
                         kijowski_curve, sqm_detection_curve)
-from .tqm import TqmPacket, tqm_arrival_distribution, tqm_dispersion_budget
+from .tqm import TqmPacket, tqm_dispersion_budget
 from .wavepacket import (SpacePacket, TimePacket, space_amplitude,
                          space_amplitude_dx)
 
 __all__ = [
     "SlitConfig",
-    "SlitResult",
     "SweepResult",
-    "sqm_slit_uncertainty",
-    "tqm_slit_uncertainty",
     "single_slit_sqm",
-    "single_slit_tqm",
     "single_slit_sweep",
     "MetricComparison",
     "metric_comparison",
@@ -80,36 +73,15 @@ class SlitConfig:
         return SpacePacket(x0=-self.d, p0=self.p0, sigma_x=self.sigma_x,
                            mass=self.m)
 
-
-@dataclass(frozen=True)
-class SlitResult:
-    curve: ArrivalDistribution
-    closed_form_uncertainty: float
-    tau_bar: float
-    extras: dict = field(default_factory=dict)
-
-    @property
-    def numerical_uncertainty(self) -> float:
-        return self.curve.uncertainty
-
-
-def sqm_slit_uncertainty(cfg: SlitConfig) -> float:
-    """Closed-form SQM slit arrival spread via the widened Sigma_x."""
-    Sigma_x = math.hypot(cfg.sigma_x, cfg.v0 * cfg.W)
-    return cfg.tau_bar / (math.sqrt(2.0) * cfg.m * cfg.v0 * Sigma_x)
-
-
-def tqm_slit_uncertainty(cfg: SlitConfig) -> float:
-    """Closed-form TQM slit arrival spread (sigma_t = sqrt(2) W).
-
-    The space term carries the same gate-widened Sigma_x as the SQM case
-    (the source is on for a time W either way), so for wide gates the two
-    theories coincide and the extra 1/(2 W^2) time term dominates only for
-    narrow gates.
-    """
-    Sigma_x = math.hypot(cfg.sigma_x, cfg.v0 * cfg.W)
-    return (cfg.tau_bar / (math.sqrt(2.0) * cfg.m)) * math.sqrt(
-        1.0 / (cfg.v0**2 * Sigma_x**2) + 1.0 / (2.0 * cfg.W**2))
+    def tqm_packet(self) -> TqmPacket:
+        """The gated source: the spatial width widened to Sigma_x =
+        hypot(sigma_x, v0 W), in direct product with a time packet of width
+        sigma_t = sqrt(2) W."""
+        space = replace(self.space_packet(),
+                        sigma_x=math.hypot(self.sigma_x, self.v0 * self.W))
+        return TqmPacket(time=TimePacket(t0=0.0, E0=self.m,
+                                         sigma_t=self.sigma_t, mass=self.m),
+                         space=space)
 
 
 def _validity_warning(cfg: SlitConfig) -> None:
@@ -120,7 +92,7 @@ def _validity_warning(cfg: SlitConfig) -> None:
             "behind the closed forms degrades", stacklevel=3)
 
 
-def single_slit_sqm(cfg: SlitConfig, tau_grid=None) -> SlitResult:
+def single_slit_sqm(cfg: SlitConfig, tau_grid=None) -> ArrivalDistribution:
     """SQM single slit in time: gate convolution of the source amplitude.
 
     The detector amplitude is the coherent gate average
@@ -128,14 +100,16 @@ def single_slit_sqm(cfg: SlitConfig, tau_grid=None) -> SlitResult:
                  phi_(tau - tau_G)(0),
     where G is the gate amplitude (|G|^2 of clock-time spread W) and the
     explicit source phase cancels the release-time dependence of the free
-    phase.  The rate is v0 |psi_D|^2, normalized over the grid; the summary
-    carries the widened-Sigma_x closed form.
+    phase.  The rate is v0 |psi_D|^2, normalized over the grid; the meta
+    carries tau_bar and the closed form sigma_bar/sqrt(2) of the gated
+    source (`SlitConfig.tqm_packet`).
     """
     _validity_warning(cfg)
-    pkt = cfg.space_packet()
-    dtau_cf = sqm_slit_uncertainty(cfg)
+    pkt, gated = cfg.space_packet(), cfg.tqm_packet()
+    disp = tqm_dispersion_budget(gated)
+    dtau_cf = disp.sigma_bar_tau / math.sqrt(2.0)
     if tau_grid is None:
-        tau_grid = default_tau_grid(cfg.tau_bar, dtau_cf, n=1024)
+        tau_grid = default_tau_grid(disp.tau_bar, dtau_cf, n=1024)
     tau_grid = np.asarray(tau_grid, dtype=float)
     # Gate amplitude with width parameter W (the convention under which the
     # gate adds v0 W in quadrature to the spatial width).
@@ -148,35 +122,9 @@ def single_slit_sqm(cfg: SlitConfig, tau_grid=None) -> SlitResult:
         amp[i] = np.trapezoid(gate * source_phase * phi, tg)
     rates = cfg.v0 * np.abs(amp) ** 2
     rates /= np.trapezoid(rates, tau_grid)
-    curve = ArrivalDistribution(tau_grid, rates, meta={
-        "metric": "sqm-slit", "W": cfg.W,
-        "Sigma_x": math.hypot(cfg.sigma_x, cfg.v0 * cfg.W)})
-    return SlitResult(curve=curve, closed_form_uncertainty=dtau_cf,
-                      tau_bar=cfg.tau_bar,
-                      extras={"Sigma_x": curve.meta["Sigma_x"]})
-
-
-def single_slit_tqm(cfg: SlitConfig, t_grid=None) -> SlitResult:
-    """TQM single slit in time: the gate becomes a temporal source.
-
-    Models the gated source as a time packet of width sigma_t = sqrt(2) W
-    in direct product with the spatial packet, and evaluates the frozen
-    closed-form arrival Gaussian of `tqm_arrival_distribution` (valid while
-    sigma_p/p0, m Sigma_x^2/tau_bar and m sigma_t^2/tau_bar are << 1).
-    """
-    _validity_warning(cfg)
-    # The source is on for a clock time W in both theories, so the spatial
-    # width carries the same gate widening as the SQM case.
-    Sigma_x = math.hypot(cfg.sigma_x, cfg.v0 * cfg.W)
-    space = SpacePacket(x0=-cfg.d, p0=cfg.p0, sigma_x=Sigma_x, mass=cfg.m)
-    pkt = TqmPacket(
-        time=TimePacket(t0=0.0, E0=cfg.m, sigma_t=cfg.sigma_t, mass=cfg.m),
-        space=space)
-    curve = tqm_arrival_distribution(pkt, t_grid=t_grid)
-    return SlitResult(curve=curve,
-                      closed_form_uncertainty=tqm_slit_uncertainty(cfg),
-                      tau_bar=cfg.tau_bar,
-                      extras={"dispersions": tqm_dispersion_budget(pkt)})
+    return ArrivalDistribution(tau_grid, rates, meta={
+        "metric": "sqm-slit", "W": cfg.W, "Sigma_x": gated.space.sigma_x,
+        "tau_bar": disp.tau_bar, "closed_form_uncertainty": dtau_cf})
 
 
 @dataclass(frozen=True)
@@ -198,18 +146,21 @@ class SweepResult:
 def single_slit_sweep(base: SlitConfig, W_values) -> SweepResult:
     """Closed-form uncertainty sweep over gate widths.
 
-    Per W: the SQM spread (non-increasing toward the free-packet floor as
-    W -> 0) and the TQM spread (diverging as 1/W), with their ratio growing
-    without bound for narrow gates.
+    Per W, from the budget of `SlitConfig.tqm_packet`: the SQM spread
+    sigma_bar/sqrt(2) (non-increasing toward the free-packet floor as
+    W -> 0) and the TQM spread `uncertainty` (diverging as 1/W), with their
+    ratio growing without bound for narrow gates.
     """
     W_values = np.asarray(sorted(float(w) for w in W_values))
     if np.any(W_values <= 0):
         raise ValueError("W_values must be positive")
-    cfgs = [replace(base, W=W) for W in W_values]
-    sqm = np.array([sqm_slit_uncertainty(cfg) for cfg in cfgs])
-    tqm = np.array([tqm_slit_uncertainty(cfg) for cfg in cfgs])
-    return SweepResult(W_values=W_values, sqm_uncertainty=sqm,
-                       tqm_uncertainty=tqm)
+    budgets = [tqm_dispersion_budget(replace(base, W=W).tqm_packet())
+               for W in W_values]
+    return SweepResult(
+        W_values=W_values,
+        sqm_uncertainty=np.array([b.sigma_bar_tau / math.sqrt(2.0)
+                                  for b in budgets]),
+        tqm_uncertainty=np.array([b.uncertainty for b in budgets]))
 
 
 # ---------------------------------------------------------------------------

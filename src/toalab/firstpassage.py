@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -235,16 +236,11 @@ def monte_carlo_first_arrival(d: int, n_max: int, trials: int, seed: int,
               for i in range((trials + MC_CHUNK - 1) // MC_CHUNK)]
     counts = np.zeros(n_max + 1, dtype=np.int64)
     never = 0
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(
-                lambda c: _mc_chunk(d, n_max, c[1], seed, c[0]), chunks)
-            for c, nv in results:
-                counts += c
-                never += nv
-    else:
-        for i, size in chunks:
-            c, nv = _mc_chunk(d, n_max, size, seed, i)
+    # The serial path maps in this thread and starts no pool.
+    with (ThreadPoolExecutor(max_workers=workers) if workers > 1
+          else nullcontext()) as pool:
+        for c, nv in (map if pool is None else pool.map)(
+                lambda c: _mc_chunk(d, n_max, c[1], seed, c[0]), chunks):
             counts += c
             never += nv
     return FirstArrivalHistogram(d=d, n_max=n_max, trials=trials,

@@ -22,17 +22,18 @@ sigma_p/p0, m sigma_x^2/tau_bar and m sigma_t^2/tau_bar are all << 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .detectors import ArrivalDistribution, probability_current
+from .detectors import (ArrivalDistribution, BulletDispersions,
+                        _bullet_dispersions, _regime_ratios,
+                        probability_current)
 from .wavepacket import (SpacePacket, TimePacket, space_amplitude,
                          space_amplitude_dx, time_amplitude)
 
 __all__ = [
     "TqmPacket",
-    "TqmDispersions",
     "tqm_dispersion_budget",
     "tqm_detection_density",
     "tqm_arrival_distribution",
@@ -54,33 +55,12 @@ class TqmPacket:
         return self.space.mass
 
 
-@dataclass(frozen=True)
-class TqmDispersions:
-    tau_bar: float
-    sigma_bar_tau: float     # space contribution
-    sigma_tilde_tau: float   # time contribution
-
-    @property
-    def sigma_tau(self) -> float:
-        return math.hypot(self.sigma_bar_tau, self.sigma_tilde_tau)
-
-    @property
-    def uncertainty(self) -> float:
-        return self.sigma_tau / math.sqrt(2.0)
-
-
-def tqm_dispersion_budget(pkt: TqmPacket) -> TqmDispersions:
-    """Closed-form arrival-time dispersion budget at distance pkt.space.d."""
-    sp = pkt.space
-    if sp.v0 <= 0:
-        raise ValueError("dispersion budget requires v0 > 0")
-    if sp.d <= 0:
-        raise ValueError("d must be > 0")
-    tau_bar = sp.d / sp.v0
-    return TqmDispersions(
-        tau_bar=tau_bar,
-        sigma_bar_tau=tau_bar / (sp.mass * sp.v0 * sp.sigma_x),
-        sigma_tilde_tau=tau_bar / (sp.mass * pkt.time.sigma_t))
+def tqm_dispersion_budget(pkt: TqmPacket) -> BulletDispersions:
+    """Closed-form arrival-time dispersion budget at distance pkt.space.d:
+    the space part's frozen law with sigma_tilde = tau_bar/(m sigma_t)."""
+    disp = _bullet_dispersions(pkt.space)
+    return replace(disp, sigma_tilde_tau=disp.tau_bar
+                   / (pkt.mass * pkt.time.sigma_t))
 
 
 def _sqm_rate(pkt: TqmPacket, tau):
@@ -104,8 +84,7 @@ def tqm_detection_density(pkt: TqmPacket, tau, t):
     return _sqm_rate(pkt, tau) * rho_t
 
 
-def _frozen_gaussian(pkt: TqmPacket, disp: TqmDispersions,
-                     sigma_tilde: float, t_grid):
+def _frozen_gaussian(pkt: TqmPacket, disp: BulletDispersions, t_grid):
     """Frozen arrival Gaussian rho(t) = exp(-((t - c)/S)^2) / (sqrt(pi) S).
 
     c = t0 + (E0/m) tau_bar and S = hypot((E0/m) sigma_bar, sigma_tilde).
@@ -114,7 +93,7 @@ def _frozen_gaussian(pkt: TqmPacket, disp: TqmDispersions,
     """
     drift = pkt.time.E0 / pkt.mass
     center = pkt.time.t0 + drift * disp.tau_bar
-    width = math.hypot(drift * disp.sigma_bar_tau, sigma_tilde)
+    width = math.hypot(drift * disp.sigma_bar_tau, disp.sigma_tilde_tau)
     span = 8.0 * width
     if t_grid is None:
         t_grid = np.linspace(center - span, center + span, 2048)
@@ -139,8 +118,7 @@ def tqm_arrival_distribution(pkt: TqmPacket,
     m sigma_t^2/tau_bar are << 1; the metadata carries the three ratios.
     """
     disp = tqm_dispersion_budget(pkt)
-    t_grid, rho = _frozen_gaussian(pkt, disp, disp.sigma_tilde_tau, t_grid)
-    sp = pkt.space
+    t_grid, rho = _frozen_gaussian(pkt, disp, t_grid)
     return ArrivalDistribution(t_grid, rho, meta={
         "metric": "tqm",
         "tau_bar": disp.tau_bar,
@@ -149,8 +127,7 @@ def tqm_arrival_distribution(pkt: TqmPacket,
         "sigma_tau": disp.sigma_tau,
         "closed_form_uncertainty": disp.uncertainty,
         "drift": pkt.time.E0 / pkt.mass,
-        "sigma_p_over_p0": sp.sigma_p / sp.p0,
-        "m_sigma_x2_over_tau_bar": sp.mass * sp.sigma_x**2 / disp.tau_bar,
+        **_regime_ratios(pkt.space, disp.tau_bar),
         "m_sigma_t2_over_tau_bar":
             pkt.mass * pkt.time.sigma_t**2 / disp.tau_bar,
     })
@@ -162,6 +139,6 @@ def sqm_limit_curve(pkt: TqmPacket, t_grid) -> ArrivalDistribution:
     The time contribution drops out (sigma_tilde = 0), leaving the bare
     space-origin arrival Gaussian evaluated on the same grid.
     """
-    t_grid, rho = _frozen_gaussian(pkt, tqm_dispersion_budget(pkt), 0.0,
+    t_grid, rho = _frozen_gaussian(pkt, _bullet_dispersions(pkt.space),
                                    t_grid)
     return ArrivalDistribution(t_grid, rho, meta={"metric": "sqm-limit"})

@@ -16,8 +16,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import firstpassage as fp
-from .detectors import (kijowski_bullet_stats, kijowski_curve,
-                        kijowski_wave_norm,
+from .detectors import (_regime_ratios, kijowski_bullet_stats,
+                        kijowski_curve, kijowski_wave_norm,
                         marchewka_schuss_evolve, MsConfig,
                         probability_current)
 from .experiments import (SlitConfig, discrete_continuum_experiment,
@@ -116,9 +116,7 @@ def criterion_2():
                     "exact_uncertainty": exact_dt,
                     "bullet_tau_bar": bullet.tau_bar,
                     "bullet_uncertainty": bullet.uncertainty,
-                    "sigma_p_over_p0": pkt.sigma_p / pkt.p0,
-                    "m_sigma_x2_over_tau_bar":
-                        pkt.mass * pkt.sigma_x**2 / bullet.tau_bar})
+                    **_regime_ratios(pkt, bullet.tau_bar)})
 
 
 def _path_counts(n_top: int) -> tuple:

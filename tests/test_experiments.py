@@ -10,8 +10,7 @@ from toalab.detectors import (ArrivalDistribution, default_tau_grid,
                               kijowski_bullet_stats)
 from toalab.experiments import (SlitConfig, discrete_continuum_experiment,
                                 metric_comparison, single_slit_sqm,
-                                single_slit_sweep, single_slit_tqm,
-                                sqm_slit_uncertainty, tqm_slit_uncertainty)
+                                single_slit_sweep)
 from toalab.detectors import sqm_detection_curve
 from toalab.kernels import first_arrival_kernel
 from toalab.tqm import (TqmPacket, sqm_limit_curve, tqm_arrival_distribution,
@@ -19,6 +18,24 @@ from toalab.tqm import (TqmPacket, sqm_limit_curve, tqm_arrival_distribution,
 from toalab.wavepacket import SpacePacket, TimePacket, space_amplitude
 
 BASE = dict(d=100.0, v0=0.01, sigma_x=100.0, m=1.0)  # tau_bar = 1e4, v sigma_x = 1
+
+
+def reference_slit_uncertainties(cfg):
+    """The slit closed forms typed out per theory (test oracle): the SQM
+    spread tau_bar/(sqrt(2) m v0 Sigma_x) with the gate-widened Sigma_x =
+    hypot(sigma_x, v0 W), and the TQM spread with the time term 1/(2 W^2)
+    added in quadrature (sigma_t = sqrt(2) W).  Returns (sqm, tqm)."""
+    Sigma_x = math.hypot(cfg.sigma_x, cfg.v0 * cfg.W)
+    sqm = cfg.tau_bar / (math.sqrt(2.0) * cfg.m * cfg.v0 * Sigma_x)
+    tqm = (cfg.tau_bar / (math.sqrt(2.0) * cfg.m)) * math.sqrt(
+        1.0 / (cfg.v0**2 * Sigma_x**2) + 1.0 / (2.0 * cfg.W**2))
+    return sqm, tqm
+
+
+def slit_uncertainties(cfg):
+    """The library's (sqm, tqm) closed-form spreads at cfg.W."""
+    sweep = single_slit_sweep(cfg, [cfg.W])
+    return float(sweep.sqm_uncertainty[0]), float(sweep.tqm_uncertainty[0])
 
 
 def reference_first_arrival_row(pkt):
@@ -71,6 +88,29 @@ def test_packet_at_or_past_detector_rejected(build, x0):
         build(SpacePacket(x0=x0, p0=1.0, sigma_x=1.0, mass=1.0))
 
 
+@pytest.mark.parametrize("build", [
+    kijowski_bullet_stats,
+    sqm_detection_curve,
+    metric_comparison,
+    lambda sp: tqm_dispersion_budget(_tqm(sp)),
+    lambda sp: tqm_arrival_distribution(_tqm(sp)),
+    lambda sp: sqm_limit_curve(_tqm(sp), np.linspace(-1.0, 1.0, 8)),
+], ids=["kijowski_bullet_stats", "sqm_detection_curve", "metric_comparison",
+        "tqm_dispersion_budget", "tqm_arrival_distribution",
+        "sqm_limit_curve"])
+@pytest.mark.parametrize("p0", [0.0, -1.0])
+def test_left_moving_packet_rejected(build, p0):
+    # Every frozen-law builder refuses p0 <= 0 with one message.
+    with pytest.raises(ValueError, match="right-moving packet, p0 > 0"):
+        build(SpacePacket(x0=-10.0, p0=p0, sigma_x=1.0, mass=1.0))
+
+
+def test_detection_density_takes_any_momentum():
+    # The current is defined for any p0, so only d <= 0 is refused.
+    left = _tqm(SpacePacket(x0=-10.0, p0=-1.0, sigma_x=1.0, mass=1.0))
+    assert np.isfinite(tqm_detection_density(left, 1.0, 0.0))
+
+
 class TestSlitClosedForms:
     def test_config_validation_and_defaults(self):
         cfg = SlitConfig(W=2.0, **BASE)
@@ -87,31 +127,52 @@ class TestSlitClosedForms:
         # spreads approach tau_bar/(sqrt(2) m v0^2 W).
         cfg = SlitConfig(W=1e6, **BASE)
         limit = cfg.tau_bar / (math.sqrt(2.0) * cfg.m * cfg.v0**2 * cfg.W)
-        assert sqm_slit_uncertainty(cfg) == pytest.approx(limit, rel=1e-4)
-        assert tqm_slit_uncertainty(cfg) == pytest.approx(limit, rel=1e-4)
+        sqm, tqm = slit_uncertainties(cfg)
+        assert sqm == pytest.approx(limit, rel=1e-4)
+        assert tqm == pytest.approx(limit, rel=1e-4)
 
     def test_narrow_gate_values(self):
         # W = 0.1 with v sigma_x = 1: SQM stays at the free floor
         # tau_bar/sqrt(2) = 7071; TQM spread is (tau_bar/sqrt 2)sqrt(1 + 50).
         cfg = SlitConfig(W=0.1, **BASE)
-        assert sqm_slit_uncertainty(cfg) / cfg.tau_bar == pytest.approx(
-            1.0 / math.sqrt(2.0), rel=1e-6)
-        assert tqm_slit_uncertainty(cfg) / cfg.tau_bar == pytest.approx(
-            math.sqrt(51.0 / 2.0), rel=1e-6)
-        assert tqm_slit_uncertainty(cfg) / cfg.tau_bar == pytest.approx(
-            5.05, abs=0.01)
+        sqm, tqm = slit_uncertainties(cfg)
+        assert sqm / cfg.tau_bar == pytest.approx(1.0 / math.sqrt(2.0),
+                                                  rel=1e-6)
+        assert tqm / cfg.tau_bar == pytest.approx(math.sqrt(51.0 / 2.0),
+                                                  rel=1e-6)
+        assert tqm / cfg.tau_bar == pytest.approx(5.05, abs=0.01)
 
     def test_crossover_ratio_is_sqrt_two(self):
         # At W = v0 sigma_x / sqrt(2) the time term equals the space term.
         cfg = SlitConfig(W=0.01 * 100.0 / math.sqrt(2.0), **BASE)
-        ratio = tqm_slit_uncertainty(cfg) / sqm_slit_uncertainty(cfg)
-        assert ratio == pytest.approx(math.sqrt(2.0), rel=1e-4)
+        sqm, tqm = slit_uncertainties(cfg)
+        assert tqm / sqm == pytest.approx(math.sqrt(2.0), rel=1e-4)
 
     def test_quadratic_additivity(self):
         cfg = SlitConfig(W=0.5, **BASE)
         extra = cfg.tau_bar**2 / (2.0 * cfg.m**2) / (2.0 * cfg.W**2)
-        assert tqm_slit_uncertainty(cfg) ** 2 == pytest.approx(
-            sqm_slit_uncertainty(cfg) ** 2 + extra, rel=1e-12)
+        sqm, tqm = slit_uncertainties(cfg)
+        assert tqm**2 == pytest.approx(sqm**2 + extra, rel=1e-12)
+
+    def test_tqm_packet_is_the_gated_source(self):
+        cfg = SlitConfig(W=0.5, **BASE)
+        pkt = cfg.tqm_packet()
+        assert pkt.space.sigma_x == math.hypot(cfg.sigma_x, cfg.v0 * cfg.W)
+        assert pkt.space.d == cfg.d and pkt.space.p0 == cfg.p0
+        assert pkt.time.sigma_t == cfg.sigma_t == math.sqrt(2.0) * cfg.W
+        assert pkt.time.E0 == pkt.mass == cfg.m
+
+    @pytest.mark.parametrize("W", [
+        np.geomspace(1e-3, 10.0, 29),      # criterion 11
+        [10.0, 1.0, 0.1, 0.01],            # slit-sweep default
+    ], ids=["criterion_11", "cli_default"])
+    def test_sweep_matches_reference_formulas(self, W):
+        sweep = single_slit_sweep(SlitConfig(W=1.0, **BASE), W)
+        for w, sqm, tqm, _ in sweep.rows():
+            ref_sqm, ref_tqm = reference_slit_uncertainties(
+                SlitConfig(W=w, **BASE))
+            assert sqm == pytest.approx(ref_sqm, rel=2e-15, abs=0.0)
+            assert tqm == pytest.approx(ref_tqm, rel=2e-15, abs=0.0)
 
 
 class TestSlitCurves:
@@ -121,31 +182,34 @@ class TestSlitCurves:
 
     def test_sqm_curve_matches_closed_form(self):
         cfg = SlitConfig(W=10.0, **self.DEEP)
-        res = single_slit_sqm(cfg)
-        assert res.curve.norm == pytest.approx(1.0, abs=1e-6)
-        assert res.numerical_uncertainty == pytest.approx(
-            res.closed_form_uncertainty, rel=0.02)
-        assert res.curve.mean == pytest.approx(res.tau_bar, rel=1e-3)
+        curve = single_slit_sqm(cfg)
+        assert curve.norm == pytest.approx(1.0, abs=1e-6)
+        assert curve.uncertainty == pytest.approx(
+            curve.meta["closed_form_uncertainty"], rel=0.02)
+        assert curve.mean == pytest.approx(curve.meta["tau_bar"], rel=1e-3)
+        assert curve.meta["closed_form_uncertainty"] == pytest.approx(
+            reference_slit_uncertainties(cfg)[0], rel=2e-15, abs=0.0)
 
     def test_sqm_narrow_gate_approaches_free_packet(self):
         free = SlitConfig(W=1e-3, **self.DEEP)
-        res = single_slit_sqm(free)
+        curve = single_slit_sqm(free)
         floor = free.tau_bar / (math.sqrt(2.0) * free.m * free.v0
                                 * free.sigma_x)
-        assert res.closed_form_uncertainty == pytest.approx(floor, rel=1e-6)
-        assert res.numerical_uncertainty == pytest.approx(floor, rel=0.02)
+        assert curve.meta["closed_form_uncertainty"] == pytest.approx(
+            floor, rel=1e-6)
+        assert curve.uncertainty == pytest.approx(floor, rel=0.02)
 
     def test_tqm_curve_matches_closed_form(self):
         cfg = SlitConfig(W=10.0, **self.DEEP)
-        res = single_slit_tqm(cfg)
-        assert res.curve.norm == pytest.approx(1.0, abs=1e-6)
-        assert res.numerical_uncertainty == pytest.approx(
-            res.closed_form_uncertainty, rel=0.02)
+        curve = tqm_arrival_distribution(cfg.tqm_packet())
+        assert curve.norm == pytest.approx(1.0, abs=1e-6)
+        assert curve.uncertainty == pytest.approx(
+            slit_uncertainties(cfg)[1], rel=0.02)
 
     def test_tqm_never_narrower_than_sqm(self):
         for W in (0.5, 2.0, 10.0, 50.0):
-            cfg = SlitConfig(W=W, **self.DEEP)
-            assert tqm_slit_uncertainty(cfg) >= sqm_slit_uncertainty(cfg)
+            sqm, tqm = slit_uncertainties(SlitConfig(W=W, **self.DEEP))
+            assert tqm >= sqm
 
     def test_wide_gate_warns(self):
         cfg = SlitConfig(W=0.2 * 1e4, **BASE)

@@ -19,7 +19,6 @@ TREES = {p.stem: ast.parse(p.read_text(), str(p))
 EXEMPT = {
     "tqm_detection_density": "ROADMAP direction 1: the exact TQM law",
     "single_slit_sqm": "ROADMAP direction 2: the numerical slit",
-    "single_slit_tqm": "ROADMAP direction 4: frozen duplicates",
 }
 
 

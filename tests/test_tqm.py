@@ -1,12 +1,15 @@
 """Time-extended packets: dispersion budget, arrival curves, factorization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from test_detectors import BULLET
 from test_wavepacket import max_entropy_time_packet, time_amplitude_dt2
-from toalab.detectors import probability_current
+from toalab.detectors import (kijowski_bullet_stats, probability_current,
+                              sqm_detection_curve)
 from toalab.tqm import (TqmPacket, sqm_limit_curve, tqm_arrival_distribution,
                         tqm_detection_density, tqm_dispersion_budget)
 from toalab.validation import criterion_10
@@ -126,6 +129,23 @@ class TestPacketAndBudget:
     def test_wide_time_packet_recovers_space_only_budget(self):
         tight = tqm_dispersion_budget(make_packet(sigma_t=1e6))
         assert tight.sigma_tau == pytest.approx(tight.sigma_bar_tau, rel=1e-7)
+
+    @pytest.mark.parametrize(
+        "pkt", [TqmPacket(time=TQM_DETECT.time, space=BULLET), TQM_DETECT],
+        ids=["bullet", "criterion_10"])
+    def test_builders_share_one_frozen_law(self, pkt):
+        # The bullet stats, the current curve's closed forms and the TQM
+        # budget are one record: equal bit for bit.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            stats = kijowski_bullet_stats(pkt.space)
+        meta = sqm_detection_curve(pkt.space).meta
+        assert meta["tau_bar"] == stats.tau_bar
+        assert meta["closed_form_uncertainty"] == stats.uncertainty
+        disp = tqm_dispersion_budget(pkt)
+        assert disp.tau_bar == stats.tau_bar
+        assert disp.sigma_bar_tau == stats.sigma_bar_tau
+        assert stats.sigma_tilde_tau == 0.0
 
 
 class TestDetectionDensity:
