@@ -15,7 +15,12 @@ telescopes to the free-walk probability P(-d <= X_n <= d-1): O(d) binomials
 at any n.  The Monte Carlo sampler
 draws one random byte per 8 steps and advances each walker with two
 256-entry tables (net move; first step that reaches the detector), so a
-walker costs one table lookup per 8 steps.  The continuum limit (step dx
+walker costs one table lookup per 8 steps.  Each chunk of walkers reads its
+bytes as raw Philox words, the same bytes Generator.integers would give;
+MC_BATCH chunks advance in lockstep, one pass over their concatenated bytes
+per 8-step column (column 0 reads the single table row of distance d).
+At most MC_BATCH chunks are in flight, split across the worker threads, so
+memory does not grow with the thread count.  The continuum limit (step dx
 in space, m dx^2 in clock time) is the diffusion first-passage density
 D_tau = (d/tau) sqrt(m/2 pi tau) exp(-m d^2/2 tau).
 """
@@ -23,6 +28,7 @@ D_tau = (d/tau) sqrt(m/2 pi tau) exp(-m d^2/2 tau).
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -30,7 +36,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Philox
 
 __all__ = [
     "walk_probability",
@@ -147,6 +153,10 @@ def conservation_defects(steps, d: int) -> list:
 # stream keyed by (seed, i), so the histogram is identical for any number of
 # worker threads.
 MC_CHUNK = 1 << 14
+# Chunks of walkers in flight at once, split across the worker threads.  A
+# batch shares one pass of numpy calls per column among its chunks, and the
+# fixed budget bounds memory (about 1 MiB) whatever `workers` is.
+MC_BATCH = 4
 
 
 @dataclass
@@ -190,29 +200,87 @@ def _byte_tables() -> tuple:
 _BYTE_NET, _BYTE_FIRST = _byte_tables()
 
 
-def _mc_chunk(d: int, n_max: int, trials: int, seed: int,
-              chunk_index: int) -> tuple:
-    rng = Generator(Philox(key=[seed, chunk_index]))
+_NO_BYTES = np.empty(0, dtype=np.uint8)
+
+
+class _ByteStream:
+    """The bytes of successive `integers(0, 256, n, np.uint8)` calls on
+    Generator(Philox(key=[seed, chunk_index])), read as raw Philox words.
+
+    Each such call reads ceil(n / 4) uint32 words, the low and then the high
+    half of each raw uint64, and drops the unused bytes of its last word; a
+    call that ends on a low half leaves the high half's 4 bytes to the next.
+    """
+
+    def __init__(self, seed: int, chunk_index: int):
+        self._bitgen = Philox(key=[seed, chunk_index])
+        self._carry = _NO_BYTES
+
+    def draw(self, n: int) -> np.ndarray:
+        words = -(-n // 4)
+        fresh = words - self._carry.size // 4   # words past the carried half
+        raw = self._bitgen.random_raw(max(0, -(-fresh // 2)))
+        data = raw.astype("<u8", copy=False).view(np.uint8)
+        if self._carry.size:
+            data = np.concatenate((self._carry, data))
+        self._carry = data[4 * words:].copy()
+        return data[:n]
+
+
+def _mc_batch(d: int, n_max: int, chunks, seed: int) -> tuple:
+    """Run the (chunk_index, trials) chunks in lockstep; (counts, never).
+
+    Per 8-step column each chunk draws one byte per live walker from its own
+    stream, and one pass over the concatenated batch advances every walker.
+    """
     counts = np.zeros(n_max + 1, dtype=np.int64)
+    live = [trials for _, trials in chunks]
     if d == 0:
-        counts[0] = trials
+        counts[0] = sum(live)
         return counts, 0
-    r = np.full(trials, d, dtype=np.int32)     # distance of each live walker
+    streams = [_ByteStream(seed, i) for i, _ in chunks]
+    r = None                                    # distance of each live walker
     for start in range(0, n_max, 8):
-        if not r.size:
+        if not any(live):
             break
         left = min(8, n_max - start)            # the last byte may be partial
-        b = rng.integers(0, 256, size=r.size, dtype=np.uint8)
-        idx = np.minimum(r, 9)
-        idx <<= 8
-        idx |= b
-        first = _BYTE_FIRST.take(idx)
-        # Bins past `left` (and 9, no arrival) are the walkers that stay.
-        counts[start + 1:start + left + 1] += np.bincount(
-            first, minlength=9)[1:left + 1]
-        r -= _BYTE_NET.take(b)
-        r = r.compress(first > left)
-    return counts, int(r.size)
+        b = np.concatenate([s.draw(k) for s, k in zip(streams, live)])
+        if r is None:                           # all walkers start d away
+            row = 256 * min(d, 9)
+            first = _BYTE_FIRST[row:row + 256].take(b)
+        else:
+            idx = np.minimum(r, 9)
+            idx <<= 8
+            idx |= b
+            first = _BYTE_FIRST.take(idx)
+        # A column starts after a multiple of 8 steps, so r keeps the parity
+        # of d and arrivals fall on steps k = d mod 2 only; bins past `left`
+        # (and 9, no arrival) are the walkers that stay.
+        for k in range(2 - d % 2, left + 1, 2):
+            counts[start + k] += np.count_nonzero(first == k)
+        keep = first > left
+        if r is None:
+            r = d - _BYTE_NET.take(b.compress(keep))
+        else:
+            r -= _BYTE_NET.take(b)
+            r = r.compress(keep)
+        ends = list(accumulate(live))
+        live = [int(np.count_nonzero(keep[e - k:e]))
+                for e, k in zip(ends, live)]
+    return counts, sum(live)
+
+
+def _mc_chunk(d: int, n_max: int, trials: int, seed: int,
+              chunk_index: int) -> tuple:
+    """One chunk on its own: the batch of one."""
+    return _mc_batch(d, n_max, [(chunk_index, trials)], seed)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:                      # not on every platform
+        return os.cpu_count() or 1
 
 
 def monte_carlo_first_arrival(d: int, n_max: int, trials: int, seed: int,
@@ -222,7 +290,10 @@ def monte_carlo_first_arrival(d: int, n_max: int, trials: int, seed: int,
     Trials run in fixed chunks of MC_CHUNK with counter-based per-chunk
     streams, so the result depends only on (d, n_max, trials, seed).
     Each chunk draws one byte per live walker per 8 steps (see
-    _byte_tables) and drops walkers as they arrive.
+    _byte_tables) and drops walkers as they arrive.  MC_BATCH chunks are
+    in flight at once, split across min(workers, usable CPUs, chunks,
+    MC_BATCH) threads: `workers` caps the threads, and neither the memory
+    nor the result depends on it.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -234,13 +305,16 @@ def monte_carlo_first_arrival(d: int, n_max: int, trials: int, seed: int,
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     chunks = [(i, min(MC_CHUNK, trials - i * MC_CHUNK))
               for i in range((trials + MC_CHUNK - 1) // MC_CHUNK)]
+    threads = min(workers, _usable_cpus(), len(chunks), MC_BATCH)
+    size = MC_BATCH // threads
+    batches = [chunks[i:i + size] for i in range(0, len(chunks), size)]
     counts = np.zeros(n_max + 1, dtype=np.int64)
     never = 0
-    # The serial path maps in this thread and starts no pool.
-    with (ThreadPoolExecutor(max_workers=workers) if workers > 1
+    # One thread maps in this thread and starts no pool.
+    with (ThreadPoolExecutor(max_workers=threads) if threads > 1
           else nullcontext()) as pool:
         for c, nv in (map if pool is None else pool.map)(
-                lambda c: _mc_chunk(d, n_max, c[1], seed, c[0]), chunks):
+                lambda batch: _mc_batch(d, n_max, batch, seed), batches):
             counts += c
             never += nv
     return FirstArrivalHistogram(d=d, n_max=n_max, trials=trials,

@@ -443,6 +443,65 @@ class TestMonteCarlo:
         assert a.never_arrived == b.never_arrived
         assert not np.array_equal(a.counts, c.counts)
 
+    @pytest.mark.parametrize("key", [(0, 0), (11, 5), (2**32 - 1, 123)])
+    def test_byte_stream_matches_generator_integers(self, key):
+        # The raw-word stream must reproduce numpy's buffered uint8 draws,
+        # including the 4 bytes a call leaves when it ends on a low half.
+        rng = np.random.Generator(np.random.Philox(key=list(key)))
+        stream = fp._ByteStream(*key)
+        for n in (0, 1, 2, 3, 4, 5, 7, 8, 9, MC_CHUNK, 1, 6):
+            np.testing.assert_array_equal(
+                stream.draw(n), rng.integers(0, 256, n, dtype=np.uint8))
+
+    @pytest.mark.parametrize("n_max", [0, 7, 8, 9, 100])
+    @pytest.mark.parametrize("d", [0, 1, 2, 9])
+    def test_batches_match_masked_byte_sampler(self, monkeypatch, d, n_max):
+        # Six chunks, the last of 7 walkers, span several batches at every
+        # thread count; enough CPUs that `workers` sets the split.
+        monkeypatch.setattr(fp, "_usable_cpus", lambda: 64)
+        trials, seed = 5 * MC_CHUNK + 7, 17 * d + n_max
+        ref = reference_monte_carlo(d, n_max, trials, seed,
+                                    chunk=reference_byte_chunk)
+        for workers in (1, 2, 3, 4, 7):
+            hist = monte_carlo_first_arrival(d, n_max, trials, seed,
+                                             workers=workers)
+            np.testing.assert_array_equal(hist.counts, ref.counts)
+            assert hist.never_arrived == ref.never_arrived
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_peak_memory_does_not_grow_with_workers(self, monkeypatch,
+                                                    workers):
+        # MC_BATCH chunks in flight whatever the thread count (~1.1 MiB);
+        # a batch of MC_BATCH chunks per thread peaks at 2.5 MiB on 4.
+        monkeypatch.setattr(fp, "_usable_cpus", lambda: 64)
+        tracemalloc.start()
+        try:
+            monte_carlo_first_arrival(3, 100, 400_000, seed=5,
+                                      workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
+
+    def test_thread_count_capped_by_workers_and_chunks(self, monkeypatch):
+        asked = []
+
+        class Recording(fp.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(fp, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(fp, "_usable_cpus", lambda: 64)
+        monte_carlo_first_arrival(2, 20, 10 * MC_CHUNK, seed=3, workers=1)
+        assert asked == []
+        for workers, trials in ((2, 10 * MC_CHUNK), (7, 10 * MC_CHUNK),
+                                (4, 2 * MC_CHUNK), (3, 1)):
+            asked.clear()
+            monte_carlo_first_arrival(2, 20, trials, seed=3, workers=workers)
+            chunks = -(-trials // MC_CHUNK)
+            assert all(n <= min(workers, chunks) for n in asked)
+
 
 class TestEnumeration:
     @pytest.mark.parametrize("n_top", [1, 9, 16])
