@@ -253,8 +253,8 @@ def _mc_batch(d: int, n_max: int, chunks, seed: int) -> tuple:
             idx <<= 8
             idx |= b
             first = _BYTE_FIRST.take(idx)
-        # A column starts after a multiple of 8 steps, so r keeps the parity
-        # of d and arrivals fall on steps k = d mod 2 only; bins past `left`
+        # A column starts after a multiple of 8 steps, so r has the parity of
+        # d and arrivals fall only on steps k = d (mod 2); steps past `left`
         # (and 9, no arrival) are the walkers that stay.
         for k in range(2 - d % 2, left + 1, 2):
             counts[start + k] += np.count_nonzero(first == k)

@@ -467,6 +467,7 @@ class TestMonteCarlo:
                                              workers=workers)
             np.testing.assert_array_equal(hist.counts, ref.counts)
             assert hist.never_arrived == ref.never_arrived
+            assert type(hist.never_arrived) is int   # JSON-serialisable
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_peak_memory_does_not_grow_with_workers(self, monkeypatch,
