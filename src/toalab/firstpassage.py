@@ -200,9 +200,6 @@ def _byte_tables() -> tuple:
 _BYTE_NET, _BYTE_FIRST = _byte_tables()
 
 
-_NO_BYTES = np.empty(0, dtype=np.uint8)
-
-
 class _ByteStream:
     """The bytes of successive `integers(0, 256, n, np.uint8)` calls on
     Generator(Philox(key=[seed, chunk_index])), read as raw Philox words.
@@ -214,7 +211,7 @@ class _ByteStream:
 
     def __init__(self, seed: int, chunk_index: int):
         self._bitgen = Philox(key=[seed, chunk_index])
-        self._carry = _NO_BYTES
+        self._carry = np.empty(0, dtype=np.uint8)
 
     def draw(self, n: int) -> np.ndarray:
         words = -(-n // 4)

@@ -472,7 +472,7 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_peak_memory_does_not_grow_with_workers(self, monkeypatch,
                                                     workers):
-        # MC_BATCH chunks in flight whatever the thread count (~1.1 MiB);
+        # MC_BATCH chunks in flight whatever the thread count (~1 MiB);
         # a batch of MC_BATCH chunks per thread peaks at 2.5 MiB on 4.
         monkeypatch.setattr(fp, "_usable_cpus", lambda: 64)
         tracemalloc.start()
