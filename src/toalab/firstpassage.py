@@ -19,18 +19,15 @@ walker costs one table lookup per 8 steps.  Each chunk of walkers reads its
 bytes as raw Philox words, the same bytes Generator.integers would give;
 MC_BATCH chunks advance in lockstep, one pass over their concatenated bytes
 per 8-step column (column 0 reads the single table row of distance d).
-At most MC_BATCH chunks are in flight, split across the worker threads, so
-memory does not grow with the thread count.  The continuum limit (step dx
-in space, m dx^2 in clock time) is the diffusion first-passage density
+The batches run one after another in the calling thread, so at most
+MC_BATCH chunks are in memory.  The continuum limit (step dx in space,
+m dx^2 in clock time) is the diffusion first-passage density
 D_tau = (d/tau) sqrt(m/2 pi tau) exp(-m d^2/2 tau).
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -150,12 +147,12 @@ def conservation_defects(steps, d: int) -> list:
 # ---------------------------------------------------------------------------
 
 # Trials are partitioned into fixed-size chunks; chunk i uses the Philox
-# stream keyed by (seed, i), so the histogram is identical for any number of
-# worker threads.
+# stream keyed by (seed, i), so the histogram does not depend on how the
+# chunks are grouped.
 MC_CHUNK = 1 << 14
-# Chunks of walkers in flight at once, split across the worker threads.  A
-# batch shares one pass of numpy calls per column among its chunks, and the
-# fixed budget bounds memory (about 1 MiB) whatever `workers` is.
+# Chunks of walkers run together as one batch.  A batch shares one pass of
+# numpy calls per column among its chunks, and one batch at a time bounds
+# memory (about 1 MiB).
 MC_BATCH = 4
 
 
@@ -273,24 +270,17 @@ def _mc_chunk(d: int, n_max: int, trials: int, seed: int,
     return _mc_batch(d, n_max, [(chunk_index, trials)], seed)
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:                      # not on every platform
-        return os.cpu_count() or 1
-
-
 def monte_carlo_first_arrival(d: int, n_max: int, trials: int, seed: int,
                               workers: int = 1) -> FirstArrivalHistogram:
-    """Sample first-arrival steps; deterministic per seed at any parallelism.
+    """Sample first-arrival steps; deterministic per seed.
 
     Trials run in fixed chunks of MC_CHUNK with counter-based per-chunk
     streams, so the result depends only on (d, n_max, trials, seed).
     Each chunk draws one byte per live walker per 8 steps (see
-    _byte_tables) and drops walkers as they arrive.  MC_BATCH chunks are
-    in flight at once, split across min(workers, usable CPUs, chunks,
-    MC_BATCH) threads: `workers` caps the threads, and neither the memory
-    nor the result depends on it.
+    _byte_tables) and drops walkers as they arrive.  The chunks run
+    MC_BATCH at a time in the calling thread.  `workers` is checked and
+    otherwise unused (callers still pass it): no thread is started, and
+    neither the memory nor the result depends on it.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -302,18 +292,12 @@ def monte_carlo_first_arrival(d: int, n_max: int, trials: int, seed: int,
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     chunks = [(i, min(MC_CHUNK, trials - i * MC_CHUNK))
               for i in range((trials + MC_CHUNK - 1) // MC_CHUNK)]
-    threads = min(workers, _usable_cpus(), len(chunks), MC_BATCH)
-    size = MC_BATCH // threads
-    batches = [chunks[i:i + size] for i in range(0, len(chunks), size)]
     counts = np.zeros(n_max + 1, dtype=np.int64)
     never = 0
-    # One thread maps in this thread and starts no pool.
-    with (ThreadPoolExecutor(max_workers=threads) if threads > 1
-          else nullcontext()) as pool:
-        for c, nv in (map if pool is None else pool.map)(
-                lambda batch: _mc_batch(d, n_max, batch, seed), batches):
-            counts += c
-            never += nv
+    for i in range(0, len(chunks), MC_BATCH):
+        c, nv = _mc_batch(d, n_max, chunks[i:i + MC_BATCH], seed)
+        counts += c
+        never += nv
     return FirstArrivalHistogram(d=d, n_max=n_max, trials=trials,
                                  seed=seed, counts=counts,
                                  never_arrived=never)

@@ -1,6 +1,7 @@
 """Random-walk first passage: exact combinatorics, sampling, diffusion limit."""
 
 import math
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -455,10 +456,8 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("n_max", [0, 7, 8, 9, 100])
     @pytest.mark.parametrize("d", [0, 1, 2, 9])
-    def test_batches_match_masked_byte_sampler(self, monkeypatch, d, n_max):
-        # Six chunks, the last of 7 walkers, span several batches at every
-        # thread count; enough CPUs that `workers` sets the split.
-        monkeypatch.setattr(fp, "_usable_cpus", lambda: 64)
+    def test_batches_match_masked_byte_sampler(self, d, n_max):
+        # Six chunks, the last of 7 walkers, span two batches.
         trials, seed = 5 * MC_CHUNK + 7, 17 * d + n_max
         ref = reference_monte_carlo(d, n_max, trials, seed,
                                     chunk=reference_byte_chunk)
@@ -470,11 +469,9 @@ class TestMonteCarlo:
             assert type(hist.never_arrived) is int   # JSON-serialisable
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_peak_memory_does_not_grow_with_workers(self, monkeypatch,
-                                                    workers):
-        # MC_BATCH chunks in flight whatever the thread count (~1 MiB);
-        # a batch of MC_BATCH chunks per thread peaks at 2.5 MiB on 4.
-        monkeypatch.setattr(fp, "_usable_cpus", lambda: 64)
+    def test_peak_memory_does_not_grow_with_workers(self, workers):
+        # One batch of MC_BATCH chunks in memory at a time (~1 MiB); a batch
+        # per thread on 4 threads peaks at 2.5 MiB.
         tracemalloc.start()
         try:
             monte_carlo_first_arrival(3, 100, 400_000, seed=5,
@@ -484,24 +481,21 @@ class TestMonteCarlo:
             tracemalloc.stop()
         assert peak < 1.5 * 2**20
 
-    def test_thread_count_capped_by_workers_and_chunks(self, monkeypatch):
-        asked = []
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_batches_run_in_order_in_the_calling_thread(self, monkeypatch,
+                                                        workers):
+        seen = []
+        batch = fp._mc_batch
 
-        class Recording(fp.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                asked.append(max_workers)
-                super().__init__(max_workers=max_workers)
+        def recording(d, n_max, chunks, seed):
+            seen.append((threading.get_ident(), [i for i, _ in chunks]))
+            return batch(d, n_max, chunks, seed)
 
-        monkeypatch.setattr(fp, "ThreadPoolExecutor", Recording)
-        monkeypatch.setattr(fp, "_usable_cpus", lambda: 64)
-        monte_carlo_first_arrival(2, 20, 10 * MC_CHUNK, seed=3, workers=1)
-        assert asked == []
-        for workers, trials in ((2, 10 * MC_CHUNK), (7, 10 * MC_CHUNK),
-                                (4, 2 * MC_CHUNK), (3, 1)):
-            asked.clear()
-            monte_carlo_first_arrival(2, 20, trials, seed=3, workers=workers)
-            chunks = -(-trials // MC_CHUNK)
-            assert all(n <= min(workers, chunks) for n in asked)
+        monkeypatch.setattr(fp, "_mc_batch", recording)
+        monte_carlo_first_arrival(2, 20, 9 * MC_CHUNK + 1, seed=3,
+                                  workers=workers)
+        me = threading.get_ident()
+        assert seen == [(me, [0, 1, 2, 3]), (me, [4, 5, 6, 7]), (me, [8, 9])]
 
 
 class TestEnumeration:
