@@ -219,13 +219,15 @@ def run_kijowski_bullet(r: Runner) -> int:
     stats = kijowski_bullet_stats(pkt)
     grid = default_tau_grid(stats.tau_bar, stats.uncertainty, n=1201,
                             spread=10.0)
-    curve = kijowski_curve(pkt, grid, nodes=8000)
+    curve = kijowski_curve(pkt, grid)
     r.curve_csv(curve)
     r.summary_json({"tau_bar": stats.tau_bar,
                     "sigma_bar_tau": stats.sigma_bar_tau,
                     "closed_form_uncertainty": stats.uncertainty,
                     "norm": curve.norm, "mean": curve.mean,
-                    "uncertainty": curve.uncertainty})
+                    "uncertainty": curve.uncertainty,
+                    "nodes": curve.meta["nodes"],
+                    "quad_error": curve.meta["quad_error"]})
     return EXIT_OK
 
 

@@ -199,7 +199,7 @@ def metric_comparison(pkt: SpacePacket,
     stats = kijowski_bullet_stats(pkt)
     grid = default_tau_grid(stats.tau_bar, stats.uncertainty, n=1201,
                             spread=10.0)
-    kij = kijowski_curve(pkt, grid, nodes=20000)
+    kij = kijowski_curve(pkt, grid)
     cur = sqm_detection_curve(pkt, grid)
 
     # First-arrival-kernel curve, normalized over the grid (the 1/m^2 of

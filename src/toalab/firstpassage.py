@@ -279,8 +279,8 @@ def monte_carlo_first_arrival(d: int, n_max: int, trials: int, seed: int,
     Each chunk draws one byte per live walker per 8 steps (see
     _byte_tables) and drops walkers as they arrive.  The chunks run
     MC_BATCH at a time in the calling thread.  `workers` is checked and
-    otherwise unused (callers still pass it): no thread is started, and
-    neither the memory nor the result depends on it.
+    otherwise unused (only the benchmark workloads still pass it): no
+    thread is started, and neither the memory nor the result depends on it.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")

@@ -100,6 +100,18 @@ class TestExitCodes:
         assert not (out / "laplace-check_summary.json").exists()
 
 
+    def test_unresolved_kijowski_curve_is_numerical_error(self, tmp_path,
+                                                          capsys):
+        # p0 = 0.5, d = 2e4: the curve's phase across the packet is not
+        # resolved with 65537 nodes, so no summary is written.
+        code, out = run(tmp_path, "kijowski-bullet", "--p0", "0.5",
+                        "--d", "2e4")
+        assert code == EXIT_NUMERICAL
+        assert "did not converge" in json.loads(
+            (out / "error.json").read_text())["error"]
+        assert not (out / "kijowski-bullet_summary.json").exists()
+
+
 class TestErrorJson:
     def test_written_to_env_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -130,6 +142,19 @@ class TestArtifacts:
             (out / "kijowski-wave_manifest.json").read_text())
         assert manifest["experiment"] == "kijowski-wave"
         assert set(manifest) == {"experiment", "parameters", "version"}
+
+    def test_kijowski_bullet_resolves_fast_phase(self, tmp_path):
+        # p0 = 0.5, d = 1e4 needs about 65536 intervals in q = sqrt(p); a
+        # fixed 8000 Gauss-Legendre nodes alias it to uncertainty 4974.
+        code, out = run(tmp_path, "kijowski-bullet", "--p0", "0.5",
+                        "--d", "1e4")
+        assert code == EXIT_OK
+        summary = json.loads(
+            (out / "kijowski-bullet_summary.json").read_text())
+        assert summary["uncertainty"] == pytest.approx(3089.0600, rel=1e-6)
+        assert summary["norm"] == pytest.approx(1.0, abs=1e-4)
+        assert summary["nodes"] == 65536
+        assert 0.0 <= summary["quad_error"] <= 1e-10
 
     def test_walk_validate_passes(self, tmp_path):
         code, out = run(tmp_path, "walk-validate", "--d", "2", "--n-max", "40")

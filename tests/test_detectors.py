@@ -11,7 +11,7 @@ import pytest
 from scipy.integrate import quad
 
 from toalab.detectors import (ArrivalDistribution, MsConfig, _MS_BLOCK,
-                              _composite_gauss, _ms_absorb, _phase_power_sums,
+                              _ms_absorb, _phase_power_sums,
                               default_tau_grid, kijowski_bullet_stats,
                               kijowski_curve, kijowski_wave_density_origin,
                               kijowski_wave_norm,
@@ -84,7 +84,7 @@ def kijowski_density(phi_left, phi_right, m, tau):
 
     phi_left / phi_right are momentum amplitude callables for packets
     arriving from the left / right; pass None for an absent side.  The
-    oracle for the fixed-node `kijowski_curve`.
+    oracle for `kijowski_curve` at a few times.
     """
     rho = 0.0
     if phi_left is not None:
@@ -94,10 +94,23 @@ def kijowski_density(phi_left, phi_right, m, tau):
     return rho
 
 
+def _composite_gauss(lo: float, hi: float, n: int):
+    """~n Gauss-Legendre nodes as 32-point panels tiling [lo, hi]."""
+    base_u, base_w = np.polynomial.legendre.leggauss(32)
+    panels = max(1, -(-n // 32))
+    edges = np.linspace(lo, hi, panels + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    u = (mid[:, None] + half[:, None] * base_u[None, :]).ravel()
+    w = (half[:, None] * base_w[None, :]).ravel()
+    return u, w
+
+
 def reference_kijowski_curve(pkt, taus, nodes=4000):
-    """Rates of `kijowski_curve` from the tau x nodes matrix of phases,
-    blocked to bound memory: the oracle for its phase-power sums, valid
-    on any grid."""
+    """Kijowski rates from the tau x nodes matrix of phases over ~nodes
+    Gauss-Legendre nodes in p = p0 + sigma_p u, |u| <= 12 and p > 0,
+    blocked to bound memory: an oracle for `kijowski_curve` on any grid,
+    for packets with negligible momentum content at p <= 0."""
     taus = np.asarray(taus, dtype=float)
     u_lo = max(-12.0, -pkt.p0 / pkt.sigma_p + 1e-9)
     u, w = _composite_gauss(u_lo, 12.0, nodes)
@@ -113,9 +126,11 @@ def reference_kijowski_curve(pkt, taus, nodes=4000):
     return np.abs(amp) ** 2
 
 
-def metric_compare_grid():
-    """`metric-compare`'s Kijowski grid at its defaults (the BULLET packet)."""
-    stats = kijowski_bullet_stats(BULLET)
+def cli_grid(pkt):
+    """The Kijowski grid of `kijowski-bullet` and `metric-compare`."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # outside the bullet regime
+        stats = kijowski_bullet_stats(pkt)
     return default_tau_grid(stats.tau_bar, stats.uncertainty, n=1201,
                             spread=10.0)
 
@@ -291,10 +306,9 @@ class TestKijowskiBullet:
                                               mass=1))
 
     def test_curve_matches_adaptive_density(self):
-        # Fixed-node curve vs adaptive half-line quadrature at three times.
         phi = lambda p: space_momentum_amplitude(BULLET, p)
         taus = np.array([1980.0, 2000.0, 2020.0])
-        curve = kijowski_curve(BULLET, taus, nodes=4000)
+        curve = kijowski_curve(BULLET, taus)
         for i, tau in enumerate(taus):
             direct = kijowski_density(phi, None, BULLET.mass, tau)
             assert curve.rates[i] == pytest.approx(direct, rel=1e-7)
@@ -302,30 +316,63 @@ class TestKijowskiBullet:
     def test_curve_moments_match_closed_form(self):
         stats = kijowski_bullet_stats(BULLET)
         taus = default_tau_grid(stats.tau_bar, stats.uncertainty, n=1200)
-        curve = kijowski_curve(BULLET, taus, nodes=4000)
+        curve = kijowski_curve(BULLET, taus)
         assert curve.norm == pytest.approx(1.0, abs=1e-3)
         assert curve.mean == pytest.approx(stats.tau_bar, rel=1e-3)
         assert curve.uncertainty == pytest.approx(stats.uncertainty, rel=5e-3)
 
 
 class TestKijowskiCurve:
-    # (packet, grid, nodes) of criterion 2 and of `metric-compare`.
-    GRIDS = {"criterion_2": (SLOW, np.linspace(10.0, 190.0, 1601), 6000),
-             "metric_compare": (BULLET, metric_compare_grid(), 20000)}
+    # (packet, grid, Gauss-Legendre nodes) at the packets and grids of
+    # `kijowski-bullet`, `metric-compare` and criterion 2, with the node
+    # counts each once passed.
+    GRIDS = {"kijowski_bullet": (SLOW, cli_grid(SLOW), 8000),
+             "criterion_2": (SLOW, np.linspace(10.0, 190.0, 1601), 6000),
+             "metric_compare": (BULLET, cli_grid(BULLET), 20000)}
 
     @pytest.mark.parametrize("case", sorted(GRIDS))
     def test_matches_phase_matrix_oracle(self, case):
         pkt, taus, nodes = self.GRIDS[case]
-        rates = kijowski_curve(pkt, taus, nodes=nodes).rates
+        rates = kijowski_curve(pkt, taus).rates
         expect = reference_kijowski_curve(pkt, taus, nodes=nodes)
         assert np.max(np.abs(rates - expect)) <= 1e-10 * expect.max()
+
+    @pytest.mark.parametrize("pkt", [
+        SpacePacket(x0=-10.0, p0=0.1, sigma_x=10.0, mass=1.0),
+        SpacePacket(x0=-100.0, p0=1.0, sigma_x=5.0, mass=1.0),
+    ], ids=["p0_0.1", "sigma_x_5"])
+    def test_broad_packet_matches_adaptive_density(self, pkt):
+        # sigma_p/p0 = 1 and 0.2: the window reaches p = 0, where the
+        # integrand has its sqrt(p) edge.
+        phi = lambda p: space_momentum_amplitude(pkt, p)
+        tau_bar = pkt.d / pkt.v0
+        taus = np.array([0.5, 1.0, 1.5]) * tau_bar
+        curve = kijowski_curve(pkt, taus)
+        for i, tau in enumerate(taus):
+            direct = kijowski_density(phi, None, pkt.mass, tau)
+            assert curve.rates[i] == pytest.approx(direct, rel=1e-7)
+
+    def test_meta_records_resolution(self):
+        # nodes: the intervals of the last level, 16 x 2^k; quad_error: the
+        # max-norm difference of the last two levels' amplitudes.
+        curve = kijowski_curve(SLOW, np.linspace(10.0, 190.0, 1601))
+        assert curve.meta["nodes"] in [16 * 2**k for k in range(1, 13)]
+        assert 0.0 <= curve.meta["quad_error"] \
+            <= 1e-10 * math.sqrt(curve.rates.max())
+
+    def test_unresolved_phase_raises(self):
+        # p0 = 0.5, d = 2e4: the phase across the packet is not resolved
+        # with _trapezoid's 65537 nodes.
+        pkt = SpacePacket(x0=-2.0e4, p0=0.5, sigma_x=10.0, mass=1.0)
+        with pytest.raises(NumericalError, match="did not converge"):
+            kijowski_curve(pkt, cli_grid(pkt))
 
     def test_first_tau_is_not_shifted(self):
         # The sums start at z^1: a seed at tau_0 instead of tau_0 - dtau
         # would put every rate one step late.  The grid starts at the peak,
         # where a one-step shift changes the rate by about 1e-3.
         taus = np.linspace(100.0, 110.0, 101)
-        first = kijowski_curve(SLOW, taus, nodes=6000).rates[0]
+        first = kijowski_curve(SLOW, taus).rates[0]
         assert first == pytest.approx(
             reference_kijowski_curve(SLOW, taus[:1], nodes=6000)[0],
             rel=1e-12, abs=0.0)
@@ -341,7 +388,7 @@ class TestKijowskiCurve:
     def test_narrow_packet_matches_adaptive_density(self):
         # Criterion 2's packet at its mean arrival time: sigma_p = 0.05, so
         # the support p in [0.4, 1.6] lies between integer momentum probes.
-        curve = kijowski_curve(SLOW, [100.0], nodes=6000)
+        curve = kijowski_curve(SLOW, [100.0])
         direct = kijowski_density(
             lambda p: space_momentum_amplitude(SLOW, p), None, SLOW.mass, 100.0)
         assert direct == pytest.approx(0.039844, abs=1e-6)
@@ -362,10 +409,10 @@ class TestKijowskiCurve:
     def test_memory_stays_below_phase_matrix(self):
         # The tau x nodes phase matrix of `reference_kijowski_curve` peaks
         # near 184 MiB here; the phase-power sums keep _MS_BLOCK x nodes.
-        pkt, taus, nodes = self.GRIDS["metric_compare"]
+        pkt, taus, _ = self.GRIDS["metric_compare"]
         tracemalloc.start()
         try:
-            kijowski_curve(pkt, taus, nodes=nodes)
+            kijowski_curve(pkt, taus)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -66,21 +66,33 @@ def reference_transforms(m, x, s):
 
 class TestTrapezoid:
     def test_gaussian_converges_with_error_estimate(self):
-        val, err = _trapezoid(lambda x: np.exp(-x * x), -10.0, 10.0, 1e-12)
+        val, err = _trapezoid(lambda x: np.sum(np.exp(-x * x)), -10.0, 10.0,
+                              1e-12)
         assert val == pytest.approx(math.sqrt(math.pi), rel=1e-15)
         assert err <= 1e-12 * val
+
+    def test_vector_sums_converge_in_max_norm(self):
+        # int exp(-a x^2) for three a at once; the error is the max-norm
+        # difference of the last two levels.
+        a = np.array([0.5, 1.0, 4.0])
+        val, err = _trapezoid(
+            lambda x: np.exp(-np.outer(a, x * x)).sum(axis=1), -12.0, 12.0,
+            1e-12)
+        np.testing.assert_allclose(val, np.sqrt(math.pi / a), rtol=1e-15)
+        assert err <= 1e-12 * val.max()
 
     def test_unconverged_levels_raise(self):
         # 1/x on [0, 1]: each halving adds about ln 2, so no two levels
         # agree; the endpoint itself is set to 0.
         with pytest.raises(NumericalError, match="did not converge"):
-            _trapezoid(lambda x: np.reciprocal(
-                x, out=np.zeros_like(x), where=x > 0), 0.0, 1.0, 1e-10)
+            _trapezoid(lambda x: np.sum(np.reciprocal(
+                x, out=np.zeros_like(x), where=x > 0)), 0.0, 1.0, 1e-10)
 
     def test_non_finite_level_raises(self):
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match="did not converge"):
-                _trapezoid(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, 1e-10)
+                _trapezoid(lambda x: np.sum(1.0 / np.sqrt(x)), 0.0, 1.0,
+                           1e-10)
 
 
 class TestClosedForms:
