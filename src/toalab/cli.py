@@ -27,8 +27,8 @@ from .detectors import (ArrivalDistribution, MsConfig, default_tau_grid,
                         kijowski_bullet_stats, kijowski_curve,
                         kijowski_wave_density_origin, kijowski_wave_norm,
                         marchewka_schuss_evolve, sqm_detection_curve)
-from .experiments import (SlitConfig, discrete_continuum_experiment,
-                          metric_comparison, single_slit_sweep)
+from .experiments import (discrete_continuum_experiment, metric_comparison,
+                          single_slit_sweep)
 from .kernels import (GridResolutionError, NumericalError,
                       laplace_first_arrival_check)
 from .tqm import TqmPacket, tqm_arrival_distribution
@@ -213,6 +213,11 @@ def _space_packet(p: dict) -> SpacePacket:
                        mass=p["m"])
 
 
+def _speed_packet(p: dict) -> SpacePacket:
+    """`_space_packet` for the experiments that set the speed v0, not p0."""
+    return _space_packet({**p, "p0": p["m"] * p["v0"]})
+
+
 def run_kijowski_bullet(r: Runner) -> int:
     p = r.params
     pkt = _space_packet(p)
@@ -297,8 +302,7 @@ def run_tqm_detect(r: Runner) -> int:
     m = p["m"]
     pkt = TqmPacket(
         time=TimePacket(t0=0.0, E0=m, sigma_t=p["sigma-t"], mass=m),
-        space=SpacePacket(x0=-p["d"], p0=m * p["v0"], sigma_x=p["sigma-x"],
-                          mass=m))
+        space=_speed_packet(p))
     curve = tqm_arrival_distribution(pkt)
     r.curve_csv(curve)
     r.summary_json(curve.summary())
@@ -307,9 +311,7 @@ def run_tqm_detect(r: Runner) -> int:
 
 def run_slit_sweep(r: Runner) -> int:
     p = r.params
-    base = SlitConfig(W=1.0, d=p["d"], v0=p["v0"], sigma_x=p["sigma-x"],
-                      m=p["m"])
-    sweep = single_slit_sweep(base, _parse_list(p["W"]))
+    sweep = single_slit_sweep(_speed_packet(p), _parse_list(p["W"]))
     _write_csv(r.path("table.csv"),
                ["W", "sqm_uncertainty", "tqm_uncertainty", "ratio"],
                sweep.rows())

@@ -298,9 +298,12 @@ def sqm_detection_curve(pkt: SpacePacket,
         tau_grid = default_tau_grid(tau_bar, dtau)
     else:
         tau_grid = np.asarray(tau_grid, dtype=float)
-        if tau_grid[0] > tau_bar - 8.0 * dtau + 1e-12 * tau_bar \
-                or tau_grid[-1] < tau_bar + 8.0 * dtau - 1e-12 * tau_bar:
-            raise ValueError("tau_grid must bracket tau_bar +/- 8 widths")
+        # The default grid's own ends, so the same clamp at 1e-9 tau_bar.
+        lo, hi = default_tau_grid(tau_bar, dtau, n=2)
+        if tau_grid[0] > lo + 1e-12 * tau_bar \
+                or tau_grid[-1] < hi - 1e-12 * tau_bar:
+            raise ValueError("tau_grid must bracket tau_bar +/- 8 widths "
+                             "(clamped at 1e-9 tau_bar)")
     psi = space_amplitude(pkt, 0.0, tau_grid)
     dpsi = space_amplitude_dx(pkt, 0.0, tau_grid)
     rates = probability_current(psi, dpsi, pkt.mass)

@@ -6,11 +6,12 @@ clock-time width W.  The source is on for a clock time W in both theories,
 so the gate adds v0 W in quadrature to the spatial width,
 Sigma_x = hypot(sigma_x, v0 W).  Under TQM the gate also diffracts the wave
 function in time, as a source of temporal width sigma_t = sqrt(2) W.
-`SlitConfig.tqm_packet` is that gated source, and `single_slit_sweep` reads
-both spreads from its `tqm_dispersion_budget`: SQM is sigma_bar/sqrt(2),
-with a floor as W -> 0, and TQM is hypot(sigma_bar, sigma_tilde)/sqrt(2),
-whose time term tau_bar/(m sqrt(2) W) diverges as 1/W, so the two theories
-separate without bound for narrow gates.
+`gated_source` builds that source from a `SpacePacket`, and
+`single_slit_sweep` reads both spreads from its `tqm_dispersion_budget`:
+SQM is sigma_bar/sqrt(2), with a floor as W -> 0, and TQM is
+hypot(sigma_bar, sigma_tilde)/sqrt(2), whose time term
+tau_bar/(m sqrt(2) W) diverges as 1/W, so the two theories separate
+without bound for narrow gates.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .wavepacket import (SpacePacket, TimePacket, space_amplitude,
                          space_amplitude_dx)
 
 __all__ = [
-    "SlitConfig",
+    "gated_source",
     "SweepResult",
     "single_slit_sqm",
     "single_slit_sweep",
@@ -41,58 +42,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SlitConfig:
-    W: float                  # gate width in clock time
-    d: float                  # source-detector distance
-    v0: float                 # packet speed, in (0, 1)
-    sigma_x: float
-    m: float = 1.0
-
-    def __post_init__(self):
-        for name in ("W", "d", "sigma_x", "m"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if not 0.0 < self.v0 < 1.0:
-            raise ValueError(f"v0 must be in (0, 1), got {self.v0}")
-
-    @property
-    def sigma_t(self) -> float:
-        """TQM source width: the gate of width W as a time packet."""
-        return math.sqrt(2.0) * self.W
-
-    @property
-    def tau_bar(self) -> float:
-        return self.d / self.v0
-
-    @property
-    def p0(self) -> float:
-        return self.m * self.v0
-
-    def space_packet(self) -> SpacePacket:
-        return SpacePacket(x0=-self.d, p0=self.p0, sigma_x=self.sigma_x,
-                           mass=self.m)
-
-    def tqm_packet(self) -> TqmPacket:
-        """The gated source: the spatial width widened to Sigma_x =
-        hypot(sigma_x, v0 W), in direct product with a time packet of width
-        sigma_t = sqrt(2) W."""
-        space = replace(self.space_packet(),
-                        sigma_x=math.hypot(self.sigma_x, self.v0 * self.W))
-        return TqmPacket(time=TimePacket(t0=0.0, E0=self.m,
-                                         sigma_t=self.sigma_t, mass=self.m),
-                         space=space)
+def gated_source(pkt: SpacePacket, W: float) -> TqmPacket:
+    """The source `pkt` behind a gate of clock-time width W: the spatial
+    width widened to Sigma_x = hypot(sigma_x, v0 W), in direct product with
+    a time packet of width sigma_t = sqrt(2) W at E0 = m."""
+    if W <= 0:
+        raise ValueError(f"W must be positive, got {W}")
+    if not 0.0 < pkt.v0 < 1.0:
+        raise ValueError(f"v0 must be in (0, 1), got {pkt.v0}")
+    return TqmPacket(
+        time=TimePacket(t0=0.0, E0=pkt.mass, sigma_t=math.sqrt(2.0) * W,
+                        mass=pkt.mass),
+        space=replace(pkt, sigma_x=math.hypot(pkt.sigma_x, pkt.v0 * W)))
 
 
-def _validity_warning(cfg: SlitConfig) -> None:
-    if cfg.W > 0.1 * cfg.tau_bar:
-        warnings.warn(
-            f"gate width W = {cfg.W:g} exceeds 0.1 tau_bar = "
-            f"{0.1 * cfg.tau_bar:g}; the frozen-dispersion approximation "
-            "behind the closed forms degrades", stacklevel=3)
-
-
-def single_slit_sqm(cfg: SlitConfig, tau_grid=None) -> ArrivalDistribution:
+def single_slit_sqm(pkt: SpacePacket, W: float,
+                    tau_grid=None) -> ArrivalDistribution:
     """SQM single slit in time: gate convolution of the source amplitude.
 
     The detector amplitude is the coherent gate average
@@ -102,28 +67,33 @@ def single_slit_sqm(cfg: SlitConfig, tau_grid=None) -> ArrivalDistribution:
     explicit source phase cancels the release-time dependence of the free
     phase.  The rate is v0 |psi_D|^2, normalized over the grid; the meta
     carries tau_bar and the closed form sigma_bar/sqrt(2) of the gated
-    source (`SlitConfig.tqm_packet`).
+    source (`gated_source`).  Warns when W > 0.1 tau_bar, where the
+    frozen-dispersion approximation behind the closed form degrades.
     """
-    _validity_warning(cfg)
-    pkt, gated = cfg.space_packet(), cfg.tqm_packet()
+    gated = gated_source(pkt, W)
     disp = tqm_dispersion_budget(gated)
+    if W > 0.1 * disp.tau_bar:
+        warnings.warn(
+            f"gate width W = {W:g} exceeds 0.1 tau_bar = "
+            f"{0.1 * disp.tau_bar:g}; the frozen-dispersion approximation "
+            "behind the closed forms degrades", stacklevel=2)
     dtau_cf = disp.sigma_bar_tau / math.sqrt(2.0)
     if tau_grid is None:
         tau_grid = default_tau_grid(disp.tau_bar, dtau_cf, n=1024)
     tau_grid = np.asarray(tau_grid, dtype=float)
     # Gate amplitude with width parameter W (the convention under which the
     # gate adds v0 W in quadrature to the spatial width).
-    tg = np.linspace(-10.0 * cfg.W, 10.0 * cfg.W, 1025)
-    gate = (math.pi * cfg.W**2) ** -0.25 * np.exp(-tg**2 / (2.0 * cfg.W**2))
-    source_phase = np.exp(-1j * cfg.p0**2 * tg / (2.0 * cfg.m))
+    tg = np.linspace(-10.0 * W, 10.0 * W, 1025)
+    gate = (math.pi * W**2) ** -0.25 * np.exp(-tg**2 / (2.0 * W**2))
+    source_phase = np.exp(-1j * pkt.p0**2 * tg / (2.0 * pkt.mass))
     amp = np.empty(tau_grid.size, dtype=complex)
     for i, tau in enumerate(tau_grid):
         phi = space_amplitude(pkt, 0.0, tau - tg)
         amp[i] = np.trapezoid(gate * source_phase * phi, tg)
-    rates = cfg.v0 * np.abs(amp) ** 2
+    rates = pkt.v0 * np.abs(amp) ** 2
     rates /= np.trapezoid(rates, tau_grid)
     return ArrivalDistribution(tau_grid, rates, meta={
-        "metric": "sqm-slit", "W": cfg.W, "Sigma_x": gated.space.sigma_x,
+        "metric": "sqm-slit", "W": W, "Sigma_x": gated.space.sigma_x,
         "tau_bar": disp.tau_bar, "closed_form_uncertainty": dtau_cf})
 
 
@@ -143,19 +113,16 @@ class SweepResult:
                    self.ratio[i])
 
 
-def single_slit_sweep(base: SlitConfig, W_values) -> SweepResult:
+def single_slit_sweep(pkt: SpacePacket, W_values) -> SweepResult:
     """Closed-form uncertainty sweep over gate widths.
 
-    Per W, from the budget of `SlitConfig.tqm_packet`: the SQM spread
+    Per W, from the budget of `gated_source(pkt, W)`: the SQM spread
     sigma_bar/sqrt(2) (non-increasing toward the free-packet floor as
     W -> 0) and the TQM spread `uncertainty` (diverging as 1/W), with their
     ratio growing without bound for narrow gates.
     """
     W_values = np.asarray(sorted(float(w) for w in W_values))
-    if np.any(W_values <= 0):
-        raise ValueError("W_values must be positive")
-    budgets = [tqm_dispersion_budget(replace(base, W=W).tqm_packet())
-               for W in W_values]
+    budgets = [tqm_dispersion_budget(gated_source(pkt, W)) for W in W_values]
     return SweepResult(
         W_values=W_values,
         sqm_uncertainty=np.array([b.sigma_bar_tau / math.sqrt(2.0)

@@ -264,12 +264,6 @@ def _mc_batch(d: int, n_max: int, chunks, seed: int) -> tuple:
     return counts, sum(live)
 
 
-def _mc_chunk(d: int, n_max: int, trials: int, seed: int,
-              chunk_index: int) -> tuple:
-    """One chunk on its own: the batch of one."""
-    return _mc_batch(d, n_max, [(chunk_index, trials)], seed)
-
-
 def monte_carlo_first_arrival(d: int, n_max: int, trials: int, seed: int,
                               workers: int = 1) -> FirstArrivalHistogram:
     """Sample first-arrival steps; deterministic per seed.

@@ -20,8 +20,7 @@ from .detectors import (_regime_ratios, kijowski_bullet_stats,
                         kijowski_curve, kijowski_wave_norm,
                         marchewka_schuss_evolve, MsConfig,
                         probability_current)
-from .experiments import (SlitConfig, discrete_continuum_experiment,
-                          single_slit_sweep)
+from .experiments import discrete_continuum_experiment, single_slit_sweep
 from .kernels import _trapezoid, laplace_first_arrival_check
 from .tqm import TqmPacket, sqm_limit_curve, tqm_arrival_distribution, \
     tqm_dispersion_budget
@@ -324,20 +323,20 @@ def criterion_11():
     """Single-slit falsifiability signature.
 
     Checks the closed forms of `single_slit_sweep`, which hold only when
-    sigma_p/p0 and m sigma_x^2/tau_bar are << 1.  The base packet here has
+    sigma_p/p0 and m sigma_x^2/tau_bar are << 1.  The packet here has
     sigma_p/p0 = m sigma_x^2/tau_bar = 1, so the criterion checks the
     closed forms' algebra, not the exact slit density (ROADMAP D6).
     """
-    base = SlitConfig(W=1.0, d=100.0, v0=0.01, sigma_x=100.0, m=1.0)
+    pkt = SpacePacket(x0=-100.0, p0=0.01, sigma_x=100.0, mass=1.0)
     W = np.geomspace(1e-3, 10.0, 29)
-    sweep = single_slit_sweep(base, W)
+    sweep = single_slit_sweep(pkt, W)
     # The SQM spread is monotone non-increasing in W (the gate widens the
     # effective source), approaching the free-packet value as W -> 0.
     monotone = bool(np.all(np.diff(sweep.sqm_uncertainty) <= 1e-12))
-    floor = base.d / base.v0 / (math.sqrt(2.0) * base.m * base.v0
-                                * base.sigma_x)
+    floor = pkt.d / pkt.v0 / (math.sqrt(2.0) * pkt.mass * pkt.v0
+                              * pkt.sigma_x)
     floor_ok = abs(sweep.sqm_uncertainty[0] - floor) / floor < 1e-4
-    small = sweep.W_values <= base.v0 * base.sigma_x / 20.0
+    small = sweep.W_values <= pkt.v0 * pkt.sigma_x / 20.0
     slope = np.polyfit(np.log(sweep.W_values[small]),
                        np.log(sweep.tqm_uncertainty[small]), 1)[0]
     ratio_ok = bool(np.all(sweep.ratio[small] > 10.0))

@@ -136,22 +136,15 @@ def space_amplitude_dx(pkt: SpacePacket, x, tau=0.0):
     return logderiv * space_amplitude(pkt, x, tau)
 
 
-def space_momentum_amplitude(pkt: SpacePacket, p, tau=0.0):
-    """Momentum-space amplitude phi_tau(p); exact Fourier transform.
+def space_momentum_amplitude(pkt: SpacePacket, p):
+    """Momentum-space amplitude phi(p) at release; exact Fourier transform.
 
-    phi_tau(p) = (pi sigma_p^2)^(-1/4)
-                 exp(-i p x0 - (p - p0)^2 / (2 sigma_p^2) - i p^2 tau / (2 m))
-    The only tau dependence is the free phase; |phi_tau(p)| is stationary.
+    phi(p) = (pi sigma_p^2)^(-1/4) exp(-i p x0 - (p - p0)^2 / (2 sigma_p^2))
     """
     p = np.asarray(p, dtype=float)
     _require_finite("p", p)
-    _require_finite("tau", tau)
     sp = pkt.sigma_p
-    arg = (
-        -1j * p * pkt.x0
-        - (p - pkt.p0) ** 2 / (2.0 * sp**2)
-        - 1j * p**2 * np.asarray(tau) / (2.0 * pkt.mass)
-    )
+    arg = -1j * p * pkt.x0 - (p - pkt.p0) ** 2 / (2.0 * sp**2)
     return (math.pi * sp**2) ** -0.25 * np.exp(arg)
 
 
@@ -161,20 +154,12 @@ def time_amplitude(pkt: TimePacket, t, tau=0.0):
     phit_tau(t) = (pi sigma_t^2)^(-1/4) f^(-1/2)
                   exp(-i E0 t - (t - t0 - (E0/m) tau)^2 / (2 sigma_t^2 f)
                       + i E0^2 tau / (2 m))
-    with f = 1 - i tau / (m sigma_t^2).  Equals the complex conjugate of the
-    spatial amplitude under (x0, p0, sigma_x) -> (t0, E0, sigma_t).
+    with f = 1 - i tau / (m sigma_t^2): the complex conjugate of the spatial
+    amplitude under (x0, p0, sigma_x) -> (t0, E0, sigma_t).
     """
-    t = np.asarray(t, dtype=float)
     _require_finite("t", t)
-    _require_finite("tau", tau)
-    f = pkt.dispersion_factor(tau)
-    norm = (math.pi * pkt.sigma_t**2) ** -0.25 / np.sqrt(f)
-    arg = (
-        -1j * pkt.E0 * t
-        - (t - pkt.t0 - (pkt.E0 / pkt.mass) * tau) ** 2 / (2.0 * pkt.sigma_t**2 * f)
-        + 1j * pkt.E0**2 * tau / (2.0 * pkt.mass)
-    )
-    return norm * np.exp(arg)
+    mirror = SpacePacket(pkt.t0, pkt.E0, pkt.sigma_t, pkt.mass)
+    return np.conj(space_amplitude(mirror, t, tau))
 
 
 class NegativeEnergyReport(NamedTuple):

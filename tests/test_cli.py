@@ -2,6 +2,7 @@
 reproducibility."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -214,6 +215,22 @@ class TestArtifacts:
             "rows"]["marchewka_schuss"]
         assert ms["norm"] > 0.1
         assert ms["mean"] == pytest.approx(2000.0, rel=1e-2)
+
+    def test_metric_compare_takes_its_own_clamped_grid(self, tmp_path):
+        # 8 widths exceed tau_bar, so the default grid starts at the clamp
+        # 1e-9 tau_bar; the current row must accept that grid (ROADMAP D9).
+        with pytest.warns(UserWarning, match="outside the bullet regime"):
+            code, out = run(tmp_path, "metric-compare", "--p0", "1",
+                            "--sigma-x", "5", "--d", "100")
+        assert code == EXIT_VALIDATION       # out of regime: rows disagree
+        rows = (out / "metric-compare_table.csv").read_text().splitlines()
+        assert rows[0] == "metric,mean,uncertainty,norm"
+        assert len(rows) == 5
+        norms = [float(row.split(",")[3]) for row in rows[1:]]
+        assert all(math.isfinite(n) and n > 0.99 for n in norms)
+        summary = json.loads((out / "metric-compare_summary.json").read_text())
+        assert summary["rows"]["kijowski_full"]["norm"] == pytest.approx(
+            1.0, abs=1e-4)
 
 
 class TestConfigFile:

@@ -8,7 +8,7 @@ import pytest
 
 from toalab.detectors import (ArrivalDistribution, default_tau_grid,
                               kijowski_bullet_stats)
-from toalab.experiments import (SlitConfig, discrete_continuum_experiment,
+from toalab.experiments import (discrete_continuum_experiment, gated_source,
                                 metric_comparison, single_slit_sqm,
                                 single_slit_sweep)
 from toalab.detectors import sqm_detection_curve
@@ -17,24 +17,26 @@ from toalab.tqm import (TqmPacket, sqm_limit_curve, tqm_arrival_distribution,
                         tqm_detection_density, tqm_dispersion_budget)
 from toalab.wavepacket import SpacePacket, TimePacket, space_amplitude
 
-BASE = dict(d=100.0, v0=0.01, sigma_x=100.0, m=1.0)  # tau_bar = 1e4, v sigma_x = 1
+# tau_bar = 1e4, v sigma_x = 1
+BASE = SpacePacket(x0=-100.0, p0=0.01, sigma_x=100.0, mass=1.0)
 
 
-def reference_slit_uncertainties(cfg):
+def reference_slit_uncertainties(pkt, W):
     """The slit closed forms typed out per theory (test oracle): the SQM
     spread tau_bar/(sqrt(2) m v0 Sigma_x) with the gate-widened Sigma_x =
     hypot(sigma_x, v0 W), and the TQM spread with the time term 1/(2 W^2)
     added in quadrature (sigma_t = sqrt(2) W).  Returns (sqm, tqm)."""
-    Sigma_x = math.hypot(cfg.sigma_x, cfg.v0 * cfg.W)
-    sqm = cfg.tau_bar / (math.sqrt(2.0) * cfg.m * cfg.v0 * Sigma_x)
-    tqm = (cfg.tau_bar / (math.sqrt(2.0) * cfg.m)) * math.sqrt(
-        1.0 / (cfg.v0**2 * Sigma_x**2) + 1.0 / (2.0 * cfg.W**2))
+    tau_bar = pkt.d / pkt.v0
+    Sigma_x = math.hypot(pkt.sigma_x, pkt.v0 * W)
+    sqm = tau_bar / (math.sqrt(2.0) * pkt.mass * pkt.v0 * Sigma_x)
+    tqm = (tau_bar / (math.sqrt(2.0) * pkt.mass)) * math.sqrt(
+        1.0 / (pkt.v0**2 * Sigma_x**2) + 1.0 / (2.0 * W**2))
     return sqm, tqm
 
 
-def slit_uncertainties(cfg):
-    """The library's (sqm, tqm) closed-form spreads at cfg.W."""
-    sweep = single_slit_sweep(cfg, [cfg.W])
+def slit_uncertainties(pkt, W):
+    """The library's (sqm, tqm) closed-form spreads at gate width W."""
+    sweep = single_slit_sweep(pkt, [W])
     return float(sweep.sqm_uncertainty[0]), float(sweep.tqm_uncertainty[0])
 
 
@@ -113,64 +115,65 @@ def test_detection_density_takes_any_momentum():
 
 class TestSlitClosedForms:
     def test_config_validation_and_defaults(self):
-        cfg = SlitConfig(W=2.0, **BASE)
-        assert cfg.sigma_t == pytest.approx(2.0 * math.sqrt(2.0))
-        assert cfg.tau_bar == pytest.approx(1e4)
-        assert cfg.p0 == pytest.approx(0.01)
-        with pytest.raises(ValueError):
-            SlitConfig(W=-1.0, **BASE)
-        with pytest.raises(ValueError):
-            SlitConfig(W=1.0, d=1.0, v0=1.5, sigma_x=1.0)
+        src = gated_source(BASE, 2.0)
+        assert src.time.sigma_t == pytest.approx(2.0 * math.sqrt(2.0))
+        assert tqm_dispersion_budget(src).tau_bar == pytest.approx(1e4)
+        assert src.space.p0 == pytest.approx(0.01)
+        with pytest.raises(ValueError, match="W must be positive"):
+            gated_source(BASE, -1.0)
+        with pytest.raises(ValueError, match="W must be positive"):
+            gated_source(BASE, 0.0)
+        for p0 in (0.0, -0.5, 1.0, 1.5):
+            with pytest.raises(ValueError, match=r"v0 must be in \(0, 1\)"):
+                gated_source(SpacePacket(x0=-1.0, p0=p0, sigma_x=1.0), 1.0)
 
     def test_wide_gate_limit(self):
         # v0 W >> sigma_x: the gate dominates the spatial width and both
         # spreads approach tau_bar/(sqrt(2) m v0^2 W).
-        cfg = SlitConfig(W=1e6, **BASE)
-        limit = cfg.tau_bar / (math.sqrt(2.0) * cfg.m * cfg.v0**2 * cfg.W)
-        sqm, tqm = slit_uncertainties(cfg)
+        pkt, W = BASE, 1e6
+        limit = pkt.d / pkt.v0 / (math.sqrt(2.0) * pkt.mass * pkt.v0**2 * W)
+        sqm, tqm = slit_uncertainties(pkt, W)
         assert sqm == pytest.approx(limit, rel=1e-4)
         assert tqm == pytest.approx(limit, rel=1e-4)
 
     def test_narrow_gate_values(self):
         # W = 0.1 with v sigma_x = 1: SQM stays at the free floor
         # tau_bar/sqrt(2) = 7071; TQM spread is (tau_bar/sqrt 2)sqrt(1 + 50).
-        cfg = SlitConfig(W=0.1, **BASE)
-        sqm, tqm = slit_uncertainties(cfg)
-        assert sqm / cfg.tau_bar == pytest.approx(1.0 / math.sqrt(2.0),
-                                                  rel=1e-6)
-        assert tqm / cfg.tau_bar == pytest.approx(math.sqrt(51.0 / 2.0),
-                                                  rel=1e-6)
-        assert tqm / cfg.tau_bar == pytest.approx(5.05, abs=0.01)
+        tau_bar = BASE.d / BASE.v0
+        sqm, tqm = slit_uncertainties(BASE, 0.1)
+        assert sqm / tau_bar == pytest.approx(1.0 / math.sqrt(2.0),
+                                              rel=1e-6)
+        assert tqm / tau_bar == pytest.approx(math.sqrt(51.0 / 2.0),
+                                              rel=1e-6)
+        assert tqm / tau_bar == pytest.approx(5.05, abs=0.01)
 
     def test_crossover_ratio_is_sqrt_two(self):
         # At W = v0 sigma_x / sqrt(2) the time term equals the space term.
-        cfg = SlitConfig(W=0.01 * 100.0 / math.sqrt(2.0), **BASE)
-        sqm, tqm = slit_uncertainties(cfg)
+        sqm, tqm = slit_uncertainties(BASE, 0.01 * 100.0 / math.sqrt(2.0))
         assert tqm / sqm == pytest.approx(math.sqrt(2.0), rel=1e-4)
 
     def test_quadratic_additivity(self):
-        cfg = SlitConfig(W=0.5, **BASE)
-        extra = cfg.tau_bar**2 / (2.0 * cfg.m**2) / (2.0 * cfg.W**2)
-        sqm, tqm = slit_uncertainties(cfg)
+        pkt, W = BASE, 0.5
+        extra = (pkt.d / pkt.v0)**2 / (2.0 * pkt.mass**2) / (2.0 * W**2)
+        sqm, tqm = slit_uncertainties(pkt, W)
         assert tqm**2 == pytest.approx(sqm**2 + extra, rel=1e-12)
 
     def test_tqm_packet_is_the_gated_source(self):
-        cfg = SlitConfig(W=0.5, **BASE)
-        pkt = cfg.tqm_packet()
-        assert pkt.space.sigma_x == math.hypot(cfg.sigma_x, cfg.v0 * cfg.W)
-        assert pkt.space.d == cfg.d and pkt.space.p0 == cfg.p0
-        assert pkt.time.sigma_t == cfg.sigma_t == math.sqrt(2.0) * cfg.W
-        assert pkt.time.E0 == pkt.mass == cfg.m
+        src, W = BASE, 0.5
+        pkt = gated_source(src, W)
+        assert pkt.space.sigma_x == math.hypot(src.sigma_x, src.v0 * W)
+        assert pkt.space.d == src.d and pkt.space.p0 == src.p0
+        assert pkt.time.sigma_t == math.sqrt(2.0) * W
+        assert pkt.time.E0 == pkt.mass == src.mass
 
     @pytest.mark.parametrize("W", [
         np.geomspace(1e-3, 10.0, 29),      # criterion 11
         [10.0, 1.0, 0.1, 0.01],            # slit-sweep default
     ], ids=["criterion_11", "cli_default"])
     def test_sweep_matches_reference_formulas(self, W):
-        sweep = single_slit_sweep(SlitConfig(W=1.0, **BASE), W)
+        sweep = single_slit_sweep(BASE, W)
         for w, sqm, tqm, _ in sweep.rows():
-            ref_sqm, ref_tqm = reference_slit_uncertainties(
-                SlitConfig(W=w, **BASE))
+            ref_sqm, ref_tqm = reference_slit_uncertainties(BASE, w)
             assert sqm == pytest.approx(ref_sqm, rel=2e-15, abs=0.0)
             assert tqm == pytest.approx(ref_tqm, rel=2e-15, abs=0.0)
 
@@ -178,64 +181,59 @@ class TestSlitClosedForms:
 class TestSlitCurves:
     # Deep frozen-dispersion regime: Delta tau / tau_bar ~ 5e-4, so the
     # numerical gate convolution tracks the closed form tightly.
-    DEEP = dict(d=8.0e4, v0=0.8, sigma_x=1.0, m=25.0)
+    DEEP = SpacePacket(x0=-8.0e4, p0=25.0 * 0.8, sigma_x=1.0, mass=25.0)
 
     def test_sqm_curve_matches_closed_form(self):
-        cfg = SlitConfig(W=10.0, **self.DEEP)
-        curve = single_slit_sqm(cfg)
+        curve = single_slit_sqm(self.DEEP, 10.0)
         assert curve.norm == pytest.approx(1.0, abs=1e-6)
         assert curve.uncertainty == pytest.approx(
             curve.meta["closed_form_uncertainty"], rel=0.02)
         assert curve.mean == pytest.approx(curve.meta["tau_bar"], rel=1e-3)
         assert curve.meta["closed_form_uncertainty"] == pytest.approx(
-            reference_slit_uncertainties(cfg)[0], rel=2e-15, abs=0.0)
+            reference_slit_uncertainties(self.DEEP, 10.0)[0], rel=2e-15,
+            abs=0.0)
 
     def test_sqm_narrow_gate_approaches_free_packet(self):
-        free = SlitConfig(W=1e-3, **self.DEEP)
-        curve = single_slit_sqm(free)
-        floor = free.tau_bar / (math.sqrt(2.0) * free.m * free.v0
-                                * free.sigma_x)
+        free = self.DEEP
+        curve = single_slit_sqm(free, 1e-3)
+        floor = free.d / free.v0 / (math.sqrt(2.0) * free.mass * free.v0
+                                    * free.sigma_x)
         assert curve.meta["closed_form_uncertainty"] == pytest.approx(
             floor, rel=1e-6)
         assert curve.uncertainty == pytest.approx(floor, rel=0.02)
 
     def test_tqm_curve_matches_closed_form(self):
-        cfg = SlitConfig(W=10.0, **self.DEEP)
-        curve = tqm_arrival_distribution(cfg.tqm_packet())
+        curve = tqm_arrival_distribution(gated_source(self.DEEP, 10.0))
         assert curve.norm == pytest.approx(1.0, abs=1e-6)
         assert curve.uncertainty == pytest.approx(
-            slit_uncertainties(cfg)[1], rel=0.02)
+            slit_uncertainties(self.DEEP, 10.0)[1], rel=0.02)
 
     def test_tqm_never_narrower_than_sqm(self):
         for W in (0.5, 2.0, 10.0, 50.0):
-            sqm, tqm = slit_uncertainties(SlitConfig(W=W, **self.DEEP))
+            sqm, tqm = slit_uncertainties(self.DEEP, W)
             assert tqm >= sqm
 
     def test_wide_gate_warns(self):
-        cfg = SlitConfig(W=0.2 * 1e4, **BASE)
         with pytest.warns(UserWarning, match="frozen-dispersion"):
-            single_slit_sqm(cfg, tau_grid=np.linspace(
+            single_slit_sqm(BASE, 0.2 * 1e4, tau_grid=np.linspace(
                 1.0, 1e5, 512))
 
 
 class TestSweep:
     def test_ratio_monotone_in_narrowing_gate(self):
-        base = SlitConfig(W=1.0, **BASE)
-        sweep = single_slit_sweep(base, [10.0, 1.0, 0.1, 0.01])
+        sweep = single_slit_sweep(BASE, [10.0, 1.0, 0.1, 0.01])
         r = sweep.ratio
         assert np.all(np.diff(r) < 0)        # W sorted ascending
         assert r[-1] == pytest.approx(1.0, abs=1e-2)
 
     def test_small_gate_scaling_exponent(self):
-        base = SlitConfig(W=1.0, **BASE)
         W = np.array([1e-4, 1e-3, 1e-2])
-        sweep = single_slit_sweep(base, W)
+        sweep = single_slit_sweep(BASE, W)
         slope = np.polyfit(np.log(W), np.log(sweep.tqm_uncertainty), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.05)
 
     def test_rows_are_ordered_and_positive(self):
-        base = SlitConfig(W=1.0, **BASE)
-        sweep = single_slit_sweep(base, [0.5, 2.0, 1.0])
+        sweep = single_slit_sweep(BASE, [0.5, 2.0, 1.0])
         rows = list(sweep.rows())
         assert [r[0] for r in rows] == [0.5, 1.0, 2.0]
         assert all(r[1] > 0 and r[2] >= r[1] for r in rows)

@@ -1,9 +1,12 @@
-"""Every name a toalab module exports is used by the package itself.
+"""Every name a toalab module exports is used by the package itself, and
+every parameter with a default is passed by some package call.
 
 A function that only tests call belongs in the tests, as an oracle.  This
 walks the syntax tree of each module under `src/toalab` and checks that
 every name in its `__all__` is loaded somewhere in the package, as a `Name`
-or an `Attribute`, outside its own definition.
+or an `Attribute`, outside its own definition.  A parameter with a default
+that no call passes, positionally or by keyword, does nothing; calls are
+matched to functions by name alone.
 """
 
 import ast
@@ -70,3 +73,82 @@ def test_export_is_reached_by_the_package(module, name):
 @pytest.mark.parametrize("name", sorted(EXEMPT))
 def test_exemption_is_still_needed(name):
     assert name not in REACHED, f"{name} is reached now; drop its exemption"
+
+
+# Defaulted parameters no package call passes, each with the reason it stays.
+UNPASSED_EXEMPT = {
+    ("kijowski_curve", "nodes"):
+        "perfbench binds it (ROADMAP direction 4)",
+    ("monte_carlo_first_arrival", "workers"):
+        "perfbench binds it (ROADMAP direction 4)",
+    ("single_slit_sqm", "tau_grid"):
+        "single_slit_sqm itself is exempt above",
+    ("main", "argv"): "the entry point; the console script passes none",
+}
+
+
+def defaulted_params(tree):
+    """(function, parameter, positional index or None) per defaulted
+    parameter; a method's index does not count `self`."""
+    methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+               for f in c.body if isinstance(f, ast.FunctionDef)
+               and not any(getattr(d, "id", None) == "staticmethod"
+                           for d in f.decorator_list)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            a = node.args
+            pos = a.posonlyargs + a.args
+            first = len(pos) - len(a.defaults)
+            shift = 1 if id(node) in methods else 0
+            for i in range(first, len(pos)):
+                yield node.name, pos[i].arg, i - shift
+            for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                if default is not None:
+                    yield node.name, arg.arg, None
+
+
+def passes(call, name, index):
+    """Whether `call` passes the parameter by keyword, by `**`, or at its
+    positional index (or through a `*` splat)."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    return index is not None and (
+        len(call.args) > index
+        or any(isinstance(x, ast.Starred) for x in call.args))
+
+
+# Every package call, keyed by the name it calls: `f(...)` or `obj.f(...)`.
+CALLS = {}
+for call in (n for tree in TREES.values() for n in ast.walk(tree)
+             if isinstance(n, ast.Call)):
+    name = getattr(call.func, "id", getattr(call.func, "attr", None))
+    CALLS.setdefault(name, []).append(call)
+
+UNPASSED = {(fn, name) for tree in TREES.values()
+            for fn, name, index in defaulted_params(tree)
+            if not any(passes(c, name, index) for c in CALLS.get(fn, ()))}
+DEFAULTED = [(mod, fn, name) for mod, tree in TREES.items()
+             for fn, name, _ in defaulted_params(tree)]
+
+
+def test_defaulted_params_found():
+    assert len(DEFAULTED) > 12
+    assert set(UNPASSED_EXEMPT) <= {(fn, n) for _, fn, n in DEFAULTED}
+
+
+@pytest.mark.parametrize(
+    "fn,name", [(fn, n) for _, fn, n in DEFAULTED
+                if (fn, n) not in UNPASSED_EXEMPT],
+    ids=[f"{m}.{fn}.{n}" for m, fn, n in DEFAULTED
+         if (fn, n) not in UNPASSED_EXEMPT])
+def test_defaulted_param_is_passed_by_the_package(fn, name):
+    assert (fn, name) not in UNPASSED, (
+        f"no package call passes {fn}({name}=...); drop the parameter")
+
+
+@pytest.mark.parametrize(
+    "fn,name", sorted(UNPASSED_EXEMPT),
+    ids=[f"{fn}.{n}" for fn, n in sorted(UNPASSED_EXEMPT)])
+def test_unpassed_exemption_is_still_needed(fn, name):
+    assert (fn, name) in UNPASSED, (
+        f"{fn}({name}=...) is passed now; drop its exemption")

@@ -107,9 +107,9 @@ def reference_byte_chunk(d: int, n_max: int, trials: int, seed: int,
                          chunk_index: int) -> tuple:
     """Oracle: the byte-table sampler with a boolean mask per 8-step column.
 
-    Same Philox draws and tables as `fp._mc_chunk`, which must match it bit
-    for bit; here hits are masked out for the histogram and the survivors
-    are selected by fancy indexing.
+    Same Philox draws and tables as `fp._mc_batch` on a batch of one chunk,
+    which must match it bit for bit; here hits are masked out for the
+    histogram and the survivors are selected by fancy indexing.
     """
     rng = np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
     counts = np.zeros(n_max + 1, dtype=np.int64)
@@ -420,9 +420,11 @@ class TestMonteCarlo:
     def test_kernel_matches_masked_byte_sampler(self, d, n_max):
         for trials in (1, 1000, MC_CHUNK):
             for chunk_index in (0, 5):
-                args = (d, n_max, trials, 31 * d + n_max, chunk_index)
-                counts, never = fp._mc_chunk(*args)
-                ref_counts, ref_never = reference_byte_chunk(*args)
+                seed = 31 * d + n_max
+                counts, never = fp._mc_batch(d, n_max, [(chunk_index, trials)],
+                                             seed)
+                ref_counts, ref_never = reference_byte_chunk(
+                    d, n_max, trials, seed, chunk_index)
                 np.testing.assert_array_equal(counts, ref_counts)
                 assert never == ref_never
 

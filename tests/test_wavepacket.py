@@ -16,6 +16,23 @@ from toalab.wavepacket import (SpacePacket, TimePacket,
 PI_QUARTER = math.pi ** -0.25
 
 
+def reference_time_amplitude(pkt, t, tau=0.0):
+    """Oracle: the coordinate-time amplitude typed out,
+    (pi sigma_t^2)^(-1/4) f^(-1/2) exp(-i E0 t
+    - (t - t0 - (E0/m) tau)^2 / (2 sigma_t^2 f) + i E0^2 tau / (2 m))
+    with f = 1 - i tau / (m sigma_t^2)."""
+    t = np.asarray(t, dtype=float)
+    f = pkt.dispersion_factor(tau)
+    norm = (math.pi * pkt.sigma_t**2) ** -0.25 / np.sqrt(f)
+    arg = (
+        -1j * pkt.E0 * t
+        - (t - pkt.t0 - (pkt.E0 / pkt.mass) * tau) ** 2
+        / (2.0 * pkt.sigma_t**2 * f)
+        + 1j * pkt.E0**2 * tau / (2.0 * pkt.mass)
+    )
+    return norm * np.exp(arg)
+
+
 def _time_logderiv(pkt, t, tau):
     f = pkt.dispersion_factor(tau)
     return -1j * pkt.E0 - (np.asarray(t, dtype=float) - pkt.t0
@@ -130,6 +147,25 @@ class TestTimePacket:
             np.testing.assert_allclose(time_amplitude(tp, t, tau),
                                        np.conj(space_amplitude(sp, t, tau)),
                                        rtol=1e-12, atol=1e-15)
+
+    def test_matches_reference_formula_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            tp = TimePacket(t0=rng.normal(0.0, 10.0), E0=rng.normal(0.0, 5.0),
+                            sigma_t=rng.uniform(0.1, 10.0),
+                            mass=rng.uniform(0.1, 5.0))
+            t = rng.normal(0.0, 20.0, 50)
+            tau = rng.uniform(-100.0, 100.0)
+            assert np.array_equal(time_amplitude(tp, t, tau),
+                                  reference_time_amplitude(tp, t, tau))
+
+    @pytest.mark.parametrize("t,tau,name", [(np.nan, 0.0, "t"),
+                                            ([0.0, np.inf], 1.0, "t"),
+                                            (0.0, np.nan, "tau")])
+    def test_non_finite_input_rejected(self, t, tau, name):
+        tp = TimePacket(t0=0.0, E0=1.0, sigma_t=1.0)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            time_amplitude(tp, t, tau)
 
     def test_norm_and_width(self):
         tp = TimePacket(t0=0.0, E0=1.0, sigma_t=2.0, mass=2.0)
