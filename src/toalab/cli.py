@@ -1,10 +1,15 @@
 """Command-line entry point.
 
-Each subcommand is a named experiment that writes a curve CSV, a summary
-JSON, and a manifest echoing the fully resolved configuration (every
-default made explicit), so identical configurations yield byte-identical
-outputs.  Parameters may come from a flat key=value config file
-(``--config``), with command-line flags taking precedence over file values.
+Each subcommand is a named experiment.  Its runner in ``RUNNERS`` takes the
+resolved parameter dict and returns ``(exit_code, summary, tables)``, where
+``tables`` maps a file suffix (``curve.csv``, ``table.csv``,
+``report.csv``) to ``(header, rows)``; it writes no file.  ``main`` alone
+writes the artifacts: the manifest echoing the fully resolved configuration
+(every default made explicit) before the run, then each table and the
+summary JSON after it, so identical configurations yield byte-identical
+outputs and a run that raises leaves only the manifest and ``error.json``.
+Parameters may come from a flat key=value config file (``--config``), with
+command-line flags taking precedence over file values.
 
 Exit codes: 0 success, 2 validation failure, 3 configuration error,
 4 numerical non-convergence.
@@ -184,29 +189,6 @@ def _write_json(path, obj) -> None:
         fh.write("\n")
 
 
-class Runner:
-    def __init__(self, experiment: str, params: dict, out_dir: str):
-        self.experiment = experiment
-        self.params = params
-        self.out_dir = out_dir
-        os.makedirs(out_dir, exist_ok=True)
-
-    def path(self, suffix: str) -> str:
-        return os.path.join(self.out_dir, f"{self.experiment}_{suffix}")
-
-    def manifest(self) -> None:
-        _write_json(self.path("manifest.json"),
-                    {"experiment": self.experiment,
-                     "parameters": self.params, "version": __version__})
-
-    def curve_csv(self, dist) -> None:
-        _write_csv(self.path("curve.csv"), ["tau", "rate"],
-                   zip(dist.taus.tolist(), dist.rates.tolist()))
-
-    def summary_json(self, obj) -> None:
-        _write_json(self.path("summary.json"), obj)
-
-
 def _space_packet(p: dict) -> SpacePacket:
     """Packet released a distance d left of the detector at the origin."""
     return SpacePacket(x0=-p["d"], p0=p["p0"], sigma_x=p["sigma-x"],
@@ -218,41 +200,40 @@ def _speed_packet(p: dict) -> SpacePacket:
     return _space_packet({**p, "p0": p["m"] * p["v0"]})
 
 
-def run_kijowski_bullet(r: Runner) -> int:
-    p = r.params
+def _curve(dist: ArrivalDistribution) -> dict:
+    """The curve.csv table of an arrival distribution."""
+    return {"curve.csv": (["tau", "rate"],
+                          zip(dist.taus.tolist(), dist.rates.tolist()))}
+
+
+def run_kijowski_bullet(p: dict) -> tuple:
     pkt = _space_packet(p)
     stats = kijowski_bullet_stats(pkt)
     grid = default_tau_grid(stats.tau_bar, stats.uncertainty, n=1201,
                             spread=10.0)
     curve = kijowski_curve(pkt, grid)
-    r.curve_csv(curve)
-    r.summary_json({"tau_bar": stats.tau_bar,
-                    "sigma_bar_tau": stats.sigma_bar_tau,
-                    "closed_form_uncertainty": stats.uncertainty,
-                    "norm": curve.norm, "mean": curve.mean,
-                    "uncertainty": curve.uncertainty,
-                    "nodes": curve.meta["nodes"],
-                    "quad_error": curve.meta["quad_error"]})
-    return EXIT_OK
+    return EXIT_OK, {"tau_bar": stats.tau_bar,
+                     "sigma_bar_tau": stats.sigma_bar_tau,
+                     "closed_form_uncertainty": stats.uncertainty,
+                     "norm": curve.norm, "mean": curve.mean,
+                     "uncertainty": curve.uncertainty,
+                     "nodes": curve.meta["nodes"],
+                     "quad_error": curve.meta["quad_error"]}, _curve(curve)
 
 
-def run_kijowski_wave(r: Runner) -> int:
-    p = r.params
+def run_kijowski_wave(p: dict) -> tuple:
     m, sp = p["m"], p["sigma-p"]
     norm, err = kijowski_wave_norm(m, sp)
-    scale = m / sp**2
-    taus = np.linspace(0.0, 50.0 * scale, 2001)
-    r.curve_csv(ArrivalDistribution(
-        taus, kijowski_wave_density_origin(m, sp, taus)))
-    r.summary_json({"norm": norm, "quad_error": err,
-                    "tau0_value": float(kijowski_wave_density_origin(m, sp,
-                                                                     0.0))})
-    return EXIT_OK if abs(norm - 0.25) < 1e-4 else EXIT_VALIDATION
+    taus = np.linspace(0.0, 50.0 * (m / sp**2), 2001)
+    curve = ArrivalDistribution(taus,
+                                kijowski_wave_density_origin(m, sp, taus))
+    code = EXIT_OK if abs(norm - 0.25) < 1e-4 else EXIT_VALIDATION
+    return code, {"norm": norm, "quad_error": err,
+                  "tau0_value": float(curve.rates[0])}, _curve(curve)
 
 
-def run_walk_validate(r: Runner) -> int:
+def run_walk_validate(p: dict) -> tuple:
     from fractions import Fraction
-    p = r.params
     d, n_max = p["d"], p["n-max"]
     if d < 1:
         raise ConfigError("walk-validate requires d >= 1")
@@ -264,89 +245,72 @@ def run_walk_validate(r: Runner) -> int:
             for n, c, defect in zip(steps, fp.first_arrival_counts(n_max, d),
                                     fp.conservation_defects(steps, d))]
     all_exact = all(row[3] for row in rows)
-    _write_csv(r.path("report.csv"),
-               ["n", "first_arrival", "survivor_plus_cumulative", "exact"],
-               rows)
-    r.summary_json({"d": d, "n_max": n_max, "all_exact": all_exact})
-    return EXIT_OK if all_exact else EXIT_VALIDATION
+    return (EXIT_OK if all_exact else EXIT_VALIDATION,
+            {"d": d, "n_max": n_max, "all_exact": all_exact},
+            {"report.csv": (["n", "first_arrival", "survivor_plus_cumulative",
+                             "exact"], rows)})
 
 
-def run_continuum(r: Runner) -> int:
-    p = r.params
+def run_continuum(p: dict) -> tuple:
     tab = discrete_continuum_experiment(d_lattice=p["d-lattice"],
                                         refinements=_parse_list(
                                             p["refinements"], int))
-    _write_csv(r.path("table.csv"),
-               ["refinement", "d_lattice", "max_rel_error",
-                "conservation_exact"],
-               zip(tab.refinements, tab.d_lattices, tab.max_rel_errors,
-                   tab.conservation_exact))
-    r.summary_json({"monotone": tab.monotone,
-                    "max_rel_errors": list(tab.max_rel_errors),
-                    "conservation_exact": list(tab.conservation_exact)})
-    return EXIT_OK if tab.monotone and all(tab.conservation_exact) \
-        else EXIT_VALIDATION
+    ok = tab.monotone and all(tab.conservation_exact)
+    return (EXIT_OK if ok else EXIT_VALIDATION,
+            {"monotone": tab.monotone,
+             "max_rel_errors": list(tab.max_rel_errors),
+             "conservation_exact": list(tab.conservation_exact)},
+            {"table.csv": (["refinement", "d_lattice", "max_rel_error",
+                            "conservation_exact"],
+                           zip(tab.refinements, tab.d_lattices,
+                               tab.max_rel_errors, tab.conservation_exact))})
 
 
-def run_sqm_detect(r: Runner) -> int:
-    p = r.params
-    pkt = _space_packet(p)
-    curve = sqm_detection_curve(pkt)
-    r.curve_csv(curve)
-    r.summary_json(curve.summary())
-    return EXIT_OK
+def run_sqm_detect(p: dict) -> tuple:
+    curve = sqm_detection_curve(_space_packet(p))
+    return EXIT_OK, curve.summary(), _curve(curve)
 
 
-def run_tqm_detect(r: Runner) -> int:
-    p = r.params
+def run_tqm_detect(p: dict) -> tuple:
     m = p["m"]
-    pkt = TqmPacket(
+    curve = tqm_arrival_distribution(TqmPacket(
         time=TimePacket(t0=0.0, E0=m, sigma_t=p["sigma-t"], mass=m),
-        space=_speed_packet(p))
-    curve = tqm_arrival_distribution(pkt)
-    r.curve_csv(curve)
-    r.summary_json(curve.summary())
-    return EXIT_OK
+        space=_speed_packet(p)))
+    return EXIT_OK, curve.summary(), _curve(curve)
 
 
-def run_slit_sweep(r: Runner) -> int:
-    p = r.params
+def run_slit_sweep(p: dict) -> tuple:
     sweep = single_slit_sweep(_speed_packet(p), _parse_list(p["W"]))
-    _write_csv(r.path("table.csv"),
-               ["W", "sqm_uncertainty", "tqm_uncertainty", "ratio"],
-               sweep.rows())
     ratio = sweep.ratio
     monotone = bool(np.all(np.diff(ratio) <= 1e-12))  # W ascending
-    r.summary_json({"W": sweep.W_values.tolist(),
-                    "ratio": ratio.tolist(),
-                    "ratio_monotone_in_1_over_W": monotone})
-    return EXIT_OK if monotone else EXIT_VALIDATION
+    return (EXIT_OK if monotone else EXIT_VALIDATION,
+            {"W": sweep.W_values.tolist(), "ratio": ratio.tolist(),
+             "ratio_monotone_in_1_over_W": monotone},
+            {"table.csv": (["W", "sqm_uncertainty", "tqm_uncertainty",
+                            "ratio"], sweep.rows())})
 
 
-def run_metric_compare(r: Runner) -> int:
-    p = r.params
-    pkt = _space_packet(p)
-    comp = metric_comparison(pkt, lam=p["lambda"])
-    _write_csv(r.path("table.csv"), ["metric", "mean", "uncertainty", "norm"],
-               comp.as_table())
-    r.summary_json({"rows": comp.rows, "consistent": comp.consistent})
-    return EXIT_OK if comp.consistent else EXIT_VALIDATION
+def run_metric_compare(p: dict) -> tuple:
+    comp = metric_comparison(_space_packet(p), lam=p["lambda"])
+    return (EXIT_OK if comp.consistent else EXIT_VALIDATION,
+            {"rows": comp.rows, "consistent": comp.consistent},
+            {"table.csv": (["metric", "mean", "uncertainty", "norm"],
+                           comp.as_table())})
 
 
-def run_laplace_check(r: Runner) -> int:
-    p = r.params
+def run_laplace_check(p: dict) -> tuple:
     rep = laplace_first_arrival_check(p["m"], p["x"], _parse_list(p["s"]))
-    r.summary_json({
+    return EXIT_OK if rep.converged else EXIT_NUMERICAL, {
         "s_values": list(rep.s_values),
         "modulus_rel_errors": list(rep.modulus_rel_errors),
         "phase_errors": list(rep.phase_errors),
         "factorization_residuals": list(rep.factorization_residuals),
-        "converged": rep.converged})
-    return EXIT_OK if rep.converged else EXIT_NUMERICAL
+        "converged": rep.converged}, {}
 
 
-def run_ms_evolve(r: Runner) -> int:
-    p = r.params
+def run_ms_evolve(p: dict) -> tuple:
+    if p["n-grid"] < 2 or p["box"] <= 0 or p["d"] <= 0:
+        raise ConfigError("ms-evolve requires n-grid >= 2, box > 0 and d > 0")
     pkt = _space_packet(p)
     x = np.linspace(-p["box"], 0.0, p["n-grid"])
     # At most pi/4 of phase per sample (8 samples per wavelength) across
@@ -359,28 +323,26 @@ def run_ms_evolve(r: Runner) -> int:
     cfg = MsConfig(lam=p["lambda"], epsilon=p["epsilon"], steps=p["steps"])
     res = marchewka_schuss_evolve(x, space_amplitude(pkt, x), cfg, m=p["m"])
     dist = res.arrival_distribution()
-    r.curve_csv(dist)
     budget = res.cumulative_detected + res.final_norm()
     summary = {"cumulative_detected": res.cumulative_detected,
                "final_norm": res.final_norm(), "budget": budget,
                "phase_per_sample": phase_per_sample}
     if res.cumulative_detected > 0:
         summary.update({"mean": dist.mean, "uncertainty": dist.uncertainty})
-    r.summary_json(summary)
-    return EXIT_OK if abs(budget - 1.0) < 1e-4 else EXIT_VALIDATION
+    code = EXIT_OK if abs(budget - 1.0) < 1e-4 else EXIT_VALIDATION
+    return code, summary, _curve(dist)
 
 
-def run_validate(r: Runner) -> int:
+def run_validate(p: dict) -> tuple:
     results = run_all()
     for res in results:
         print(res.line())
-    r.summary_json({"passed": all(res.passed for res in results),
-                    "criteria": [{"cid": res.cid, "title": res.title,
-                                  "passed": res.passed,
-                                  "observed": res.observed,
-                                  "warnings": res.warnings}
-                                 for res in results]})
-    return EXIT_OK if all(res.passed for res in results) else EXIT_VALIDATION
+    passed = all(res.passed for res in results)
+    return EXIT_OK if passed else EXIT_VALIDATION, {
+        "passed": passed,
+        "criteria": [{"cid": res.cid, "title": res.title,
+                      "passed": res.passed, "observed": res.observed,
+                      "warnings": res.warnings} for res in results]}, {}
 
 
 RUNNERS = {
@@ -454,9 +416,16 @@ def main(argv=None) -> int:
         if args.config:
             file_cfg = _read_config_file(args.config)
         params = _resolve(args.experiment, args, file_cfg)
-        runner = Runner(args.experiment, params, _output_dir(args, file_cfg))
-        runner.manifest()
-        code = RUNNERS[args.experiment](runner)
+        out_dir = _output_dir(args, file_cfg)
+        os.makedirs(out_dir, exist_ok=True)
+        prefix = os.path.join(out_dir, f"{args.experiment}_")
+        _write_json(prefix + "manifest.json",
+                    {"experiment": args.experiment, "parameters": params,
+                     "version": __version__})
+        code, summary, tables = RUNNERS[args.experiment](params)
+        for suffix, (header, rows) in tables.items():
+            _write_csv(prefix + suffix, header, rows)
+        _write_json(prefix + "summary.json", summary)
     except NumericalError as exc:
         return _fail(args, file_cfg, "numerical", exc, EXIT_NUMERICAL)
     except (ConfigError, ValueError) as exc:

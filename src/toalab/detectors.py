@@ -230,6 +230,11 @@ def kijowski_bullet_stats(pkt: SpacePacket) -> BulletDispersions:
     return disp
 
 
+def _require_wave(m: float, sigma_p: float) -> None:
+    if m <= 0 or sigma_p <= 0:
+        raise ValueError("m and sigma_p must be positive")
+
+
 def kijowski_wave_density_origin(m: float, sigma_p: float, tau) -> np.ndarray:
     """Broad-packet (d -> 0, p0 -> 0) Kijowski density at the origin.
 
@@ -239,8 +244,7 @@ def kijowski_wave_density_origin(m: float, sigma_p: float, tau) -> np.ndarray:
     content is discarded by the classical condition and the norm is the
     square of the kept fraction.
     """
-    if m <= 0 or sigma_p <= 0:
-        raise ValueError("m and sigma_p must be positive")
+    _require_wave(m, sigma_p)
     tau = np.asarray(tau, dtype=float)
     amp = (m ** 0.25 * sigma_p * math.gamma(0.75)
            / ((2.0 * math.pi) ** 0.75
@@ -257,6 +261,7 @@ def kijowski_wave_norm(m: float, sigma_p: float) -> tuple:
     exponentially.  The window v in [-40, 80] drops tails below 4e-18.
     The error is the difference of the last two trapezoid levels.
     """
+    _require_wave(m, sigma_p)
     scale = m / sigma_p**2
 
     def integrand(v):
@@ -409,15 +414,17 @@ def marchewka_schuss_evolve(x, psi0, cfg: MsConfig,
     one FFT in, the phase-power sums of `_phase_power_sums` (shared with
     `kijowski_curve`) for the per-step derivatives, one IFFT out.
 
-    `x` must be a uniform increasing grid ending exactly at 0 with the
-    initial amplitude negligible at both ends.  Aborts if any P_n > 1
-    (lam or epsilon too large).
+    `x` must be a uniform increasing grid of at least two points ending
+    exactly at 0 with the initial amplitude negligible at both ends.
+    Aborts if any P_n > 1 (lam or epsilon too large).
     """
     x = np.asarray(x, dtype=float)
     psi = np.asarray(psi0, dtype=complex)
     if x.ndim != 1 or x.shape != psi.shape:
         raise ValueError("x and psi0 must be matching 1D arrays")
     dx = np.diff(x)
+    if x.size < 2 or dx[0] <= 0:
+        raise ValueError("x must be increasing with at least two points")
     if not np.allclose(dx, dx[0], rtol=1e-10):
         raise ValueError("x must be uniformly spaced")
     if abs(x[-1]) > 1e-12 * abs(x[0]):

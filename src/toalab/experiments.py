@@ -151,7 +151,8 @@ def metric_comparison(pkt: SpacePacket,
 
     Compares the full Kijowski quadrature, the Kijowski bullet closed form,
     the probability-current curve, and the normalized first-arrival-kernel
-    curve; with `lam` given, adds a grid-free Marchewka-Schuss row.  The
+    curve; with `lam` given, adds a grid-free Marchewka-Schuss row, whose
+    mean and uncertainty are None when it detects nothing (lam = 0).  The
     first three are mutually consistent (1%) in the bullet regime
     m sigma_x^2 << tau_bar; outside it the `consistent` flag reports the
     disagreement.
@@ -201,9 +202,11 @@ def metric_comparison(pkt: SpacePacket,
             2.0 * space_amplitude_dx(pkt, 0.0, taus),
             cfg.epsilon * lam / (2.0 * math.pi * pkt.mass), 1.0)
         ms = ArrivalDistribution(taus, detected / cfg.epsilon)
+        norm = float(detected.sum())
         rows["marchewka_schuss"] = {
-            "mean": ms.mean, "uncertainty": ms.uncertainty,
-            "norm": float(detected.sum())}
+            "mean": ms.mean if norm > 0 else None,
+            "uncertainty": ms.uncertainty if norm > 0 else None,
+            "norm": norm}
     us = [rows[k]["uncertainty"] for k in
           ("kijowski_full", "kijowski_bullet", "current")]
     means = [rows[k]["mean"] for k in
@@ -247,6 +250,8 @@ def discrete_continuum_experiment(
     judged on the same region.  Errors must decrease monotonically; exact
     conservation is checked per level.
     """
+    if d_lattice < 1:
+        raise ValueError("d_lattice must be >= 1")
     refinements = tuple(int(r) for r in refinements)
     if any(r < 1 for r in refinements):
         raise ValueError("refinement factors must be >= 1")

@@ -218,6 +218,8 @@ def laplace_first_arrival_check(m: float, x: float,
     transform whose quadrature does not converge raises NumericalError
     instead of entering the report.
     """
+    if m <= 0:
+        raise ValueError("m must be positive")
     s_values = tuple(float(s) for s in s_values)
     if any(s <= 0 for s in s_values):
         raise ValueError("s_values must be positive")

@@ -103,9 +103,6 @@ class TimePacket:
     def sigma_E(self) -> float:
         return 1.0 / self.sigma_t
 
-    def dispersion_factor(self, tau) -> complex:
-        return 1.0 - 1j * np.asarray(tau) / (self.mass * self.sigma_t**2)
-
 
 def space_amplitude(pkt: SpacePacket, x, tau=0.0):
     """Freely evolved spatial amplitude phi_tau(x).

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, artifacts, config precedence,
 reproducibility."""
 
+import importlib.util
 import json
 import math
 import os
@@ -16,6 +17,29 @@ import toalab
 from toalab import cli, validation
 from toalab.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                         OUTPUT_DIR_ENV, main)
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def load_workloads():
+    """`perfbench/workloads.py`, loaded from the file as it is."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The files each subcommand writes besides its manifest.
+ARTIFACTS = load_workloads().ARTIFACTS
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which JSON does not have."""
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
 
 
 def run(tmp_path, *argv):
@@ -68,9 +92,27 @@ class TestExitCodes:
         assert "empty list" in capsys.readouterr().err
         assert not (out / f"{argv[0]}_summary.json").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["kijowski-wave", "--sigma-p", "0"],
+        ["continuum", "--d-lattice", "0"],
+        ["continuum", "--d-lattice", "-1"],
+        ["laplace-check", "--m", "0"],
+        ["laplace-check", "--m", "-1"],
+        ["ms-evolve", "--lambda", "1", "--n-grid", "1"],
+        ["ms-evolve", "--lambda", "1", "--box", "0"],
+        ["ms-evolve", "--lambda", "1", "--box", "-5"],
+        ["ms-evolve", "--lambda", "1", "--d", "0"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_unrunnable_input_is_config_error(self, tmp_path, capsys, argv):
+        code, out = run(tmp_path, *argv)
+        assert code == EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+        assert json.loads((out / "error.json").read_text())["error"]
+        assert not (out / f"{argv[0]}_summary.json").exists()
+
     def test_programming_error_is_not_numerical(self, tmp_path, monkeypatch):
         # Only NumericalError maps to exit 4; anything else propagates.
-        def broken(r):
+        def broken(p):
             raise RuntimeError("bug")
 
         monkeypatch.setitem(cli.RUNNERS, "kijowski-wave", broken)
@@ -233,6 +275,39 @@ class TestArtifacts:
             1.0, abs=1e-4)
 
 
+# Fast arguments per subcommand: ms-evolve needs its lambda.
+FILE_SET_ARGV = [[name] for name in cli.RUNNERS if name != "ms-evolve"] + [
+    ["ms-evolve", "--lambda", "1", "--steps", "400"],
+    ["metric-compare", "--lambda", "0"]]
+
+
+class TestArtifactFiles:
+    @pytest.mark.parametrize("argv", FILE_SET_ARGV,
+                             ids=lambda argv: " ".join(argv))
+    def test_writes_exactly_its_files_as_strict_json(self, tmp_path,
+                                                     monkeypatch, argv):
+        monkeypatch.setattr("toalab.cli.run_all", lambda: [
+            validation.run_criterion(cid) for cid in (1, 12)])
+        code, out = run(tmp_path, *argv)
+        assert code == EXIT_OK
+        exp = argv[0]
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            f"{exp}_{suffix}"
+            for suffix in ("manifest.json",) + ARTIFACTS[exp])
+        for path in out.glob("*.json"):
+            strict_json(path.read_text())
+
+    def test_metric_compare_without_absorption_has_null_moments(self,
+                                                                tmp_path):
+        code, out = run(tmp_path, "metric-compare", "--lambda", "0")
+        assert code == EXIT_OK
+        ms = strict_json((out / "metric-compare_summary.json").read_text())[
+            "rows"]["marchewka_schuss"]
+        assert ms == {"mean": None, "uncertainty": None, "norm": 0.0}
+        rows = (out / "metric-compare_table.csv").read_text().splitlines()
+        assert rows[-1] == "marchewka_schuss,,,0"
+
+
 class TestConfigFile:
     def test_file_values_used_and_flags_win(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -313,9 +388,9 @@ class TestWarnings:
 
     def test_runner_warnings_reach_the_caller(self, tmp_path, monkeypatch):
         # main must not reset the caller's filters around a subcommand.
-        def warns(r):
+        def warns(p):
             warnings.warn("did not converge", IntegrationWarning)
-            return EXIT_OK
+            return EXIT_OK, {}, {}
 
         monkeypatch.setitem(cli.RUNNERS, "kijowski-wave", warns)
         with warnings.catch_warnings():

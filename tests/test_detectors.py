@@ -215,6 +215,14 @@ class TestKijowskiWaveCase:
         assert norm == pytest.approx(0.25, abs=1e-15)
         assert err <= 1e-10 * norm
 
+    @pytest.mark.parametrize("m,sigma_p", [(0.0, 1.0), (1.0, 0.0),
+                                           (-1.0, 1.0)])
+    def test_nonpositive_parameters_rejected(self, m, sigma_p):
+        for fn in (lambda: kijowski_wave_norm(m, sigma_p),
+                   lambda: kijowski_wave_density_origin(m, sigma_p, 0.0)):
+            with pytest.raises(ValueError, match="must be positive"):
+                fn()
+
     def test_monotone_decay(self):
         t = np.linspace(0.0, 50.0, 201)
         rho = kijowski_wave_density_origin(1.0, 1.0, t)
@@ -544,6 +552,13 @@ class TestMarchewkaSchuss:
         x = np.linspace(-10.0, 1.0, 111)      # does not end at 0
         with pytest.raises(ValueError):
             marchewka_schuss_evolve(x, np.exp(-(x + 5) ** 2).astype(complex),
+                                    MsConfig(lam=1.0, epsilon=0.01, steps=1))
+
+    @pytest.mark.parametrize("x", [np.zeros(1), np.linspace(10.0, 0.0, 101)],
+                             ids=["one-point", "decreasing"])
+    def test_short_or_decreasing_grid_rejected(self, x):
+        with pytest.raises(ValueError, match="increasing with at least two"):
+            marchewka_schuss_evolve(x, np.exp(-(x - 5) ** 2).astype(complex),
                                     MsConfig(lam=1.0, epsilon=0.01, steps=1))
 
     def test_arrival_mean_tracks_flight_time(self):

@@ -292,3 +292,8 @@ class TestDiscreteContinuum:
     def test_invalid_refinement_rejected(self):
         with pytest.raises(ValueError):
             discrete_continuum_experiment(refinements=(0, 1))
+
+    @pytest.mark.parametrize("d_lattice", [0, -1])
+    def test_invalid_lattice_offset_rejected(self, d_lattice):
+        with pytest.raises(ValueError, match="d_lattice must be >= 1"):
+            discrete_continuum_experiment(d_lattice=d_lattice)

@@ -374,6 +374,11 @@ class TestLaplace:
         assert rep.max_modulus_error == pytest.approx(1.0 - 1.0 / 1.01,
                                                       rel=1e-9)
 
+    @pytest.mark.parametrize("m", [0.0, -1.0])
+    def test_check_rejects_nonpositive_mass(self, m):
+        with pytest.raises(ValueError, match="m must be positive"):
+            laplace_first_arrival_check(m, 1.0, (0.5,))
+
     def test_check_raises_when_quadrature_does_not_converge(self,
                                                            monkeypatch):
         # One halving cannot resolve the transform at m = 1, x = 2,

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from test_detectors import BULLET
-from test_wavepacket import max_entropy_time_packet, time_amplitude_dt2
+from test_wavepacket import (max_entropy_time_packet, time_amplitude_dt2,
+                             time_dispersion_factor)
 from toalab.detectors import (kijowski_bullet_stats, probability_current,
                               sqm_detection_curve)
 from toalab.tqm import (TqmPacket, sqm_limit_curve, tqm_arrival_distribution,
@@ -44,7 +45,7 @@ def coordinate_time_cancellation_check(pkt, tau, x=0.0,
     leaves a nonzero residual, demonstrating the test's sensitivity.
     """
     tp = pkt.time
-    f = tp.dispersion_factor(tau)
+    f = time_dispersion_factor(tp, tau)
     width = tp.sigma_t * abs(np.sqrt(f)) * math.sqrt(0.5)
     center = tp.t0 + (tp.E0 / tp.mass) * tau
     t = np.linspace(center - half_width_sigmas * width,

@@ -16,13 +16,18 @@ from toalab.wavepacket import (SpacePacket, TimePacket,
 PI_QUARTER = math.pi ** -0.25
 
 
+def time_dispersion_factor(pkt, tau):
+    """f = 1 - i tau / (m sigma_t^2) of a time packet."""
+    return 1.0 - 1j * np.asarray(tau) / (pkt.mass * pkt.sigma_t**2)
+
+
 def reference_time_amplitude(pkt, t, tau=0.0):
     """Oracle: the coordinate-time amplitude typed out,
     (pi sigma_t^2)^(-1/4) f^(-1/2) exp(-i E0 t
     - (t - t0 - (E0/m) tau)^2 / (2 sigma_t^2 f) + i E0^2 tau / (2 m))
     with f = 1 - i tau / (m sigma_t^2)."""
     t = np.asarray(t, dtype=float)
-    f = pkt.dispersion_factor(tau)
+    f = time_dispersion_factor(pkt, tau)
     norm = (math.pi * pkt.sigma_t**2) ** -0.25 / np.sqrt(f)
     arg = (
         -1j * pkt.E0 * t
@@ -34,7 +39,7 @@ def reference_time_amplitude(pkt, t, tau=0.0):
 
 
 def _time_logderiv(pkt, t, tau):
-    f = pkt.dispersion_factor(tau)
+    f = time_dispersion_factor(pkt, tau)
     return -1j * pkt.E0 - (np.asarray(t, dtype=float) - pkt.t0
                            - (pkt.E0 / pkt.mass) * tau) / (pkt.sigma_t**2 * f)
 
@@ -47,7 +52,7 @@ def time_amplitude_dt(pkt, t, tau=0.0):
 def time_amplitude_dt2(pkt, t, tau=0.0):
     """Analytic d^2/dt^2 of :func:`time_amplitude`."""
     g = _time_logderiv(pkt, t, tau)
-    f = pkt.dispersion_factor(tau)
+    f = time_dispersion_factor(pkt, tau)
     # d/dt of the log-derivative is the constant -1/(sigma_t^2 f).
     return (g**2 - 1.0 / (pkt.sigma_t**2 * f)) * time_amplitude(pkt, t, tau)
 
