@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Each subcommand is a named experiment.  Its runner in ``RUNNERS`` takes the
-resolved parameter dict and returns ``(exit_code, summary, tables)``, where
+Each subcommand is a named experiment, declared once by its parameter table
+in ``PARAMS``.  Its runner ``run_<name>`` takes the resolved parameter dict
+and returns ``(exit_code, summary, tables)``, where
 ``tables`` maps a file suffix (``curve.csv``, ``table.csv``,
 ``report.csv``) to ``(header, rows)``; it writes no file.  ``main`` alone
 writes the artifacts: the manifest echoing the fully resolved configuration
@@ -9,7 +10,9 @@ writes the artifacts: the manifest echoing the fully resolved configuration
 summary JSON after it, so identical configurations yield byte-identical
 outputs and a run that raises leaves only the manifest and ``error.json``.
 Parameters may come from a flat key=value config file (``--config``), with
-command-line flags taking precedence over file values.
+command-line flags taking precedence over file values.  A non-finite number
+is a configuration error, and a summary that JSON cannot hold (NaN or
+Infinity) is a numerical one, raised before any table is written.
 
 Exit codes: 0 success, 2 validation failure, 3 configuration error,
 4 numerical non-convergence.
@@ -49,15 +52,21 @@ OUTPUT_DIR_ENV = "TOALAB_OUTPUT_DIR"
 
 REQUIRED = object()
 
+
+def _packet(sigma_x: float, d: float, p0: float = None,
+            v0: float = None) -> dict:
+    """The flags (m, p0 or v0, sigma-x, d) of a subcommand's packet."""
+    speed = {"p0": (float, p0, "mean momentum")} if v0 is None \
+        else {"v0": (float, v0, "packet speed")}
+    return {"m": (float, 1.0, "mass"), **speed,
+            "sigma-x": (float, sigma_x, "position width"),
+            "d": (float, d, "detector distance")}
+
+
 # Per-experiment parameter tables: name -> (type, default, help).  REQUIRED
 # parameters must come from a flag or the config file.
 PARAMS = {
-    "kijowski-bullet": {
-        "m": (float, 1.0, "mass"),
-        "p0": (float, 1.0, "mean momentum"),
-        "sigma-x": (float, 10.0, "position width"),
-        "d": (float, 100.0, "detector distance"),
-    },
+    "kijowski-bullet": _packet(p0=1.0, sigma_x=10.0, d=100.0),
     "kijowski-wave": {
         "m": (float, 1.0, "mass"),
         "sigma-p": (float, 1.0, "momentum width"),
@@ -70,31 +79,17 @@ PARAMS = {
         "d-lattice": (int, 2, "base lattice offset"),
         "refinements": (str, "1,2,4,8", "comma-separated refinement factors"),
     },
-    "sqm-detect": {
-        "m": (float, 1.0, "mass"),
-        "p0": (float, 1.0, "mean momentum"),
-        "sigma-x": (float, 10.0, "position width"),
-        "d": (float, 100.0, "detector distance"),
-    },
+    "sqm-detect": _packet(p0=1.0, sigma_x=10.0, d=100.0),
     "tqm-detect": {
-        "m": (float, 1.0, "mass"),
-        "v0": (float, 0.1, "packet speed"),
-        "sigma-x": (float, 10.0, "position width"),
+        **_packet(v0=0.1, sigma_x=10.0, d=10.0),
         "sigma-t": (float, 10.0, "temporal width"),
-        "d": (float, 10.0, "detector distance"),
     },
     "slit-sweep": {
         "W": (str, "10,1,0.1,0.01", "comma-separated gate widths"),
-        "v0": (float, 0.01, "packet speed"),
-        "sigma-x": (float, 100.0, "position width"),
-        "m": (float, 1.0, "mass"),
-        "d": (float, 100.0, "detector distance"),
+        **_packet(v0=0.01, sigma_x=100.0, d=100.0),
     },
     "metric-compare": {
-        "m": (float, 1.0, "mass"),
-        "p0": (float, 10.0, "mean momentum"),
-        "sigma-x": (float, 10.0, "position width"),
-        "d": (float, 2.0e4, "detector distance"),
+        **_packet(p0=10.0, sigma_x=10.0, d=2.0e4),
         "lambda": (float, None, "absorption length (adds Marchewka-Schuss)"),
     },
     "laplace-check": {
@@ -106,10 +101,7 @@ PARAMS = {
         "lambda": (float, REQUIRED, "absorption length (no default)"),
         "epsilon": (float, 0.01, "clock-time step"),
         "steps": (int, 10000, "number of steps"),
-        "m": (float, 1.0, "mass"),
-        "p0": (float, 1.0, "mean momentum"),
-        "sigma-x": (float, 5.0, "position width"),
-        "d": (float, 25.0, "detector distance"),
+        **_packet(p0=1.0, sigma_x=5.0, d=25.0),
         "box": (float, 256.0, "half-line extent"),
         "n-grid": (int, 4097, "grid points on the half line"),
     },
@@ -144,19 +136,20 @@ def _resolve(experiment: str, args: argparse.Namespace,
     resolved = {}
     for name, (typ, default, _help) in PARAMS[experiment].items():
         dest = name.replace("-", "_")
-        flag_val = getattr(args, dest, None)
-        if flag_val is not None:
-            resolved[name] = flag_val
-        elif name in file_cfg:
+        value = getattr(args, dest, None)
+        if value is None and name in file_cfg:
             try:
-                resolved[name] = typ(file_cfg[name])
+                value = typ(file_cfg[name])
             except ValueError as exc:
                 raise ConfigError(
                     f"config value {name}={file_cfg[name]!r}: {exc}") from exc
-        elif default is REQUIRED:
-            raise ConfigError(f"missing required parameter --{name}")
-        else:
-            resolved[name] = default
+        elif value is None:
+            if default is REQUIRED:
+                raise ConfigError(f"missing required parameter --{name}")
+            value = default
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"--{name} must be finite, got {value}")
+        resolved[name] = value
     unknown = set(file_cfg) - set(PARAMS[experiment]) - {"output-dir"}
     if unknown:
         raise ConfigError(f"unknown config keys for {experiment}: "
@@ -171,6 +164,8 @@ def _parse_list(text: str, typ=float) -> list:
         raise ConfigError(f"bad {typ.__name__} list {text!r}: {exc}") from exc
     if not values:
         raise ConfigError(f"empty list {text!r}")
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"non-finite value in list {text!r}")
     return values
 
 
@@ -185,19 +180,16 @@ def _write_csv(path, header, rows) -> None:
 
 def _write_json(path, obj) -> None:
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=float)
+        json.dump(obj, fh, indent=2, sort_keys=True, default=float,
+                  allow_nan=False)
         fh.write("\n")
 
 
 def _space_packet(p: dict) -> SpacePacket:
-    """Packet released a distance d left of the detector at the origin."""
-    return SpacePacket(x0=-p["d"], p0=p["p0"], sigma_x=p["sigma-x"],
-                       mass=p["m"])
-
-
-def _speed_packet(p: dict) -> SpacePacket:
-    """`_space_packet` for the experiments that set the speed v0, not p0."""
-    return _space_packet({**p, "p0": p["m"] * p["v0"]})
+    """Packet released a distance d left of the detector at the origin,
+    with momentum p0, or m v0 for the subcommands that set the speed."""
+    p0 = p["p0"] if "p0" in p else p["m"] * p["v0"]
+    return SpacePacket(x0=-p["d"], p0=p0, sigma_x=p["sigma-x"], mass=p["m"])
 
 
 def _curve(dist: ArrivalDistribution) -> dict:
@@ -275,12 +267,12 @@ def run_tqm_detect(p: dict) -> tuple:
     m = p["m"]
     curve = tqm_arrival_distribution(TqmPacket(
         time=TimePacket(t0=0.0, E0=m, sigma_t=p["sigma-t"], mass=m),
-        space=_speed_packet(p)))
+        space=_space_packet(p)))
     return EXIT_OK, curve.summary(), _curve(curve)
 
 
 def run_slit_sweep(p: dict) -> tuple:
-    sweep = single_slit_sweep(_speed_packet(p), _parse_list(p["W"]))
+    sweep = single_slit_sweep(_space_packet(p), _parse_list(p["W"]))
     ratio = sweep.ratio
     monotone = bool(np.all(np.diff(ratio) <= 1e-12))  # W ascending
     return (EXIT_OK if monotone else EXIT_VALIDATION,
@@ -324,11 +316,12 @@ def run_ms_evolve(p: dict) -> tuple:
     res = marchewka_schuss_evolve(x, space_amplitude(pkt, x), cfg, m=p["m"])
     dist = res.arrival_distribution()
     budget = res.cumulative_detected + res.final_norm()
+    seen = res.cumulative_detected > 0
     summary = {"cumulative_detected": res.cumulative_detected,
                "final_norm": res.final_norm(), "budget": budget,
-               "phase_per_sample": phase_per_sample}
-    if res.cumulative_detected > 0:
-        summary.update({"mean": dist.mean, "uncertainty": dist.uncertainty})
+               "phase_per_sample": phase_per_sample,
+               "mean": dist.mean if seen else None,
+               "uncertainty": dist.uncertainty if seen else None}
     code = EXIT_OK if abs(budget - 1.0) < 1e-4 else EXIT_VALIDATION
     return code, summary, _curve(dist)
 
@@ -345,19 +338,8 @@ def run_validate(p: dict) -> tuple:
                       "warnings": res.warnings} for res in results]}, {}
 
 
-RUNNERS = {
-    "kijowski-bullet": run_kijowski_bullet,
-    "kijowski-wave": run_kijowski_wave,
-    "walk-validate": run_walk_validate,
-    "continuum": run_continuum,
-    "sqm-detect": run_sqm_detect,
-    "tqm-detect": run_tqm_detect,
-    "slit-sweep": run_slit_sweep,
-    "metric-compare": run_metric_compare,
-    "laplace-check": run_laplace_check,
-    "ms-evolve": run_ms_evolve,
-    "validate": run_validate,
-}
+RUNNERS = {name: globals()[f"run_{name.replace('-', '_')}"]
+           for name in PARAMS}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -423,6 +405,10 @@ def main(argv=None) -> int:
                     {"experiment": args.experiment, "parameters": params,
                      "version": __version__})
         code, summary, tables = RUNNERS[args.experiment](params)
+        try:
+            json.dumps(summary, default=float, allow_nan=False)
+        except ValueError as exc:
+            raise NumericalError(f"summary is not strict JSON: {exc}") from exc
         for suffix, (header, rows) in tables.items():
             _write_csv(prefix + suffix, header, rows)
         _write_json(prefix + "summary.json", summary)

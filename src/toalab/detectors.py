@@ -281,6 +281,13 @@ def probability_current(psi, dpsi_dx, m: float):
     return (np.conj(psi) * dpsi_dx).imag / m
 
 
+def _detector_current(pkt: SpacePacket, tau):
+    """Probability current of pkt at the detector (the origin) at clock
+    time tau, from the analytic spatial derivative of the packet."""
+    return probability_current(space_amplitude(pkt, 0.0, tau),
+                               space_amplitude_dx(pkt, 0.0, tau), pkt.mass)
+
+
 def default_tau_grid(tau_bar: float, width: float, n: int = 2048,
                      spread: float = 8.0) -> np.ndarray:
     lo = max(tau_bar - spread * width, 1e-9 * tau_bar)
@@ -292,10 +299,10 @@ def sqm_detection_curve(pkt: SpacePacket,
     """Detection-rate curve of a black-box detector at the origin, pkt.d
     downstream of the packet center.
 
-    The rate is the probability current at the detector, evaluated with the
-    analytic spatial derivative of the dispersing Gaussian.  The summary
-    metadata carries the closed forms of `BulletDispersions`: mean
-    tau_bar = d/v0 and uncertainty sigma_bar/sqrt(2).
+    The rate is the probability current at the detector,
+    `_detector_current`.  The summary metadata carries the closed forms of
+    `BulletDispersions`: mean tau_bar = d/v0 and uncertainty
+    sigma_bar/sqrt(2).
     """
     disp = _bullet_dispersions(pkt)
     tau_bar, dtau = disp.tau_bar, disp.uncertainty
@@ -309,14 +316,9 @@ def sqm_detection_curve(pkt: SpacePacket,
                 or tau_grid[-1] < hi - 1e-12 * tau_bar:
             raise ValueError("tau_grid must bracket tau_bar +/- 8 widths "
                              "(clamped at 1e-9 tau_bar)")
-    psi = space_amplitude(pkt, 0.0, tau_grid)
-    dpsi = space_amplitude_dx(pkt, 0.0, tau_grid)
-    rates = probability_current(psi, dpsi, pkt.mass)
-    return ArrivalDistribution(tau_grid, rates, meta={
-        "metric": "current",
-        "tau_bar": tau_bar,
-        "closed_form_uncertainty": dtau,
-    })
+    return ArrivalDistribution(tau_grid, _detector_current(pkt, tau_grid),
+                               meta={"metric": "current", "tau_bar": tau_bar,
+                                     "closed_form_uncertainty": dtau})
 
 
 # ---------------------------------------------------------------------------

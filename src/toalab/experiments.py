@@ -225,6 +225,9 @@ def metric_comparison(pkt: SpacePacket,
 # ---------------------------------------------------------------------------
 
 
+_MAX_LATTICE_OFFSET = 128  # largest r * d_lattice of a refinement
+
+
 @dataclass(frozen=True)
 class ConvergenceTable:
     refinements: tuple
@@ -248,13 +251,18 @@ def discrete_continuum_experiment(
     unit distance over the fixed clock-time window [tau_peak/2,
     12 tau_peak] (tau_peak = 1/3, the continuum mode), so every level is
     judged on the same region.  Errors must decrease monotonically; exact
-    conservation is checked per level.
+    conservation is checked per level.  A level walks about 4 (r d_lattice)^2
+    steps and its cost grows faster still, so offsets r d_lattice above
+    _MAX_LATTICE_OFFSET are refused with ValueError.
     """
     if d_lattice < 1:
         raise ValueError("d_lattice must be >= 1")
     refinements = tuple(int(r) for r in refinements)
     if any(r < 1 for r in refinements):
         raise ValueError("refinement factors must be >= 1")
+    if any(r * d_lattice > _MAX_LATTICE_OFFSET for r in refinements):
+        raise ValueError(f"refined lattice offsets r x d_lattice must be at "
+                         f"most {_MAX_LATTICE_OFFSET}")
     tau_peak = 1.0 / 3.0
     window = (0.5 * tau_peak, 12.0 * tau_peak)
     errs, dls, conserved = [], [], []

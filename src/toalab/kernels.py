@@ -216,7 +216,9 @@ def laplace_first_arrival_check(m: float, x: float,
     error (radians), and the factorization residual.  The
     ``converged`` flag records whether every residual beat 1e-3.  A
     transform whose quadrature does not converge raises NumericalError
-    instead of entering the report.
+    instead of entering the report, and so does an s at which the closed
+    form falls below the smallest normal float, as no relative error can
+    be formed there.
     """
     if m <= 0:
         raise ValueError("m must be positive")
@@ -225,8 +227,12 @@ def laplace_first_arrival_check(m: float, x: float,
         raise ValueError("s_values must be positive")
     mod_err, ph_err, fact = [], [], []
     for s in s_values:
-        nF = laplace_transform_first_arrival(m, x, s)
         cF = closed_form_laplace_first_arrival(m, x, s)
+        if abs(cF) < _TINY:
+            raise NumericalError(
+                f"s = {s:.3g}: the closed form exp(-sqrt(m s) |x|) = "
+                f"{abs(cF):.3g} underflows the smallest normal float")
+        nF = laplace_transform_first_arrival(m, x, s)
         mod_err.append(abs(abs(nF) - abs(cF)) / abs(cF))
         ph_err.append(abs(np.angle(nF / cF)))
         nK = laplace_transform_free(m, x, s)

@@ -27,10 +27,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .detectors import (ArrivalDistribution, BulletDispersions,
-                        _bullet_dispersions, _regime_ratios,
-                        probability_current)
-from .wavepacket import (SpacePacket, TimePacket, space_amplitude,
-                         space_amplitude_dx, time_amplitude)
+                        _bullet_dispersions, _detector_current,
+                        _regime_ratios)
+from .wavepacket import SpacePacket, TimePacket, time_amplitude
 
 __all__ = [
     "TqmPacket",
@@ -63,13 +62,6 @@ def tqm_dispersion_budget(pkt: TqmPacket) -> BulletDispersions:
                    / (pkt.mass * pkt.time.sigma_t))
 
 
-def _sqm_rate(pkt: TqmPacket, tau):
-    """SQM detection rate of the space part: current at the detector."""
-    return probability_current(space_amplitude(pkt.space, 0.0, tau),
-                               space_amplitude_dx(pkt.space, 0.0, tau),
-                               pkt.mass)
-
-
 def tqm_detection_density(pkt: TqmPacket, tau, t):
     """Detection density D_tau(t) = Dbar_tau * rho~_tau(t).
 
@@ -81,7 +73,7 @@ def tqm_detection_density(pkt: TqmPacket, tau, t):
     if pkt.space.d <= 0:
         raise ValueError("d must be > 0")
     rho_t = np.abs(time_amplitude(pkt.time, t, tau)) ** 2
-    return _sqm_rate(pkt, tau) * rho_t
+    return _detector_current(pkt.space, tau) * rho_t
 
 
 def _frozen_gaussian(pkt: TqmPacket, disp: BulletDispersions, t_grid):

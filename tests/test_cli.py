@@ -102,6 +102,10 @@ class TestExitCodes:
         ["ms-evolve", "--lambda", "1", "--box", "0"],
         ["ms-evolve", "--lambda", "1", "--box", "-5"],
         ["ms-evolve", "--lambda", "1", "--d", "0"],
+        ["laplace-check", "--s", "nan"],
+        ["slit-sweep", "--W", "1,inf"],
+        ["continuum", "--d-lattice", "1000"],
+        ["continuum", "--refinements", "1,65"],
     ], ids=lambda argv: " ".join(argv))
     def test_unrunnable_input_is_config_error(self, tmp_path, capsys, argv):
         code, out = run(tmp_path, *argv)
@@ -109,6 +113,50 @@ class TestExitCodes:
         assert "configuration error" in capsys.readouterr().err
         assert json.loads((out / "error.json").read_text())["error"]
         assert not (out / f"{argv[0]}_summary.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sqm-detect", "--p0", "nan"],
+        ["slit-sweep", "--v0", "nan"],
+        ["metric-compare", "--lambda", "nan"],
+        ["ms-evolve", "--lambda", "nan"],
+        ["ms-evolve", "--lambda", "1", "--epsilon", "nan"],
+        ["kijowski-wave", "--m", "nan"],
+        ["kijowski-wave", "--sigma-p", "inf"],
+        ["laplace-check", "--x", "nan"],
+        ["laplace-check", "--m", "inf"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_non_finite_number_is_refused_before_the_manifest(
+            self, tmp_path, capsys, argv):
+        code, out = run(tmp_path, *argv)
+        assert code == EXIT_CONFIG
+        assert "must be finite" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["error.json"]
+        assert strict_json((out / "error.json").read_text())["error"]
+
+    def test_non_finite_config_value_is_refused(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"p0 = nan\noutput_dir = {tmp_path / 'out'}\n")
+        assert main(["sqm-detect", "--config", str(cfg)]) == EXIT_CONFIG
+        assert [p.name for p in (tmp_path / "out").iterdir()] == [
+            "error.json"]
+
+    @pytest.mark.parametrize("argv", [
+        ["sqm-detect", "--d", "1e300"],
+        ["tqm-detect", "--d", "1e300"],
+        ["tqm-detect", "--sigma-t", "1e-300"],
+        ["tqm-detect", "--v0", "1e-300"],
+        ["laplace-check", "--s", "1e9"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_non_finite_result_is_numerical_error(self, tmp_path, argv):
+        with warnings.catch_warnings():
+            # Overflow in the packet arithmetic is what this refuses.
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, out = run(tmp_path, *argv)
+        assert code == EXIT_NUMERICAL
+        assert sorted(p.name for p in out.iterdir()) == [
+            "error.json", f"{argv[0]}_manifest.json"]
+        for path in out.glob("*.json"):
+            strict_json(path.read_text())
 
     def test_programming_error_is_not_numerical(self, tmp_path, monkeypatch):
         # Only NumericalError maps to exit 4; anything else propagates.
@@ -278,7 +326,9 @@ class TestArtifacts:
 # Fast arguments per subcommand: ms-evolve needs its lambda.
 FILE_SET_ARGV = [[name] for name in cli.RUNNERS if name != "ms-evolve"] + [
     ["ms-evolve", "--lambda", "1", "--steps", "400"],
-    ["metric-compare", "--lambda", "0"]]
+    ["metric-compare", "--lambda", "0"],
+    ["ms-evolve", "--lambda", "0", "--steps", "50"],
+    ["laplace-check", "--x", "10", "--s", "100"]]
 
 
 class TestArtifactFiles:
@@ -306,6 +356,80 @@ class TestArtifactFiles:
         assert ms == {"mean": None, "uncertainty": None, "norm": 0.0}
         rows = (out / "metric-compare_table.csv").read_text().splitlines()
         assert rows[-1] == "marchewka_schuss,,,0"
+
+    def test_ms_evolve_without_absorption_has_null_moments(self, tmp_path):
+        code, out = run(tmp_path, "ms-evolve", "--lambda", "0",
+                        "--steps", "50")
+        assert code == EXIT_OK
+        summary = strict_json((out / "ms-evolve_summary.json").read_text())
+        assert summary["cumulative_detected"] == 0.0
+        assert summary["mean"] is None and summary["uncertainty"] is None
+
+
+# The packet subcommands' tables as they were before `cli._packet` declared
+# the four packet flags once: the same flags, defaults and help text.
+PACKET_GOLDEN = {
+    "kijowski-bullet": {
+        "m": (float, 1.0, "mass"),
+        "p0": (float, 1.0, "mean momentum"),
+        "sigma-x": (float, 10.0, "position width"),
+        "d": (float, 100.0, "detector distance"),
+    },
+    "sqm-detect": {
+        "m": (float, 1.0, "mass"),
+        "p0": (float, 1.0, "mean momentum"),
+        "sigma-x": (float, 10.0, "position width"),
+        "d": (float, 100.0, "detector distance"),
+    },
+    "tqm-detect": {
+        "m": (float, 1.0, "mass"),
+        "v0": (float, 0.1, "packet speed"),
+        "sigma-x": (float, 10.0, "position width"),
+        "sigma-t": (float, 10.0, "temporal width"),
+        "d": (float, 10.0, "detector distance"),
+    },
+    "slit-sweep": {
+        "W": (str, "10,1,0.1,0.01", "comma-separated gate widths"),
+        "v0": (float, 0.01, "packet speed"),
+        "sigma-x": (float, 100.0, "position width"),
+        "m": (float, 1.0, "mass"),
+        "d": (float, 100.0, "detector distance"),
+    },
+    "metric-compare": {
+        "m": (float, 1.0, "mass"),
+        "p0": (float, 10.0, "mean momentum"),
+        "sigma-x": (float, 10.0, "position width"),
+        "d": (float, 2.0e4, "detector distance"),
+        "lambda": (float, None, "absorption length (adds Marchewka-Schuss)"),
+    },
+    "ms-evolve": {
+        "lambda": (float, cli.REQUIRED, "absorption length (no default)"),
+        "epsilon": (float, 0.01, "clock-time step"),
+        "steps": (int, 10000, "number of steps"),
+        "m": (float, 1.0, "mass"),
+        "p0": (float, 1.0, "mean momentum"),
+        "sigma-x": (float, 5.0, "position width"),
+        "d": (float, 25.0, "detector distance"),
+        "box": (float, 256.0, "half-line extent"),
+        "n-grid": (int, 4097, "grid points on the half line"),
+    },
+}
+
+
+class TestDeclarations:
+    @pytest.mark.parametrize("name", sorted(PACKET_GOLDEN))
+    def test_packet_subcommand_flags_are_unchanged(self, name):
+        assert cli.PARAMS[name] == PACKET_GOLDEN[name]
+
+    def test_every_subcommand_has_one_runner(self):
+        assert set(cli.RUNNERS) == set(cli.PARAMS)
+
+    @pytest.mark.parametrize("flags,p0", [({"p0": 2.0}, 2.0),
+                                          ({"v0": 0.25}, 0.75)])
+    def test_space_packet_momentum(self, flags, p0):
+        pkt = cli._space_packet({"m": 3.0, "sigma-x": 1.0, "d": 5.0,
+                                 **flags})
+        assert pkt.p0 == p0 and pkt.x0 == -5.0 and pkt.mass == 3.0
 
 
 class TestConfigFile:

@@ -11,7 +11,8 @@ import pytest
 from scipy.integrate import quad
 
 from toalab.detectors import (ArrivalDistribution, MsConfig, _MS_BLOCK,
-                              _ms_absorb, _phase_power_sums,
+                              _detector_current, _ms_absorb,
+                              _phase_power_sums,
                               default_tau_grid, kijowski_bullet_stats,
                               kijowski_curve, kijowski_wave_density_origin,
                               kijowski_wave_norm,
@@ -448,6 +449,17 @@ class TestProbabilityCurrent:
         j = probability_current(psi, space_amplitude_dx(BULLET, 0.0, tau),
                                 BULLET.mass)
         assert j == pytest.approx(BULLET.v0 * abs(psi) ** 2, rel=1e-2)
+
+    @pytest.mark.parametrize("pkt", [
+        BULLET, SpacePacket(x0=-100.0, p0=1.0, sigma_x=10.0, mass=1.0),
+        SpacePacket(x0=-25.0, p0=-0.5, sigma_x=2.0, mass=3.0)],
+        ids=["bullet", "criterion_8", "left_moving_heavy"])
+    def test_detector_current_is_the_current_at_the_origin(self, pkt):
+        tau = np.linspace(0.5, 3000.0, 97)
+        psi = space_amplitude(pkt, 0.0, tau)
+        dpsi = space_amplitude_dx(pkt, 0.0, tau)
+        np.testing.assert_array_equal(_detector_current(pkt, tau),
+                                      (np.conj(psi) * dpsi).imag / pkt.mass)
 
 
 class TestSqmDetectionCurve:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -387,6 +388,14 @@ class TestLaplace:
         monkeypatch.setattr(kernels, "_TRAPEZOID_HALVINGS", 1)
         with pytest.raises(NumericalError, match="did not converge"):
             laplace_first_arrival_check(1.0, 2.0, (0.5,))
+
+    def test_check_refuses_underflowing_closed_form(self):
+        # exp(-sqrt(m s)|x|) = exp(-31623) is 0: no relative error exists,
+        # so the check refuses before dividing by it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="s = 1e\\+09"):
+                laplace_first_arrival_check(1.0, 1.0, (0.5, 1e9))
 
     def test_factorization_report(self):
         rep = laplace_first_arrival_check(1.0, 2.0, (0.5,))
