@@ -26,6 +26,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -37,8 +38,7 @@ from .detectors import (ArrivalDistribution, MsConfig, default_tau_grid,
                         marchewka_schuss_evolve, sqm_detection_curve)
 from .experiments import (discrete_continuum_experiment, metric_comparison,
                           single_slit_sweep)
-from .kernels import (GridResolutionError, NumericalError,
-                      laplace_first_arrival_check)
+from .kernels import NumericalError, laplace_first_arrival_check
 from .tqm import TqmPacket, tqm_arrival_distribution
 from .validation import run_all
 from .wavepacket import SpacePacket, TimePacket, space_amplitude
@@ -284,20 +284,14 @@ def run_slit_sweep(p: dict) -> tuple:
 
 def run_metric_compare(p: dict) -> tuple:
     comp = metric_comparison(_space_packet(p), lam=p["lambda"])
-    return (EXIT_OK if comp.consistent else EXIT_VALIDATION,
-            {"rows": comp.rows, "consistent": comp.consistent},
+    return (EXIT_OK if comp.consistent else EXIT_VALIDATION, asdict(comp),
             {"table.csv": (["metric", "mean", "uncertainty", "norm"],
                            comp.as_table())})
 
 
 def run_laplace_check(p: dict) -> tuple:
     rep = laplace_first_arrival_check(p["m"], p["x"], _parse_list(p["s"]))
-    return EXIT_OK if rep.converged else EXIT_NUMERICAL, {
-        "s_values": list(rep.s_values),
-        "modulus_rel_errors": list(rep.modulus_rel_errors),
-        "phase_errors": list(rep.phase_errors),
-        "factorization_residuals": list(rep.factorization_residuals),
-        "converged": rep.converged}, {}
+    return EXIT_OK if rep.converged else EXIT_NUMERICAL, asdict(rep), {}
 
 
 def run_ms_evolve(p: dict) -> tuple:
@@ -309,7 +303,7 @@ def run_ms_evolve(p: dict) -> tuple:
     # the packet's momentum support |p0| + 8 sigma_p.
     phase_per_sample = (abs(pkt.p0) + 8.0 * pkt.sigma_p) * (x[1] - x[0])
     if phase_per_sample > math.pi / 4.0:
-        raise GridResolutionError(
+        raise NumericalError(
             f"ms-evolve grid under-resolves the packet: {phase_per_sample:.3g}"
             " rad per sample exceeds pi/4; raise n-grid or shrink box")
     cfg = MsConfig(lam=p["lambda"], epsilon=p["epsilon"], steps=p["steps"])

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import NumericalError, _trapezoid
-from .wavepacket import (SpacePacket, space_amplitude, space_amplitude_dx,
-                         space_momentum_amplitude)
+from .wavepacket import (SpacePacket, _require_width, space_amplitude,
+                         space_amplitude_dx, space_momentum_amplitude)
 
 __all__ = [
     "ArrivalDistribution",
@@ -87,11 +87,9 @@ class ArrivalDistribution:
         return float(math.sqrt(max(var, 0.0)))
 
     def summary(self) -> dict:
-        out = {"norm": self.norm, "mean": self.mean,
-               "uncertainty": self.uncertainty,
-               "backflow": self.has_backflow}
-        out.update(self.meta)
-        return out
+        return {"norm": self.norm, "mean": self.mean,
+                "uncertainty": self.uncertainty,
+                "backflow": self.has_backflow, **self.meta}
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +231,7 @@ def kijowski_bullet_stats(pkt: SpacePacket) -> BulletDispersions:
 def _require_wave(m: float, sigma_p: float) -> None:
     if m <= 0 or sigma_p <= 0:
         raise ValueError("m and sigma_p must be positive")
+    _require_width("sigma_p", sigma_p)
 
 
 def kijowski_wave_density_origin(m: float, sigma_p: float, tau) -> np.ndarray:
@@ -288,10 +287,19 @@ def _detector_current(pkt: SpacePacket, tau):
                                space_amplitude_dx(pkt, 0.0, tau), pkt.mass)
 
 
+def _window(lo: float, hi: float, n: int, centre: float, width: float):
+    """n points on [lo, hi]; NumericalError unless strictly increasing."""
+    grid = np.linspace(lo, hi, n)
+    if np.any(np.diff(grid) <= 0):
+        raise NumericalError(f"default window at {centre:.17g}, width "
+                             f"{width:.3g}: narrower than the float spacing")
+    return grid
+
+
 def default_tau_grid(tau_bar: float, width: float, n: int = 2048,
                      spread: float = 8.0) -> np.ndarray:
     lo = max(tau_bar - spread * width, 1e-9 * tau_bar)
-    return np.linspace(lo, tau_bar + spread * width, n)
+    return _window(lo, tau_bar + spread * width, n, tau_bar, width)
 
 
 def sqm_detection_curve(pkt: SpacePacket,
@@ -346,7 +354,6 @@ class MsResult:
     x: np.ndarray               # half-line grid, x[-1] = 0
     psi_final: np.ndarray       # corrected amplitude on x <= 0
     detected: np.ndarray        # probability absorbed at each step
-    absorb_prob: np.ndarray     # per-step P_n
     cfg: MsConfig
 
     @property
@@ -363,28 +370,16 @@ class MsResult:
                                          "lambda": self.cfg.lam})
 
 
-def ms_step_algebra(norm: float, p_absorb: float) -> tuple:
-    """One bookkeeping update: (norm, P) -> (detected mass, new norm).
-
-    detected = P * norm; survivor scaled by sqrt(1 - P) so the new norm is
-    (1 - P) * norm.  detected + new norm = norm exactly.
-    """
-    if not 0.0 <= p_absorb <= 1.0:
-        raise NumericalError(
-            f"absorption probability {p_absorb} outside [0, 1]")
-    return p_absorb * norm, (1.0 - p_absorb) * norm
-
-
-def _ms_absorb(dpsi_raw, absorb_coeff: float, norm: float) -> tuple:
+def _ms_absorb(dpsi_raw, cfg: MsConfig, m: float, norm: float) -> tuple:
     """Scalar absorption recursion over a hard-wall boundary derivative.
 
     Absorption only rescales the amplitude, so the absorbed run's boundary
     derivative at step n is the unabsorbed (hard-wall) one, `dpsi_raw[n]`,
     times the survival scale prod_(j<n) sqrt(1 - P_j).  Returns
-    (detected, absorb_prob, survival_scale); aborts if any P_n > 1.
+    (detected, survival_scale); aborts if any P_n > 1.
     """
+    absorb_coeff = cfg.epsilon * cfg.lam / (2.0 * math.pi * m)
     detected = np.zeros(len(dpsi_raw))
-    p_abs = np.zeros(len(dpsi_raw))
     survival_scale = 1.0
     for n, raw in enumerate(np.asarray(dpsi_raw).tolist()):
         P = absorb_coeff * abs(raw * survival_scale) ** 2
@@ -392,10 +387,10 @@ def _ms_absorb(dpsi_raw, absorb_coeff: float, norm: float) -> tuple:
             raise NumericalError(
                 f"absorption probability {P:.3g} > 1 at step {n}; "
                 "reduce lam or epsilon")
-        p_abs[n] = P
-        detected[n], norm = ms_step_algebra(norm, P)
+        detected[n] = P * norm
+        norm *= 1.0 - P
         survival_scale *= math.sqrt(1.0 - P)
-    return detected, p_abs, survival_scale
+    return detected, survival_scale
 
 
 def marchewka_schuss_evolve(x, psi0, cfg: MsConfig,
@@ -455,9 +450,7 @@ def marchewka_schuss_evolve(x, psi0, cfg: MsConfig,
         w, np.exp(-1j * k[j] ** 2 * cfg.epsilon / (2.0 * m)), cfg.steps)
 
     norm = float(np.trapezoid(np.abs(psi) ** 2, x))
-    detected, p_abs, survival_scale = _ms_absorb(
-        dpsi_raw, cfg.epsilon * cfg.lam / (2.0 * math.pi * m), norm)
+    detected, survival_scale = _ms_absorb(dpsi_raw, cfg, m, norm)
     final_phase = np.exp(-1j * k * k * (cfg.epsilon * cfg.steps) / (2.0 * m))
     psi_final = np.fft.ifft(spectrum * final_phase)[:n_half] * survival_scale
-    return MsResult(x=x, psi_final=psi_final, detected=detected,
-                    absorb_prob=p_abs, cfg=cfg)
+    return MsResult(x=x, psi_final=psi_final, detected=detected, cfg=cfg)

@@ -198,9 +198,8 @@ def metric_comparison(pkt: SpacePacket,
         # free Gaussian, so only the scalar absorption recursion remains.
         cfg = MsConfig(lam=lam, epsilon=stats.tau_bar / 2500.0, steps=5000)
         taus = (np.arange(cfg.steps) + 1.0) * cfg.epsilon
-        detected, _, _ = _ms_absorb(
-            2.0 * space_amplitude_dx(pkt, 0.0, taus),
-            cfg.epsilon * lam / (2.0 * math.pi * pkt.mass), 1.0)
+        detected, _ = _ms_absorb(2.0 * space_amplitude_dx(pkt, 0.0, taus),
+                                 cfg, pkt.mass, 1.0)
         ms = ArrivalDistribution(taus, detected / cfg.epsilon)
         norm = float(detected.sum())
         rows["marchewka_schuss"] = {

@@ -161,7 +161,6 @@ class FirstArrivalHistogram:
     d: int
     n_max: int
     trials: int
-    seed: int
     counts: np.ndarray        # counts[n] = first arrivals at step n
     never_arrived: int
 
@@ -293,8 +292,7 @@ def monte_carlo_first_arrival(d: int, n_max: int, trials: int, seed: int,
         counts += c
         never += nv
     return FirstArrivalHistogram(d=d, n_max=n_max, trials=trials,
-                                 seed=seed, counts=counts,
-                                 never_arrived=never)
+                                 counts=counts, never_arrived=never)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ import numpy as np
 
 __all__ = [
     "NumericalError",
-    "GridResolutionError",
     "free_kernel_space",
     "first_arrival_kernel",
     "LaplaceCheckReport",
@@ -41,10 +40,6 @@ _SQRT_MINUS_I = np.exp(-1j * math.pi / 4.0)  # principal sqrt of 1/i
 
 class NumericalError(ValueError):
     """A numerical path cannot resolve its input or left its valid range."""
-
-
-class GridResolutionError(NumericalError):
-    """Raised when a grid under-resolves the phase it samples."""
 
 
 _TRAPEZOID_START = 16     # intervals on the first level
@@ -123,7 +118,7 @@ def first_arrival_kernel(m: float, x2, x1, tau):
 # ---------------------------------------------------------------------------
 
 _LAPLACE_TAIL = 45.0  # the window ends where the integrand is e^-45 of e^-c
-_TINY = np.finfo(float).tiny  # |tau| on the window stays in normal floats
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 def _ray_transform(kernel, m: float, x: float, s: float) -> complex:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .detectors import (ArrivalDistribution, BulletDispersions,
                         _bullet_dispersions, _detector_current,
-                        _regime_ratios)
+                        _regime_ratios, _window)
 from .wavepacket import SpacePacket, TimePacket, time_amplitude
 
 __all__ = [
@@ -80,15 +80,15 @@ def _frozen_gaussian(pkt: TqmPacket, disp: BulletDispersions, t_grid):
     """Frozen arrival Gaussian rho(t) = exp(-((t - c)/S)^2) / (sqrt(pi) S).
 
     c = t0 + (E0/m) tau_bar and S = hypot((E0/m) sigma_bar, sigma_tilde).
-    A t_grid of None becomes 2048 points on c +/- 8 S; a given grid must
-    bracket that window.  Returns the grid and the density on it.
+    A t_grid of None becomes 2048 points on c +/- 8 S (`_window`); a given
+    grid must bracket that window.  Returns the grid and the density on it.
     """
     drift = pkt.time.E0 / pkt.mass
     center = pkt.time.t0 + drift * disp.tau_bar
     width = math.hypot(drift * disp.sigma_bar_tau, disp.sigma_tilde_tau)
     span = 8.0 * width
     if t_grid is None:
-        t_grid = np.linspace(center - span, center + span, 2048)
+        t_grid = _window(center - span, center + span, 2048, center, width)
     else:
         t_grid = np.asarray(t_grid, dtype=float)
         if t_grid[0] > center - span or t_grid[-1] < center + span:

@@ -154,7 +154,7 @@ def criterion_3():
     the free-walk counts at every n <= 16, its cumulative sum the survivors
     for every d <= 8, and the drop in survivors from step n - 1 to n the
     first arrivals.  Each count over 2^16 must equal the library's exact
-    Fraction.
+    Fraction; a first-arrival count also `first_arrival_counts`, scaled.
     """
     n_top = 16
     denom = 1 << n_top
@@ -165,9 +165,10 @@ def criterion_3():
             if fp.walk_probability(n, m) != \
                     Fraction(free[n][m + n_top], denom):
                 mismatches += 1
-    # Survivors and first arrivals for every d <= 8, n <= 16; survivor
-    # site m is m + d sites from the start.
+    # Survivors and first arrivals (both routes) for every d <= 8, n <= 16;
+    # survivor site m is m + d sites from the start.
     for d in range(1, 9):
+        counts = fp.first_arrival_counts(n_top, d)
         for n in range(n_top + 1):
             row = alive[n][d]
             for m in range(-n - d, 0):
@@ -178,6 +179,7 @@ def criterion_3():
             if fp.first_arrival_probability(n, d) != \
                     Fraction(count_first, denom):
                 mismatches += 1
+            mismatches += counts[n] << (n_top - n) != count_first
     # Exact conservation for d <= 10 at n = 0, 50, ..., 200.
     conserved = not any(any(fp.conservation_defects(range(0, 201, 50), d))
                         for d in range(1, 11))

@@ -17,6 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .kernels import _TINY
+
 __all__ = [
     "SpacePacket",
     "TimePacket",
@@ -32,6 +34,23 @@ __all__ = [
 def _require_finite(name: str, value) -> None:
     if not np.all(np.isfinite(value)):
         raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _require_width(name: str, w: float) -> None:
+    """w > 0, with w^2 and 1/w^2 both normal floats."""
+    if w <= 0:
+        raise ValueError(f"{name} must be positive, got {w}")
+    if not _TINY <= w * w <= 1.0 / _TINY:
+        raise ValueError(f"{name} = {w:.6g}: its square or inverse square "
+                         "leaves the normal float range")
+
+
+def _require_packet(pkt, width_name: str) -> None:
+    for name, value in vars(pkt).items():
+        _require_finite(name, value)
+    _require_width(width_name, getattr(pkt, width_name))
+    if pkt.mass <= 0:
+        raise ValueError(f"mass must be positive, got {pkt.mass}")
 
 
 @dataclass(frozen=True)
@@ -53,12 +72,7 @@ class SpacePacket:
     mass: float = 1.0
 
     def __post_init__(self):
-        for name in ("x0", "p0", "sigma_x", "mass"):
-            _require_finite(name, getattr(self, name))
-        if self.sigma_x <= 0:
-            raise ValueError(f"sigma_x must be positive, got {self.sigma_x}")
-        if self.mass <= 0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
+        _require_packet(self, "sigma_x")
 
     @property
     def sigma_p(self) -> float:
@@ -92,12 +106,7 @@ class TimePacket:
     mass: float = 1.0
 
     def __post_init__(self):
-        for name in ("t0", "E0", "sigma_t", "mass"):
-            _require_finite(name, getattr(self, name))
-        if self.sigma_t <= 0:
-            raise ValueError(f"sigma_t must be positive, got {self.sigma_t}")
-        if self.mass <= 0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
+        _require_packet(self, "sigma_t")
 
     @property
     def sigma_E(self) -> float:

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,8 @@ import toalab
 from toalab import cli, validation
 from toalab.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                         OUTPUT_DIR_ENV, main)
+from toalab.experiments import MetricComparison
+from toalab.kernels import LaplaceCheckReport
 
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -106,6 +109,14 @@ class TestExitCodes:
         ["slit-sweep", "--W", "1,inf"],
         ["continuum", "--d-lattice", "1000"],
         ["continuum", "--refinements", "1,65"],
+        # Widths whose square or inverse square leaves the normal floats.
+        ["kijowski-wave", "--sigma-p", "1e-200"],
+        ["kijowski-wave", "--sigma-p", "1e200"],
+        ["sqm-detect", "--sigma-x", "1e-300"],
+        ["sqm-detect", "--sigma-x", "1e200"],
+        ["kijowski-bullet", "--sigma-x", "1e-300"],
+        ["tqm-detect", "--sigma-t", "1e-300"],
+        ["slit-sweep", "--W", "1e-310"],
     ], ids=lambda argv: " ".join(argv))
     def test_unrunnable_input_is_config_error(self, tmp_path, capsys, argv):
         code, out = run(tmp_path, *argv)
@@ -113,6 +124,7 @@ class TestExitCodes:
         assert "configuration error" in capsys.readouterr().err
         assert json.loads((out / "error.json").read_text())["error"]
         assert not (out / f"{argv[0]}_summary.json").exists()
+        assert not list(out.glob("*.csv"))
 
     @pytest.mark.parametrize("argv", [
         ["sqm-detect", "--p0", "nan"],
@@ -143,9 +155,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["sqm-detect", "--d", "1e300"],
         ["tqm-detect", "--d", "1e300"],
-        ["tqm-detect", "--sigma-t", "1e-300"],
         ["tqm-detect", "--v0", "1e-300"],
         ["laplace-check", "--s", "1e9"],
+        # A default window narrower than the float spacing at its centre.
+        ["sqm-detect", "--sigma-x", "1e14"],
+        ["kijowski-bullet", "--sigma-x", "1e150"],
+        ["metric-compare", "--sigma-x", "1e150"],
+        ["tqm-detect", "--sigma-x", "1e20", "--sigma-t", "1e20"],
     ], ids=lambda argv: " ".join(argv))
     def test_non_finite_result_is_numerical_error(self, tmp_path, argv):
         with warnings.catch_warnings():
@@ -356,6 +372,20 @@ class TestArtifactFiles:
         assert ms == {"mean": None, "uncertainty": None, "norm": 0.0}
         rows = (out / "metric-compare_table.csv").read_text().splitlines()
         assert rows[-1] == "marchewka_schuss,,,0"
+
+    @pytest.mark.parametrize("argv,record,keys", [
+        (["laplace-check", "--x", "10", "--s", "100"], LaplaceCheckReport,
+         {"s_values", "modulus_rel_errors", "phase_errors",
+          "factorization_residuals", "converged"}),
+        (["metric-compare", "--lambda", "0"], MetricComparison,
+         {"rows", "consistent"}),
+    ], ids=["laplace-check", "metric-compare"])
+    def test_summary_keys_are_the_record_fields(self, tmp_path, argv, record,
+                                                keys):
+        code, out = run(tmp_path, *argv)
+        assert code == EXIT_OK
+        summary = strict_json((out / f"{argv[0]}_summary.json").read_text())
+        assert set(summary) == {f.name for f in fields(record)} == keys
 
     def test_ms_evolve_without_absorption_has_null_moments(self, tmp_path):
         code, out = run(tmp_path, "ms-evolve", "--lambda", "0",

@@ -16,7 +16,7 @@ from toalab.detectors import (ArrivalDistribution, MsConfig, _MS_BLOCK,
                               default_tau_grid, kijowski_bullet_stats,
                               kijowski_curve, kijowski_wave_density_origin,
                               kijowski_wave_norm,
-                              marchewka_schuss_evolve, ms_step_algebra,
+                              marchewka_schuss_evolve,
                               probability_current, sqm_detection_curve)
 from toalab.kernels import NumericalError
 from toalab.validation import _kijowski_exact_moments
@@ -139,7 +139,7 @@ def cli_grid(pkt):
 def reference_ms_evolve(x, psi0, cfg, m=1.0):
     """Per-step FFT/IFFT Marchewka-Schuss stepper, kept as the oracle for the
     spectral recurrence: propagate the odd image one step, difference at 0,
-    absorb.  Returns (detected, absorb_prob, psi_final)."""
+    absorb.  Returns (detected, psi_final)."""
     h = x[1] - x[0]
     n_half = x.size
     n_full = 2 * (n_half - 1)
@@ -151,17 +151,16 @@ def reference_ms_evolve(x, psi0, cfg, m=1.0):
     step_phase = np.exp(-1j * k * k * cfg.epsilon / (2.0 * m))
     absorb_coeff = cfg.epsilon * cfg.lam / (2.0 * math.pi * m)
     detected = np.zeros(cfg.steps)
-    p_abs = np.zeros(cfg.steps)
     norm = float(np.trapezoid(np.abs(psi0) ** 2, x))
     survival_scale = 1.0
     for n in range(cfg.steps):
         full = np.fft.ifft(step_phase * np.fft.fft(full))
         dpsi0 = (full[i0 + 1] - full[i0 - 1]) / (2.0 * h) * survival_scale
         P = absorb_coeff * abs(dpsi0) ** 2
-        p_abs[n] = P
-        detected[n], norm = ms_step_algebra(norm, P)
+        detected[n] = P * norm
+        norm *= 1.0 - P
         survival_scale *= math.sqrt(1.0 - P)
-    return detected, p_abs, full[:n_half] * survival_scale
+    return detected, full[:n_half] * survival_scale
 
 
 class TestArrivalDistribution:
@@ -222,6 +221,13 @@ class TestKijowskiWaveCase:
         for fn in (lambda: kijowski_wave_norm(m, sigma_p),
                    lambda: kijowski_wave_density_origin(m, sigma_p, 0.0)):
             with pytest.raises(ValueError, match="must be positive"):
+                fn()
+
+    @pytest.mark.parametrize("sigma_p", [1e-200, 1e200])
+    def test_width_whose_square_leaves_the_floats_rejected(self, sigma_p):
+        for fn in (lambda: kijowski_wave_norm(1.0, sigma_p),
+                   lambda: kijowski_wave_density_origin(1.0, sigma_p, 0.0)):
+            with pytest.raises(ValueError, match="normal float range"):
                 fn()
 
     def test_monotone_decay(self):
@@ -480,19 +486,27 @@ class TestSqmDetectionCurve:
             sqm_detection_curve(SpacePacket(x0=-10.0, p0=-1.0, sigma_x=1,
                                             mass=1))
 
+    def test_window_below_float_spacing_is_numerical_error(self):
+        # Width 7e-13 at tau_bar = 100: 2048 points on 16 widths cannot
+        # step past the float spacing 1.4e-14 there.
+        wide = SpacePacket(x0=-100.0, p0=1.0, sigma_x=1e14)
+        with pytest.raises(NumericalError, match="window at 100, width"):
+            sqm_detection_curve(wide)
+        with pytest.raises(NumericalError, match="float spacing"):
+            default_tau_grid(100.0, 1e-15)
+
+    def test_user_grid_keeps_its_value_error(self):
+        with pytest.raises(ValueError, match="strictly increasing") as info:
+            sqm_detection_curve(BULLET, np.r_[0.0, 0.0, 5000.0])
+        assert not isinstance(info.value, NumericalError)
+
 
 class TestMarchewkaSchuss:
-    def test_step_algebra_is_exactly_conservative(self):
-        detected, norm = ms_step_algebra(0.8, 0.25)
-        assert detected == pytest.approx(0.2, abs=1e-15)
-        assert norm == pytest.approx(0.6, abs=1e-15)
-        assert detected + norm == pytest.approx(0.8, abs=1e-15)
-
     def test_step_algebra_rejects_bad_probability(self):
-        with pytest.raises(ValueError):
-            ms_step_algebra(1.0, 1.5)
-        with pytest.raises(NumericalError):
-            ms_step_algebra(1.0, -0.1)
+        # P_0 = (epsilon lam / 2 pi) |2|^2 = 1.5 > 1 at unit norm.
+        cfg = MsConfig(lam=1.5 * math.pi / 2.0, epsilon=1.0, steps=1)
+        with pytest.raises(NumericalError, match="> 1 at step 0"):
+            _ms_absorb(np.array([2.0]), cfg, 1.0, 1.0)
 
     @staticmethod
     def _setup(L=64.0, n=1025, d=16.0, sigma=2.0, p0=1.0):
@@ -513,9 +527,9 @@ class TestMarchewkaSchuss:
     def test_spectral_recurrence_matches_per_step_stepper(self):
         x, psi0 = self._setup()
         cfg = MsConfig(lam=1.0, epsilon=0.02, steps=1200)
-        detected, p_abs, psi_final = reference_ms_evolve(x, psi0, cfg)
+        detected, psi_final = reference_ms_evolve(x, psi0, cfg)
         res = marchewka_schuss_evolve(x, psi0, cfg)
-        assert np.max(np.abs(res.absorb_prob - p_abs)) <= 1e-13
+        assert np.max(np.abs(res.detected - detected)) <= 1e-13
         assert np.max(np.abs(res.psi_final - psi_final)) <= 1e-11
         assert res.cumulative_detected == pytest.approx(detected.sum(),
                                                         abs=1e-12)
@@ -540,10 +554,10 @@ class TestMarchewkaSchuss:
         res = marchewka_schuss_evolve(x, psi0, cfg)
         pkt = SpacePacket(x0=-16.0, p0=1.0, sigma_x=2.0, mass=1.0)
         taus = (np.arange(cfg.steps) + 1.0) * cfg.epsilon
-        _, p_abs, _ = _ms_absorb(2.0 * space_amplitude_dx(pkt, 0.0, taus),
-                                 cfg.epsilon / (2.0 * math.pi), 1.0)
-        assert np.max(np.abs(res.absorb_prob - p_abs)) \
-            <= 5e-3 * np.max(p_abs)
+        detected, _ = _ms_absorb(2.0 * space_amplitude_dx(pkt, 0.0, taus),
+                                 cfg, pkt.mass, 1.0)
+        assert np.max(np.abs(res.detected - detected)) \
+            <= 5e-3 * np.max(detected)
 
     def test_probability_budget_closes(self):
         x, psi0 = self._setup()

@@ -1,12 +1,14 @@
-"""Every name a toalab module exports is used by the package itself, and
-every parameter with a default is passed by some package call.
+"""Every name a toalab module exports is used by the package itself, every
+class member is read by it, and every parameter with a default is passed by
+some package call.
 
 A function that only tests call belongs in the tests, as an oracle.  This
 walks the syntax tree of each module under `src/toalab` and checks that
 every name in its `__all__` is loaded somewhere in the package, as a `Name`
-or an `Attribute`, outside its own definition.  A parameter with a default
-that no call passes, positionally or by keyword, does nothing; calls are
-matched to functions by name alone.
+or an `Attribute`, outside its own definition.  A class's fields, methods
+and properties must each be loaded as an `Attribute`; members are matched
+by name alone.  A parameter with a default that no call passes, positionally
+or by keyword, does nothing; calls are matched to functions by name alone.
 """
 
 import ast
@@ -35,21 +37,23 @@ def exports(tree):
 
 
 def loads(node, enclosing=()):
-    """(name, enclosing definition names) for each load under `node`."""
+    """(name, enclosing definition names, whether an attribute) for each
+    load under `node`."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         enclosing += (node.name,)
     if isinstance(getattr(node, "ctx", None), ast.Load):
         if isinstance(node, ast.Name):
-            yield node.id, enclosing
+            yield node.id, enclosing, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr, enclosing
+            yield node.attr, enclosing, True
     for child in ast.iter_child_nodes(node):
         yield from loads(child, enclosing)
 
 
+LOADS = [(name, attr) for tree in TREES.values()
+         for name, enclosing, attr in loads(tree) if name not in enclosing]
 # Every name the package loads outside a definition of that same name.
-REACHED = {name for tree in TREES.values()
-           for name, enclosing in loads(tree) if name not in enclosing}
+REACHED = {name for name, _ in LOADS}
 
 
 EXPORTS = [(mod, name) for mod, tree in TREES.items()
@@ -73,6 +77,75 @@ def test_export_is_reached_by_the_package(module, name):
 @pytest.mark.parametrize("name", sorted(EXEMPT))
 def test_exemption_is_still_needed(name):
     assert name not in REACHED, f"{name} is reached now; drop its exemption"
+
+
+# Class members no package code reads, each with the reason it stays.
+MEMBER_EXEMPT = {
+    ("_Parser", "error"): "argparse calls it",
+}
+
+
+def members(tree):
+    """(class, member) per annotated field, method and property of each
+    class; dunder methods are the language's to call."""
+    for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign):
+                yield cls.name, node.target.id
+            elif (isinstance(node, ast.FunctionDef)
+                  and not node.name.startswith("__")):
+                yield cls.name, node.name
+
+
+def asdict_classes(tree):
+    """Classes whose instances a function passes whole to `asdict`, which
+    reads every field: `asdict(x)` after `x = f(...)`, the class taken
+    from f's return annotation."""
+    returns = {f.name: ast.unparse(f.returns) for t in TREES.values()
+               for f in ast.walk(t)
+               if isinstance(f, ast.FunctionDef) and f.returns is not None}
+    for fn in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+        bound = {a.targets[0].id: getattr(a.value.func, "id", None)
+                 for a in ast.walk(fn) if isinstance(a, ast.Assign)
+                 and isinstance(a.targets[0], ast.Name)
+                 and isinstance(a.value, ast.Call)}
+        for call in ast.walk(fn):
+            if (isinstance(call, ast.Call)
+                    and getattr(call.func, "id", None) == "asdict"
+                    and isinstance(call.args[0], ast.Name)):
+                yield returns.get(bound.get(call.args[0].id))
+
+
+ATTRIBUTES_READ = {name for name, attr in LOADS if attr}
+WHOLE = {cls for tree in TREES.values() for cls in asdict_classes(tree)}
+MEMBERS = [(mod, cls, name) for mod, tree in TREES.items()
+           for cls, name in members(tree)]
+UNREAD = {(cls, name) for _, cls, name in MEMBERS
+          if name not in ATTRIBUTES_READ and cls not in WHOLE}
+
+
+def test_members_found():
+    assert len(MEMBERS) > 50
+    assert {"LaplaceCheckReport", "MetricComparison"} <= WHOLE
+    assert set(MEMBER_EXEMPT) <= {(cls, n) for _, cls, n in MEMBERS}
+
+
+@pytest.mark.parametrize(
+    "cls,name", [(cls, n) for _, cls, n in MEMBERS
+                 if (cls, n) not in MEMBER_EXEMPT],
+    ids=[f"{m}.{cls}.{n}" for m, cls, n in MEMBERS
+         if (cls, n) not in MEMBER_EXEMPT])
+def test_member_is_read_by_the_package(cls, name):
+    assert (cls, name) not in UNREAD, (
+        f"no package code reads {cls}.{name}; drop it")
+
+
+@pytest.mark.parametrize(
+    "cls,name", sorted(MEMBER_EXEMPT),
+    ids=[f"{cls}.{n}" for cls, n in sorted(MEMBER_EXEMPT)])
+def test_member_exemption_is_still_needed(cls, name):
+    assert (cls, name) in UNREAD, (
+        f"{cls}.{name} is read now; drop its exemption")
 
 
 # Defaulted parameters no package call passes, each with the reason it stays.

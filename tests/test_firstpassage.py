@@ -138,7 +138,7 @@ def reference_monte_carlo(d: int, n_max: int, trials: int, seed: int,
         c, nv = chunk(d, n_max, min(MC_CHUNK, trials - start), seed, i)
         counts += c
         never += nv
-    return FirstArrivalHistogram(d=d, n_max=n_max, trials=trials, seed=seed,
+    return FirstArrivalHistogram(d=d, n_max=n_max, trials=trials,
                                  counts=counts, never_arrived=never)
 
 
@@ -524,6 +524,17 @@ class TestEnumeration:
             fp, "first_arrival_probability",
             lambda n, d: exact(n, d)
             + (Fraction(1, 2**16) if (n, d) == (12, 4) else 0))
+        result = validation.criterion_3()
+        assert not result.passed
+        assert result.observed["enumeration_mismatches"] == 1
+
+    def test_criterion_3_catches_a_wrong_first_arrival_count(self,
+                                                             monkeypatch):
+        exact = fp.first_arrival_counts
+        monkeypatch.setattr(
+            fp, "first_arrival_counts",
+            lambda n_max, d: [c + (n == 12 and d == 4)
+                              for n, c in enumerate(exact(n_max, d))])
         result = validation.criterion_3()
         assert not result.passed
         assert result.observed["enumeration_mismatches"] == 1

@@ -11,6 +11,7 @@ from test_wavepacket import (max_entropy_time_packet, time_amplitude_dt2,
                              time_dispersion_factor)
 from toalab.detectors import (kijowski_bullet_stats, probability_current,
                               sqm_detection_curve)
+from toalab.kernels import NumericalError
 from toalab.tqm import (TqmPacket, sqm_limit_curve, tqm_arrival_distribution,
                         tqm_detection_density, tqm_dispersion_budget)
 from toalab.validation import criterion_10
@@ -204,6 +205,11 @@ class TestArrivalDistribution:
         with pytest.raises(ValueError, match="bracket"):
             tqm_arrival_distribution(pkt,
                                      t_grid=np.linspace(90.0, 110.0, 64))
+
+    def test_window_below_float_spacing_is_numerical_error(self):
+        pkt = make_packet(sigma_t=1e20, sigma_x=1e20)
+        with pytest.raises(NumericalError, match="window at 100, width"):
+            tqm_arrival_distribution(pkt)
 
     def test_captured_norm_reported(self):
         curve = tqm_arrival_distribution(make_packet())

@@ -141,6 +141,19 @@ class TestSpacePacket:
         with pytest.raises(ValueError):
             SpacePacket(x0=0.0, p0=1.0, sigma_x=1.0, mass=0.0)
 
+    @pytest.mark.parametrize("width", [1e-155, 1e-200, 1e155, 1e200])
+    def test_width_whose_square_leaves_the_floats_rejected(self, width):
+        # w^2 or 1/w^2 would underflow the normal floats, or overflow them.
+        for make in (lambda: SpacePacket(0.0, 1.0, width),
+                     lambda: TimePacket(0.0, 1.0, width)):
+            with pytest.raises(ValueError, match="normal float range"):
+                make()
+
+    @pytest.mark.parametrize("width", [1e-150, 1e150])
+    def test_width_within_the_floats_accepted(self, width):
+        assert SpacePacket(0.0, 1.0, width).sigma_p == 1.0 / width
+        assert TimePacket(0.0, 1.0, width).sigma_E == 1.0 / width
+
 
 class TestTimePacket:
     def test_mirrors_space_amplitude_under_conjugation(self):
