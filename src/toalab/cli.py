@@ -170,12 +170,12 @@ def _parse_list(text: str, typ=float) -> list:
 
 
 def _write_csv(path, header, rows) -> None:
+    """The header, then every row with each float written as .17g."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow([format(v, ".17g") if isinstance(v, float) else v
-                        for v in row])
+        w.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row]
+                    for row in rows)
 
 
 def _write_json(path, obj) -> None:

@@ -97,25 +97,68 @@ class ArrivalDistribution:
 # ---------------------------------------------------------------------------
 
 
-_MS_BLOCK = 32  # powers per block of _phase_power_sums (32 x len(z) values)
+_SPREAD = 16   # Gaussian half-width of _phase_power_sums, in grid points
+_CHUNK = 512   # nodes spread at once: 2 _SPREAD x _CHUNK values per temporary
 
 
-def _phase_power_sums(w, z, steps: int) -> np.ndarray:
-    """A_n = sum_j w_j z_j^n for n = 1..steps.
+def _phase_power_sums(w, theta, steps: int) -> np.ndarray:
+    """A_n = sum_j w_j e^(-i n theta_j) for n = 1..steps, by one FFT.
 
-    Blocks of _MS_BLOCK cumulative powers z^1..z^b each give b sums as one
-    mat-vec; the weights then advance by z^b.  Memory is _MS_BLOCK x len(z)
-    whatever the number of steps.
+    A_n is a nonuniform DFT at integer modes, evaluated by Gaussian gridding
+    (Greengard & Lee, SIAM Rev. 46, 443 (2004)).  With x_j = theta_j mod
+    2 pi and n = c + k, c = (steps + 1) // 2, the weights v_j =
+    w_j e^(-i c x_j) leave the centred modes |k| <= steps/2 <= M/2.  Each
+    v_j is spread onto a periodic grid of 2M points, spacing h = pi/M, by
+    the periodic Gaussian exp(-(x - x_j)^2 / 4 tau) truncated at
+    S = _SPREAD points on each side.  One FFT of the grid gives its Fourier
+    coefficients, and dividing by the Gaussian's transform,
+    e^(k^2 tau) sqrt(pi/tau) / 2M, leaves sum_j v_j e^(-i k x_j) = A_n.
+
+    2M is the least power of two times 1, 3 or 5 with M >= max(steps, 2S),
+    and tau = pi S / (M^2 R (R - 1/2)) at the oversampling ratio R = 2.
+    Then the Gaussian is e^(-3 pi S/4) down at the truncation, and the
+    aliased transform is e^(-2 pi S/3) down after the division, so the
+    error is about e^(-2 pi S/3) sum_j |w_j| (3e-15 of it at S = 16) plus
+    a phase rounding of order |k| ulp(x_j) per term.  The cost is
+    O(2S len(theta) + M log M), against O(len(theta) steps) for the
+    powers, and no temporary holds more than 2S x _CHUNK values besides
+    the grid.
     """
-    w = np.array(w, dtype=complex)
-    block = max(1, min(_MS_BLOCK, steps))
-    powers = np.cumprod(np.broadcast_to(z, (block, len(z))), axis=0)
-    sums = np.empty(steps, dtype=complex)
-    for s in range(0, steps, block):
-        b = min(block, steps - s)
-        sums[s:s + b] = powers[:b] @ w
-        w *= powers[b - 1]
-    return sums
+    w = np.asarray(w, dtype=complex)
+    theta = np.asarray(theta, dtype=float)
+    need = 2 * max(steps, 2 * _SPREAD)
+    size = min(f << (-(-need // f) - 1).bit_length() for f in (1, 3, 5))
+    tau = 4.0 * math.pi * _SPREAD / (3.0 * size * size)
+    c = (steps + 1) // 2
+    offsets = np.arange(1 - _SPREAD, _SPREAD + 1)
+    # The grid with _SPREAD points before it and _SPREAD + 1 after, so no
+    # index wraps while spreading; the pads then fold onto its far ends.
+    padded = np.zeros(size + 2 * _SPREAD + 1, dtype=complex)
+    for s in range(0, w.size, _CHUNK):
+        t = theta[s:s + _CHUNK]
+        x = np.mod(t, 2.0 * math.pi)
+        # fmod by the float 2 pi is exact; take off the quotient times its
+        # shortfall from 2 pi, 2.449e-16, or e^(-i k x) drifts with theta.
+        x -= (t - x) * (2.4492935982947064e-16 / (2.0 * math.pi))
+        v = w[s:s + _CHUNK] * np.exp(-1j * c * x)
+        u = x * (size / (2.0 * math.pi))          # in grid spacings
+        base = np.floor(u)
+        # exp(-(distance)^2 / 4 tau) with the distance in grid spacings:
+        # h^2 / 4 tau = 3 pi / 4S.
+        g = np.exp((-0.75 * math.pi / _SPREAD)
+                   * ((u - base)[:, None] - offsets) ** 2)
+        # base is in [-1, size]: x may sit a rounding below 0 or at 2 pi.
+        idx = (base.astype(np.intp)[:, None] + (offsets + _SPREAD)).ravel()
+        padded.real += np.bincount(idx, (g * v.real[:, None]).ravel(),
+                                   padded.size)
+        padded.imag += np.bincount(idx, (g * v.imag[:, None]).ravel(),
+                                   padded.size)
+    grid = padded[_SPREAD:_SPREAD + size]
+    grid[size - _SPREAD:] += padded[:_SPREAD]
+    grid[:_SPREAD + 1] += padded[_SPREAD + size:]
+    k = np.arange(1 - c, steps + 1 - c)
+    return np.fft.fft(grid)[k] * (
+        np.exp(tau * k * k) * (math.sqrt(math.pi / tau) / size))
 
 
 # ---------------------------------------------------------------------------
@@ -133,11 +176,12 @@ def kijowski_curve(pkt: SpacePacket, taus,
     lower end clamped at 0) converges exponentially, for all taus at once,
     to 1e-10 of the largest amplitude, or raises NumericalError.  On a
     uniform grid tau_k = tau_0 + k dtau a level's node sum is
-    sum_j b_j z_j^k, z_j = exp(-i dtau p_j^2/2m), which `_phase_power_sums`
-    forms without a tau x nodes matrix.  `taus` must be uniformly spaced
-    (ValueError otherwise); one point or none is allowed.  `nodes` is
-    ignored.  The meta holds the intervals used (`nodes`) and the max-norm
-    difference of the last two levels (`quad_error`).
+    sum_j b_j e^(-i k theta_j), theta_j = dtau p_j^2/2m, which
+    `_phase_power_sums` forms by one FFT without a tau x nodes matrix.
+    `taus` must be uniformly spaced (ValueError otherwise); one point or
+    none is allowed.  `nodes` is ignored.  The meta holds the intervals
+    used (`nodes`) and the max-norm difference of the last two levels
+    (`quad_error`).
     """
     taus = np.asarray(taus, dtype=float)
     dtau = 0.0
@@ -146,7 +190,7 @@ def kijowski_curve(pkt: SpacePacket, taus,
         if not np.allclose(step, step[0], rtol=1e-10):
             raise ValueError("taus must be uniformly spaced")
         dtau = (taus[-1] - taus[0]) / (taus.size - 1)
-    # The sums start at z^1, so the seed sits one step before tau_0.
+    # The sums start at n = 1, so the seed sits one step before tau_0.
     tau_seed = taus[0] - dtau if taus.size else 0.0
     evaluated = []  # nodes per call; their total is the intervals + 1
 
@@ -157,7 +201,7 @@ def kijowski_curve(pkt: SpacePacket, taus,
                 * space_momentum_amplitude(pkt, p))
         evaluated.append(q.size)
         return _phase_power_sums(base * np.exp(-1j * tau_seed * p2),
-                                 np.exp(-1j * dtau * p2), taus.size)
+                                 dtau * p2, taus.size)
 
     amp, err = _trapezoid(node_sums,
                           math.sqrt(max(0.0, pkt.p0 - 12.0 * pkt.sigma_p)),
@@ -258,10 +302,14 @@ def kijowski_wave_norm(m: float, sigma_p: float) -> tuple:
     for v -> -inf and e^(-v/2) for v -> +inf, and its nearest singularities
     sit at v = +/- i pi/2, so the trapezoid rule in v converges
     exponentially.  The window v in [-40, 80] drops tails below 4e-18.
-    The error is the difference of the last two trapezoid levels.
+    The error is the difference of the last two trapezoid levels.  A width
+    whose window end (m / sigma_p^2) e^80 overflows raises ValueError.
     """
     _require_wave(m, sigma_p)
     scale = m / sigma_p**2
+    if not math.isfinite(scale * math.exp(80.0)):
+        raise ValueError(f"sigma_p = {sigma_p:.6g} with m = {m:.6g}: the tau "
+                         "window end (m / sigma_p^2) e^80 overflows")
 
     def integrand(v):
         tau = scale * np.exp(v)
@@ -407,9 +455,11 @@ def marchewka_schuss_evolve(x, psi0, cfg: MsConfig,
     Absorption only multiplies the amplitude by a scalar, so the run is the
     hard-wall evolution plus a scalar recursion on P_n.  The hard-wall
     boundary derivative (central difference at 0) is a fixed functional of
-    the spectrum, which each step only multiplies by exp(-i k^2 eps / 2m):
-    one FFT in, the phase-power sums of `_phase_power_sums` (shared with
-    `kijowski_curve`) for the per-step derivatives, one IFFT out.
+    the spectrum, which each step only multiplies by exp(-i k^2 eps / 2m),
+    so the derivatives at all steps are one set of phase-power sums with
+    phases k^2 eps / 2m: one FFT in, `_phase_power_sums` (shared with
+    `kijowski_curve`: one Gaussian-gridded FFT of 2 to 2.7 x steps points)
+    for the per-step derivatives, one IFFT out.
 
     `x` must be a uniform increasing grid of at least two points ending
     exactly at 0 with the initial amplitude negligible at both ends.
@@ -446,8 +496,8 @@ def marchewka_schuss_evolve(x, psi0, cfg: MsConfig,
     j = np.arange(1, n_half - 1)
     w = ((-1.0) ** j * 1j * np.sin(math.pi * j / (n_half - 1))
          / (h * n_full)) * (spectrum[j] - spectrum[n_full - j])
-    dpsi_raw = _phase_power_sums(
-        w, np.exp(-1j * k[j] ** 2 * cfg.epsilon / (2.0 * m)), cfg.steps)
+    dpsi_raw = _phase_power_sums(w, k[j] ** 2 * cfg.epsilon / (2.0 * m),
+                                 cfg.steps)
 
     norm = float(np.trapezoid(np.abs(psi) ** 2, x))
     detected, survival_scale = _ms_absorb(dpsi_raw, cfg, m, norm)

@@ -194,7 +194,7 @@ def criterion_4():
     depends only on (d, n_max, trials, seed), so never_arrived and
     sum_n n counts[n], recorded for this seed, pin the seeded stream."""
     h = fp.monte_carlo_first_arrival(2, 100, 10**6, seed=20260826)
-    step_sum = int(h.counts @ np.arange(h.n_max + 1))
+    step_sum = int((h.counts * np.arange(h.n_max + 1)).sum())
     pinned = h.never_arrived == 158401 and step_sum == 12398668
     z = np.abs(h.z_scores()[h.exact_reference() > 0])
     return _result(4, "Monte Carlo within 4 standard errors; seeded stream "

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, artifacts, config precedence,
 reproducibility."""
 
+import csv
 import importlib.util
 import json
 import math
@@ -11,6 +12,7 @@ import warnings
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning
 
@@ -50,6 +52,16 @@ def run(tmp_path, *argv):
     out.mkdir(exist_ok=True)
     code = main([*argv, "--output-dir", str(out)])
     return code, out
+
+
+def reference_write_csv(path, header, rows):
+    """The per-row CSV writer, kept as the oracle for `cli._write_csv`."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([format(v, ".17g") if isinstance(v, float) else v
+                        for v in row])
 
 
 def run_python(code, cwd):
@@ -124,6 +136,17 @@ class TestExitCodes:
         assert "configuration error" in capsys.readouterr().err
         assert json.loads((out / "error.json").read_text())["error"]
         assert not (out / f"{argv[0]}_summary.json").exists()
+        assert not list(out.glob("*.csv"))
+
+    def test_overflowing_wave_window_names_the_width(self, tmp_path, capsys):
+        # 1/sigma_p^2 = 1e300 is a normal float, but the tau window end
+        # 1e300 e^80 is not.
+        code, out = run(tmp_path, "kijowski-wave", "--sigma-p", "1e-150")
+        assert code == EXIT_CONFIG
+        assert "configuration error: sigma_p = 1e-150" \
+            in capsys.readouterr().err
+        error = json.loads((out / "error.json").read_text())["error"]
+        assert "sigma_p" in error
         assert not list(out.glob("*.csv"))
 
     @pytest.mark.parametrize("argv", [
@@ -348,6 +371,19 @@ FILE_SET_ARGV = [[name] for name in cli.RUNNERS if name != "ms-evolve"] + [
 
 
 class TestArtifactFiles:
+    def test_csv_bytes_match_per_row_writer(self, tmp_path):
+        taus = np.linspace(10.0, 190.0, 10**4)
+        mixed = [(0.1, 1, "kijowski_full", True, np.float64(1.0 / 3.0)),
+                 (-0.0, -7, "1/8", False, 1e-300),
+                 (float("nan"), 2**70, "", None, 2.5e17)]
+        curve = lambda: zip(taus.tolist(), np.exp(-taus).tolist())
+        for header, rows in ((["tau", "rate"], curve),
+                             (["a", "b", "c", "d", "e"], lambda: iter(mixed))):
+            cli._write_csv(tmp_path / "new.csv", header, rows())
+            reference_write_csv(tmp_path / "ref.csv", header, rows())
+            assert (tmp_path / "new.csv").read_bytes() \
+                == (tmp_path / "ref.csv").read_bytes()
+
     @pytest.mark.parametrize("argv", FILE_SET_ARGV,
                              ids=lambda argv: " ".join(argv))
     def test_writes_exactly_its_files_as_strict_json(self, tmp_path,

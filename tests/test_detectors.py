@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from toalab.detectors import (ArrivalDistribution, MsConfig, _MS_BLOCK,
+from toalab.detectors import (ArrivalDistribution, MsConfig, _SPREAD,
                               _detector_current, _ms_absorb,
                               _phase_power_sums,
                               default_tau_grid, kijowski_bullet_stats,
@@ -127,6 +127,21 @@ def reference_kijowski_curve(pkt, taus, nodes=4000):
     return np.abs(amp) ** 2
 
 
+def reference_phase_power_sums(w, z, steps):
+    """A_n = sum_j w_j z_j^n for n = 1..steps by blocked powers: blocks of 32
+    cumulative powers z^1..z^b each give b sums as one mat-vec, and the
+    weights then advance by z^b.  The oracle for `_phase_power_sums`."""
+    w = np.array(w, dtype=complex)
+    block = max(1, min(32, steps))
+    powers = np.cumprod(np.broadcast_to(z, (block, len(z))), axis=0)
+    sums = np.empty(steps, dtype=complex)
+    for s in range(0, steps, block):
+        b = min(block, steps - s)
+        sums[s:s + b] = powers[:b] @ w
+        w *= powers[b - 1]
+    return sums
+
+
 def cli_grid(pkt):
     """The Kijowski grid of `kijowski-bullet` and `metric-compare`."""
     with warnings.catch_warnings():
@@ -229,6 +244,11 @@ class TestKijowskiWaveCase:
                    lambda: kijowski_wave_density_origin(1.0, sigma_p, 0.0)):
             with pytest.raises(ValueError, match="normal float range"):
                 fn()
+
+    @pytest.mark.parametrize("m, sigma_p", [(1.0, 1e-150), (1e300, 1.0)])
+    def test_overflowing_window_names_the_width(self, m, sigma_p):
+        with pytest.raises(ValueError, match="sigma_p = .* overflows"):
+            kijowski_wave_norm(m, sigma_p)
 
     def test_monotone_decay(self):
         t = np.linspace(0.0, 50.0, 201)
@@ -423,7 +443,8 @@ class TestKijowskiCurve:
 
     def test_memory_stays_below_phase_matrix(self):
         # The tau x nodes phase matrix of `reference_kijowski_curve` peaks
-        # near 184 MiB here; the phase-power sums keep _MS_BLOCK x nodes.
+        # near 184 MiB here; the phase-power sums keep 32 x 512 blocks and
+        # a grid of 2560 points.
         pkt, taus, _ = self.GRIDS["metric_compare"]
         tracemalloc.start()
         try:
@@ -432,6 +453,81 @@ class TestKijowskiCurve:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+
+class TestPhasePowerSums:
+    @staticmethod
+    def _check(w, theta, steps):
+        """Against the blocked powers and the direct powers, to the
+        gridding error plus a phase rounding of order n ulp per term, both
+        relative to sum |w|."""
+        sums = _phase_power_sums(w, theta, steps)
+        z = np.exp(-1j * theta)
+        n = np.arange(1, steps + 1)
+        atol = (1e-13 + 1e-15 * steps) * np.abs(w).sum()
+        np.testing.assert_allclose(
+            sums, reference_phase_power_sums(w, z, steps), rtol=0, atol=atol)
+        np.testing.assert_allclose(sums, (z[None, :] ** n[:, None]) @ w,
+                                   rtol=0, atol=atol)
+        return sums
+
+    # 0, 1, fewer than the 2 _SPREAD points of the Gaussian, and the steps
+    # of criterion 9.
+    @pytest.mark.parametrize("steps", [0, 1, 2 * _SPREAD - 3, 10**4])
+    def test_random_phases(self, steps):
+        rng = np.random.default_rng(11)
+        w = rng.normal(size=300) + 1j * rng.normal(size=300)
+        theta = rng.uniform(0.0, 40.0, size=300)
+        assert self._check(w, theta, steps).shape == (steps,)
+
+    def test_single_node(self):
+        theta = np.array([2.5])
+        sums = self._check(np.array([0.3 - 0.4j]), theta, 200)
+        np.testing.assert_allclose(
+            sums, (0.3 - 0.4j) * np.exp(-1j * np.arange(1, 201) * 2.5),
+            rtol=0, atol=1e-13)
+
+    def test_phase_of_many_turns(self):
+        # theta = 1000.3 is 159 turns: reduced by the float 2 pi alone it
+        # is 4e-14 off, which n = 10^4 turns into a 4e-10 error.
+        self._check(np.array([1.0 + 0j]), np.array([1000.3]), 10**4)
+
+    def test_phases_at_the_grid_ends(self):
+        # theta = 0 spreads onto both ends of the periodic grid; theta just
+        # below 2 pi and just below 0 (which reduces to 2 pi) wrap past it,
+        # and the float 2 pi reduces to a rounding below 0.
+        theta = np.array([0.0, 1e-13, 2.0 * math.pi - 1e-9,
+                          2.0 * math.pi - 1e-15, -1e-17, 2.0 * math.pi,
+                          math.pi])
+        w = np.array([1.0, -0.5j, 2.0, 0.25 + 1j, -1.5, 0.5 - 2j, 0.75])
+        for steps in (1, 31, 1000):
+            self._check(w, theta, steps)
+
+    def test_cancelling_weights(self):
+        # Unit weights at the J-th roots of unity: A_n = J when J divides n,
+        # else 0, so most sums are far below sum |w| = J.
+        J = 64
+        theta = 2.0 * math.pi * np.arange(J) / J
+        sums = self._check(np.ones(J), theta, 200)
+        n = np.arange(1, 201)
+        np.testing.assert_allclose(sums, np.where(n % J == 0, J, 0),
+                                   rtol=0, atol=1e-13 * J)
+
+    def test_memory_of_one_call(self):
+        # J = 32768, the nodes of the last trapezoid level, at the 1201 taus
+        # of the CLI grid: the blocked powers hold 32 x J complex values
+        # (16 MiB); the gridding holds a few 2 _SPREAD x _CHUNK temporaries
+        # and the grid.
+        rng = np.random.default_rng(5)
+        w = rng.normal(size=32768) + 1j * rng.normal(size=32768)
+        theta = rng.uniform(0.0, 1.0, size=32768)
+        tracemalloc.start()
+        try:
+            _phase_power_sums(w, theta, 1201)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestProbabilityCurrent:
@@ -534,13 +630,14 @@ class TestMarchewkaSchuss:
         assert res.cumulative_detected == pytest.approx(detected.sum(),
                                                         abs=1e-12)
 
-    @pytest.mark.parametrize("steps", [0, 1, _MS_BLOCK, 3 * _MS_BLOCK + 5])
+    @pytest.mark.parametrize("steps", [0, 1, 32, 101])
     def test_phase_power_sums_match_direct_powers(self, steps):
         rng = np.random.default_rng(7)
         w = rng.normal(size=50) + 1j * rng.normal(size=50)
-        z = np.exp(-1j * rng.uniform(0.0, 2.0 * math.pi, size=50))
+        theta = rng.uniform(0.0, 2.0 * math.pi, size=50)
+        z = np.exp(-1j * theta)
         w_in = w.copy()
-        sums = _phase_power_sums(w, z, steps)
+        sums = _phase_power_sums(w, theta, steps)
         n = np.arange(1, steps + 1)
         np.testing.assert_allclose(sums, (z[None, :] ** n[:, None]) @ w,
                                    rtol=0, atol=1e-12)
