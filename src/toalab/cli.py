@@ -21,7 +21,8 @@ Exit codes: 0 success, 2 validation failure, 3 configuration error,
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
+import itertools
 import json
 import math
 import os
@@ -169,20 +170,70 @@ def _parse_list(text: str, typ=float) -> list:
     return values
 
 
+_CSV_CHUNK = 1024               # rows formatted and written per write call
+_CSV_SPECIAL = (",", '"', "\r", "\n")
+
+
+def _csv_field(v) -> str:
+    """One cell as csv.writer's default dialect writes it, a float as
+    .17g: None is empty, and a field holding a comma, quote or line break
+    is quoted with its quotes doubled."""
+    if v is None:
+        return ""
+    text = v if isinstance(v, str) \
+        else f"{v:.17g}" if isinstance(v, float) else str(v)
+    if any(c in text for c in _CSV_SPECIAL):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_column(col: tuple, alone: bool) -> list:
+    """The fields of one column; `alone` if it is the table's only one."""
+    types = set(map(type, col))
+    if all(issubclass(t, float) for t in types):
+        return list(map("{:.17g}".format, col))
+    if types <= {int, bool, str}:
+        fields = list(map(str, col))
+        joined = "".join(fields)
+        if not any(c in joined for c in _CSV_SPECIAL) \
+                and not (alone and "" in fields):
+            return fields
+    fields = list(map(_csv_field, col))
+    if alone:   # csv.writer quotes a row's only field when it is empty
+        fields = ['""' if f == "" else f for f in fields]
+    return fields
+
+
 def _write_csv(path, header, rows) -> None:
-    """The header, then every row with each float written as .17g."""
+    """The header, then every row with each float written as .17g, in the
+    bytes csv.writer writes (``\\r\\n`` line ends, minimal quoting).
+
+    Rows are read in chunks of `_CSV_CHUNK`.  Each chunk is transposed and
+    formatted a column at a time, so a column of floats, or of ints, bools
+    and strings that need no quoting, is one C-level pass; any other column
+    goes through `_csv_field`.  Every row must have the header's width.
+    """
+    width = len(header)
+    if width == 0:
+        raise ValueError("a CSV table needs at least one column")
+    rows = iter(rows)
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row]
-                    for row in rows)
+        chunk = [tuple(header)]
+        while chunk:
+            if set(map(len, chunk)) != {width}:
+                raise ValueError(f"every CSV row needs {width} fields")
+            cols = [_csv_column(col, width == 1) for col in zip(*chunk)]
+            fh.write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")
+            chunk = list(map(tuple, itertools.islice(rows, _CSV_CHUNK)))
 
 
 def _write_json(path, obj) -> None:
+    """obj as strict, indented, key-sorted JSON, encoded before the file
+    is opened and written in one call."""
+    text = json.dumps(obj, indent=2, sort_keys=True, default=float,
+                      allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=float,
-                  allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _space_packet(p: dict) -> SpacePacket:
@@ -259,7 +310,17 @@ def run_continuum(p: dict) -> tuple:
 
 
 def run_sqm_detect(p: dict) -> tuple:
-    curve = sqm_detection_curve(_space_packet(p))
+    pkt = _space_packet(p)
+    curve = sqm_detection_curve(pkt)
+    # The exact flux through the detector over all time: the weight moving
+    # right, less the weight already past it at tau = 0.
+    flux = 0.5 * (math.erfc(-pkt.p0 * pkt.sigma_x)
+                  - math.erfc(pkt.d / pkt.sigma_x))
+    if abs(curve.norm - flux) > 1e-3:
+        raise NumericalError(
+            f"sqm-detect's default window captures norm {curve.norm:.6g} of "
+            f"the detector's total flux {flux:.6g}; the window is sized "
+            "for a bullet packet, which this is not")
     return EXIT_OK, curve.summary(), _curve(curve)
 
 
@@ -343,7 +404,11 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of every subcommand, built from `PARAMS` once
+    per process: every flag defaults to None and each parse returns a
+    fresh namespace, so `main` can reuse it call after call."""
     parser = _Parser(
         prog="toalab",
         description="time-of-arrival distribution laboratory")

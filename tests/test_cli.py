@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -38,6 +39,9 @@ def load_workloads():
 
 # The files each subcommand writes besides its manifest.
 ARTIFACTS = load_workloads().ARTIFACTS
+
+# Rows `cli._write_csv` formats per chunk.
+CHUNK = cli._CSV_CHUNK
 
 
 def strict_json(text):
@@ -241,6 +245,29 @@ class TestExitCodes:
             (out / "error.json").read_text())["error"]
         assert not (out / "kijowski-bullet_summary.json").exists()
 
+    @pytest.mark.parametrize("argv,norm,flux", [
+        (["--sigma-x", "30"], "0.622907", "0.999999"),
+        (["--sigma-x", "1e13"], "6.38363e-24", "0.5"),
+        (["--p0", "0.1"], "0.885247", "0.92135"),
+    ], ids=["sigma-x 30", "sigma-x 1e13", "p0 0.1"])
+    def test_sqm_window_missing_the_flux_is_numerical_error(
+            self, tmp_path, capsys, argv, norm, flux):
+        # The bullet-sized window (ROADMAP D9) misses part of the exact flux
+        # erfc(-p0 sigma_x)/2 - erfc(d/sigma_x)/2 through the detector.
+        code, out = run(tmp_path, "sqm-detect", *argv)
+        assert code == EXIT_NUMERICAL
+        error = strict_json((out / "error.json").read_text())["error"]
+        assert f"norm {norm} " in error and f"flux {flux};" in error
+        assert error in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == [
+            "error.json", "sqm-detect_manifest.json"]
+
+    def test_sqm_defaults_capture_the_flux(self, tmp_path):
+        code, out = run(tmp_path, "sqm-detect")
+        assert code == EXIT_OK
+        summary = strict_json((out / "sqm-detect_summary.json").read_text())
+        assert summary["norm"] == pytest.approx(1.0, abs=1e-4)
+
 
 class TestErrorJson:
     def test_written_to_env_output_dir(self, tmp_path, monkeypatch):
@@ -383,6 +410,54 @@ class TestArtifactFiles:
             reference_write_csv(tmp_path / "ref.csv", header, rows())
             assert (tmp_path / "new.csv").read_bytes() \
                 == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("header,rows", [
+        (["tau", "rate"], []),
+        (["n", "x"], [(n, n / 7.0) for n in range(CHUNK)]),
+        (["n", "x"], [(n, n / 7.0) for n in range(CHUNK + 1)]),
+        # A column of floats in the first chunk holding None, then a string.
+        (["x", "y"], [(n / 3.0, n / 3.0) for n in range(CHUNK)]
+         + [(None, "tail"), (2.5, None)]),
+        (["name", "note"], [("a,b", 'say "hi"'), ("line\nbreak", "cr\rlf"),
+                            ('"', ","), ("", "plain")]),
+        (["only"], [("",), ("x",), ("",)]),
+        (["only"], [(None,), (1.5,)]),
+        (["a,b", 'q"'], [(1, True), (-2, False)]),
+    ], ids=["no-rows", "one-chunk", "chunk-plus-one", "mixed-second-chunk",
+            "quoted-strings", "one-column-empty", "one-column-none",
+            "quoted-header"])
+    def test_csv_cases_match_per_row_writer(self, tmp_path, header, rows):
+        cli._write_csv(tmp_path / "new.csv", header, iter(rows))
+        reference_write_csv(tmp_path / "ref.csv", header, rows)
+        assert (tmp_path / "new.csv").read_bytes() \
+            == (tmp_path / "ref.csv").read_bytes()
+
+    def test_csv_rows_from_a_one_shot_generator(self, tmp_path):
+        rows = [(n, n * 0.1, str(n)) for n in range(2 * CHUNK + 5)]
+        cli._write_csv(tmp_path / "new.csv", ["n", "x", "s"],
+                       (row for row in rows))
+        reference_write_csv(tmp_path / "ref.csv", ["n", "x", "s"], rows)
+        assert (tmp_path / "new.csv").read_bytes() \
+            == (tmp_path / "ref.csv").read_bytes()
+
+    def test_csv_row_of_another_width_is_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="2 fields"):
+            cli._write_csv(tmp_path / "new.csv", ["a", "b"],
+                           [(1, 2), (1, 2, 3)])
+
+    def test_csv_memory_does_not_grow_with_rows(self, tmp_path):
+        # The parent writer's own peak here is about 0.16 MiB; the chunks
+        # hold 1024 rows of formatted text at a time.
+        taus = np.linspace(0.0, 1.0, 10**5)
+        columns = taus.tolist(), np.exp(-taus).tolist()
+        tracemalloc.start()
+        try:
+            cli._write_csv(tmp_path / "curve.csv", ["tau", "rate"],
+                           zip(*columns))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @pytest.mark.parametrize("argv", FILE_SET_ARGV,
                              ids=lambda argv: " ".join(argv))
@@ -562,6 +637,41 @@ class TestReproducibility:
                      ["walk-validate", "--threads", "1"],
                      ["validate", "--profile", "fast"]):
             assert main(argv) == EXIT_CONFIG
+
+
+class TestParserOnce:
+    def test_built_once_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_leak_no_state(self, tmp_path):
+        def steps(sub, *argv):
+            code = main(["ms-evolve", "--lambda", "1", *argv,
+                         "--output-dir", str(tmp_path / sub)])
+            manifest = strict_json(
+                (tmp_path / sub / "ms-evolve_manifest.json").read_text())
+            return code, manifest["parameters"]["steps"]
+
+        assert steps("a", "--steps", "50") == (EXIT_OK, 50)
+        assert main(["kijowski-bullet", "--p0", "-1", "--output-dir",
+                     str(tmp_path / "b")]) == EXIT_CONFIG
+        assert main(["ms-evolve", "--no-such-flag"]) == EXIT_CONFIG
+        assert steps("c") == (EXIT_OK, 10000)
+
+    def test_every_subcommand_twice_writes_the_same_bytes(self, tmp_path,
+                                                          monkeypatch):
+        monkeypatch.setattr("toalab.cli.run_all", lambda: [
+            validation.run_criterion(cid) for cid in (1, 12)])
+        seen = []
+        for sub in ("a", "b"):
+            out = tmp_path / sub
+            for argv in FILE_SET_ARGV:
+                assert main([*argv, "--output-dir", str(out / argv[0])]) \
+                    == EXIT_OK
+            seen.append({p.relative_to(out): p.read_bytes()
+                         for p in sorted(out.rglob("*")) if p.is_file()})
+        assert len(seen[0]) == len(cli.RUNNERS) + sum(
+            map(len, ARTIFACTS.values()))
+        assert seen[0] == seen[1]
 
 
 class TestWarnings:
