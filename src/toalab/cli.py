@@ -33,10 +33,11 @@ import numpy as np
 
 from . import __version__
 from . import firstpassage as fp
-from .detectors import (ArrivalDistribution, MsConfig, default_tau_grid,
-                        kijowski_bullet_stats, kijowski_curve,
-                        kijowski_wave_density_origin, kijowski_wave_norm,
-                        marchewka_schuss_evolve, sqm_detection_curve)
+from .detectors import (ArrivalDistribution, MsConfig, _require_captured,
+                        default_tau_grid, kijowski_bullet_stats,
+                        kijowski_curve, kijowski_wave_density_origin,
+                        kijowski_wave_norm, marchewka_schuss_evolve,
+                        sqm_detection_curve)
 from .experiments import (discrete_continuum_experiment, metric_comparison,
                           single_slit_sweep)
 from .kernels import NumericalError, laplace_first_arrival_check
@@ -174,55 +175,42 @@ _CSV_CHUNK = 1024               # rows formatted and written per write call
 _CSV_SPECIAL = (",", '"', "\r", "\n")
 
 
-def _csv_field(v) -> str:
-    """One cell as csv.writer's default dialect writes it, a float as
-    .17g: None is empty, and a field holding a comma, quote or line break
-    is quoted with its quotes doubled."""
-    if v is None:
-        return ""
-    text = v if isinstance(v, str) \
-        else f"{v:.17g}" if isinstance(v, float) else str(v)
-    if any(c in text for c in _CSV_SPECIAL):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def _csv_column(col: tuple, alone: bool) -> list:
-    """The fields of one column; `alone` if it is the table's only one."""
+def _csv_column(col: tuple) -> list:
+    """The fields of one column: a float as .17g, None as empty, anything
+    else as str.  A field csv.writer would quote (one holding a comma,
+    quote or line break) raises ValueError."""
     types = set(map(type, col))
     if all(issubclass(t, float) for t in types):
         return list(map("{:.17g}".format, col))
-    if types <= {int, bool, str}:
-        fields = list(map(str, col))
-        joined = "".join(fields)
-        if not any(c in joined for c in _CSV_SPECIAL) \
-                and not (alone and "" in fields):
-            return fields
-    fields = list(map(_csv_field, col))
-    if alone:   # csv.writer quotes a row's only field when it is empty
-        fields = ['""' if f == "" else f for f in fields]
+    fields = list(map(str, col)) if types <= {int, bool, str} else [
+        "" if v is None else f"{v:.17g}" if isinstance(v, float) else str(v)
+        for v in col]
+    if any(c in "".join(fields) for c in _CSV_SPECIAL):
+        bad = next(f for f in fields if any(c in f for c in _CSV_SPECIAL))
+        raise ValueError(f"CSV field {bad!r} would need quoting")
     return fields
 
 
 def _write_csv(path, header, rows) -> None:
-    """The header, then every row with each float written as .17g, in the
-    bytes csv.writer writes (``\\r\\n`` line ends, minimal quoting).
+    """The header, then every row, floats as .17g, in the bytes csv.writer
+    writes (``\\r\\n`` line ends); a table it would quote, or one of fewer
+    than two columns, raises ValueError.
 
     Rows are read in chunks of `_CSV_CHUNK`.  Each chunk is transposed and
     formatted a column at a time, so a column of floats, or of ints, bools
-    and strings that need no quoting, is one C-level pass; any other column
-    goes through `_csv_field`.  Every row must have the header's width.
+    and strings, is one C-level pass.  Every row must have the header's
+    width.
     """
     width = len(header)
-    if width == 0:
-        raise ValueError("a CSV table needs at least one column")
+    if width < 2:
+        raise ValueError("a CSV table needs at least two columns")
     rows = iter(rows)
     with open(path, "w", newline="") as fh:
         chunk = [tuple(header)]
         while chunk:
             if set(map(len, chunk)) != {width}:
                 raise ValueError(f"every CSV row needs {width} fields")
-            cols = [_csv_column(col, width == 1) for col in zip(*chunk)]
+            cols = [_csv_column(col) for col in zip(*chunk)]
             fh.write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")
             chunk = list(map(tuple, itertools.islice(rows, _CSV_CHUNK)))
 
@@ -255,6 +243,10 @@ def run_kijowski_bullet(p: dict) -> tuple:
     grid = default_tau_grid(stats.tau_bar, stats.uncertainty, n=1201,
                             spread=10.0)
     curve = kijowski_curve(pkt, grid)
+    # The Kijowski norm over all time is the weight at p > 0 (Parseval).
+    _require_captured(curve.norm, 0.5 * math.erfc(-pkt.p0 * pkt.sigma_x),
+                      "kijowski-bullet's window captures norm {:.6g} of the "
+                      "exact Kijowski norm {:.6g}")
     return EXIT_OK, {"tau_bar": stats.tau_bar,
                      "sigma_bar_tau": stats.sigma_bar_tau,
                      "closed_form_uncertainty": stats.uncertainty,
@@ -312,15 +304,11 @@ def run_continuum(p: dict) -> tuple:
 def run_sqm_detect(p: dict) -> tuple:
     pkt = _space_packet(p)
     curve = sqm_detection_curve(pkt)
-    # The exact flux through the detector over all time: the weight moving
-    # right, less the weight already past it at tau = 0.
-    flux = 0.5 * (math.erfc(-pkt.p0 * pkt.sigma_x)
-                  - math.erfc(pkt.d / pkt.sigma_x))
-    if abs(curve.norm - flux) > 1e-3:
-        raise NumericalError(
-            f"sqm-detect's default window captures norm {curve.norm:.6g} of "
-            f"the detector's total flux {flux:.6g}; the window is sized "
-            "for a bullet packet, which this is not")
+    # The exact flux: the weight moving right, less that already past.
+    _require_captured(curve.norm, 0.5 * (math.erfc(-pkt.p0 * pkt.sigma_x)
+                                         - math.erfc(pkt.d / pkt.sigma_x)),
+                      "sqm-detect's default window captures norm {:.6g} of "
+                      "the detector's total flux {:.6g}")
     return EXIT_OK, curve.summary(), _curve(curve)
 
 

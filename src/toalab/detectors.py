@@ -344,6 +344,14 @@ def _window(lo: float, hi: float, n: int, centre: float, width: float):
     return grid
 
 
+def _require_captured(captured, exact, message: str, tol=1e-3) -> None:
+    """NumericalError unless what a window captured is within `tol` of the
+    exact total; `message` formats the two numbers."""
+    if abs(captured - exact) > tol:
+        raise NumericalError(message.format(captured, exact) + "; the window "
+                             "is sized for a bullet packet, which this is not")
+
+
 def default_tau_grid(tau_bar: float, width: float, n: int = 2048,
                      spread: float = 8.0) -> np.ndarray:
     lo = max(tau_bar - spread * width, 1e-9 * tau_bar)
@@ -418,29 +426,6 @@ class MsResult:
                                          "lambda": self.cfg.lam})
 
 
-def _ms_absorb(dpsi_raw, cfg: MsConfig, m: float, norm: float) -> tuple:
-    """Scalar absorption recursion over a hard-wall boundary derivative.
-
-    Absorption only rescales the amplitude, so the absorbed run's boundary
-    derivative at step n is the unabsorbed (hard-wall) one, `dpsi_raw[n]`,
-    times the survival scale prod_(j<n) sqrt(1 - P_j).  Returns
-    (detected, survival_scale); aborts if any P_n > 1.
-    """
-    absorb_coeff = cfg.epsilon * cfg.lam / (2.0 * math.pi * m)
-    detected = np.zeros(len(dpsi_raw))
-    survival_scale = 1.0
-    for n, raw in enumerate(np.asarray(dpsi_raw).tolist()):
-        P = absorb_coeff * abs(raw * survival_scale) ** 2
-        if P > 1.0:
-            raise NumericalError(
-                f"absorption probability {P:.3g} > 1 at step {n}; "
-                "reduce lam or epsilon")
-        detected[n] = P * norm
-        norm *= 1.0 - P
-        survival_scale *= math.sqrt(1.0 - P)
-    return detected, survival_scale
-
-
 def marchewka_schuss_evolve(x, psi0, cfg: MsConfig,
                             m: float = 1.0) -> MsResult:
     """Evolve an amplitude on x <= 0 against an absorbing boundary at 0.
@@ -499,8 +484,21 @@ def marchewka_schuss_evolve(x, psi0, cfg: MsConfig,
     dpsi_raw = _phase_power_sums(w, k[j] ** 2 * cfg.epsilon / (2.0 * m),
                                  cfg.steps)
 
+    # The absorbed run's boundary derivative at step n is the hard-wall one,
+    # dpsi_raw[n], times the survival scale prod_(j<n) sqrt(1 - P_j).
     norm = float(np.trapezoid(np.abs(psi) ** 2, x))
-    detected, survival_scale = _ms_absorb(dpsi_raw, cfg, m, norm)
+    absorb_coeff = cfg.epsilon * cfg.lam / (2.0 * math.pi * m)
+    detected = np.zeros(cfg.steps)
+    survival_scale = 1.0
+    for n, raw in enumerate(dpsi_raw.tolist()):
+        P = absorb_coeff * abs(raw * survival_scale) ** 2
+        if P > 1.0:
+            raise NumericalError(
+                f"absorption probability {P:.3g} > 1 at step {n}; "
+                "reduce lam or epsilon")
+        detected[n] = P * norm
+        norm *= 1.0 - P
+        survival_scale *= math.sqrt(1.0 - P)
     final_phase = np.exp(-1j * k * k * (cfg.epsilon * cfg.steps) / (2.0 * m))
     psi_final = np.fft.ifft(spectrum * final_phase)[:n_half] * survival_scale
     return MsResult(x=x, psi_final=psi_final, detected=detected, cfg=cfg)

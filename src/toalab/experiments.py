@@ -23,9 +23,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import firstpassage as fp
-from .detectors import (ArrivalDistribution, MsConfig, _ms_absorb,
+from .detectors import (ArrivalDistribution, _require_captured,
                         default_tau_grid, kijowski_bullet_stats,
                         kijowski_curve, sqm_detection_curve)
+from .kernels import _trapezoid
 from .tqm import TqmPacket, tqm_dispersion_budget
 from .wavepacket import (SpacePacket, TimePacket, space_amplitude,
                          space_amplitude_dx)
@@ -151,11 +152,15 @@ def metric_comparison(pkt: SpacePacket,
 
     Compares the full Kijowski quadrature, the Kijowski bullet closed form,
     the probability-current curve, and the normalized first-arrival-kernel
-    curve; with `lam` given, adds a grid-free Marchewka-Schuss row, whose
-    mean and uncertainty are None when it detects nothing (lam = 0).  The
-    first three are mutually consistent (1%) in the bullet regime
-    m sigma_x^2 << tau_bar; outside it the `consistent` flag reports the
-    disagreement.
+    curve; the first three are mutually consistent (1%) in the bullet regime
+    m sigma_x^2 << tau_bar, and the `consistent` flag reports otherwise.
+    With `lam`, a grid-free Marchewka-Schuss row is added: the eps -> 0
+    limit of the recursion N -= eps kappa r N^2, N = 1/(1 + kappa G), with
+    rate kappa r/(1 + kappa G)^2 on the grid and norm 1 - N(inf), taken as
+    kappa G(inf)/(1 + kappa G(inf)); kappa = lam/(2 pi m), r = |2 dphi/dx(0,
+    tau)|^2, G its integral from the grid's start.  lam < 0 raises
+    ValueError; moments are None if it detects nothing (lam = 0); a grid
+    holding less than G(inf) to 1e-3 of it raises NumericalError.
 
     The first-arrival row weights the free kernel by -x'/tau, which equals
     the kernel's |x'|/tau when the packet's amplitude at the detector is
@@ -164,6 +169,8 @@ def metric_comparison(pkt: SpacePacket,
     A warning names the row when the packet's weight at x' >= 0,
     erfc(d/sigma_x)/2, exceeds 1e-9.
     """
+    if lam is not None and lam < 0:
+        raise ValueError("lam must be >= 0")
     stats = kijowski_bullet_stats(pkt)
     grid = default_tau_grid(stats.tau_bar, stats.uncertainty, n=1201,
                             spread=10.0)
@@ -178,40 +185,46 @@ def metric_comparison(pkt: SpacePacket,
                       f"{beyond:.2g} at x' >= 0, where the row's weight -x' "
                       "differs from the kernel's |x'|", stacklevel=2)
     fa = np.abs(space_amplitude_dx(pkt, 0.0, grid)) ** 2
-    fa /= np.trapezoid(fa, grid)
-    fa_curve = ArrivalDistribution(grid, fa, meta={"metric": "first-arrival"})
+    fa_curve = ArrivalDistribution(grid, fa / np.trapezoid(fa, grid),
+                                   meta={"metric": "first-arrival"})
 
-    rows = {
-        "kijowski_full": {"mean": kij.mean, "uncertainty": kij.uncertainty,
-                          "norm": kij.norm},
-        "kijowski_bullet": {"mean": stats.tau_bar,
-                            "uncertainty": stats.uncertainty, "norm": 1.0},
-        "current": {"mean": cur.mean, "uncertainty": cur.uncertainty,
-                    "norm": cur.norm},
-        "first_arrival_kernel": {"mean": fa_curve.mean,
-                                 "uncertainty": fa_curve.uncertainty,
-                                 "norm": 1.0},
-    }
+    def row(d, norm):
+        return {"mean": d.mean, "uncertainty": d.uncertainty, "norm": norm}
+
+    rows = {"kijowski_full": row(kij, kij.norm),
+            "kijowski_bullet": {"mean": stats.tau_bar,
+                                "uncertainty": stats.uncertainty, "norm": 1.0},
+            "current": row(cur, cur.norm),
+            "first_arrival_kernel": row(fa_curve, 1.0)}
     if lam is not None:
-        # Grid-free Marchewka-Schuss: on the half line with a hard wall at
-        # 0 the odd image gives dpsi/dx(0, tau) = 2 dphi/dx(0, tau) for the
-        # free Gaussian, so only the scalar absorption recursion remains.
-        cfg = MsConfig(lam=lam, epsilon=stats.tau_bar / 2500.0, steps=5000)
-        taus = (np.arange(cfg.steps) + 1.0) * cfg.epsilon
-        detected, _ = _ms_absorb(2.0 * space_amplitude_dx(pkt, 0.0, taus),
-                                 cfg, pkt.mass, 1.0)
-        ms = ArrivalDistribution(taus, detected / cfg.epsilon)
-        norm = float(detected.sum())
-        rows["marchewka_schuss"] = {
-            "mean": ms.mean if norm > 0 else None,
-            "uncertainty": ms.uncertainty if norm > 0 else None,
-            "norm": norm}
-    us = [rows[k]["uncertainty"] for k in
-          ("kijowski_full", "kijowski_bullet", "current")]
-    means = [rows[k]["mean"] for k in
-             ("kijowski_full", "kijowski_bullet", "current")]
-    consistent = (max(us) - min(us)) <= 0.01 * max(us) \
-        and (max(means) - min(means)) <= 0.01 * max(means)
+        rows["marchewka_schuss"] = {"mean": None, "uncertainty": None,
+                                    "norm": 0.0}
+    if lam:
+        # Odd image: the hard-wall derivative is 2 dphi/dx(0, tau); r = 4 fa.
+        kappa = lam / (2.0 * math.pi * pkt.mass)
+        r = 4.0 * fa
+        g = np.r_[0.0, np.cumsum(0.5 * (r[1:] + r[:-1]) * np.diff(grid))]
+
+        def r_dtau(v):  # r dtau/dv summed over nodes v = log(tau/tau_bar)
+            tau = stats.tau_bar * np.exp(v)
+            return np.sum(np.abs(2.0 * space_amplitude_dx(pkt, 0.0, tau))
+                          ** 2 * tau)
+
+        # v on s [-3, 1], s = 40 arrival widths (momentum and position), at
+        # most 10: the peak v = 0 is a node of every level.
+        s = min(10.0, 40.0 * math.hypot(stats.uncertainty / stats.tau_bar,
+                                        pkt.sigma_x / pkt.d))
+        g_inf = float(_trapezoid(r_dtau, -3.0 * s, s, 1e-10)[0])
+        _require_captured(g[-1], g_inf, "metric-compare's window captures "
+                          "Marchewka-Schuss G = {:.6g} of G(inf) = {:.6g}",
+                          1e-3 * g_inf)
+        norm = kappa * g_inf / (1.0 + kappa * g_inf)
+        if norm > 0:
+            rows["marchewka_schuss"] = row(ArrivalDistribution(
+                grid, kappa * r / (1.0 + kappa * g) ** 2), norm)
+    trio = [rows[k] for k in ("kijowski_full", "kijowski_bullet", "current")]
+    consistent = all(max(v) - min(v) <= 0.01 * max(v) for v in (
+        [t["uncertainty"] for t in trio], [t["mean"] for t in trio]))
     if not consistent:
         warnings.warn("Kijowski-full, bullet closed form, and current-based "
                       "statistics disagree beyond 1%; packet is outside the "

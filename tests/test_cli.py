@@ -121,6 +121,7 @@ class TestExitCodes:
         ["ms-evolve", "--lambda", "1", "--box", "0"],
         ["ms-evolve", "--lambda", "1", "--box", "-5"],
         ["ms-evolve", "--lambda", "1", "--d", "0"],
+        ["metric-compare", "--lambda", "-1"],
         ["laplace-check", "--s", "nan"],
         ["slit-sweep", "--W", "1,inf"],
         ["continuum", "--d-lattice", "1000"],
@@ -261,6 +262,23 @@ class TestExitCodes:
         assert error in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == [
             "error.json", "sqm-detect_manifest.json"]
+
+    @pytest.mark.parametrize("argv,norm,exact", [
+        (["--sigma-x", "30"], "0.730253", "1"),
+        (["--p0", "0.1"], "0.893283", "0.92135"),
+    ], ids=["sigma-x 30", "p0 0.1"])
+    def test_kijowski_window_missing_the_norm_is_numerical_error(
+            self, tmp_path, capsys, argv, norm, exact):
+        # The bullet-sized window misses part of the exact Kijowski norm
+        # erfc(-p0 sigma_x)/2.
+        with pytest.warns(UserWarning, match="outside the bullet regime"):
+            code, out = run(tmp_path, "kijowski-bullet", *argv)
+        assert code == EXIT_NUMERICAL
+        error = strict_json((out / "error.json").read_text())["error"]
+        assert f"norm {norm} " in error and f"norm {exact};" in error
+        assert error in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == [
+            "error.json", "kijowski-bullet_manifest.json"]
 
     def test_sqm_defaults_capture_the_flux(self, tmp_path):
         code, out = run(tmp_path, "sqm-detect")
@@ -411,26 +429,49 @@ class TestArtifactFiles:
             assert (tmp_path / "new.csv").read_bytes() \
                 == (tmp_path / "ref.csv").read_bytes()
 
-    @pytest.mark.parametrize("header,rows", [
-        (["tau", "rate"], []),
-        (["n", "x"], [(n, n / 7.0) for n in range(CHUNK)]),
-        (["n", "x"], [(n, n / 7.0) for n in range(CHUNK + 1)]),
+    @pytest.mark.parametrize("header,rows,refusal", [
+        (["tau", "rate"], [], None),
+        (["n", "x"], [(n, n / 7.0) for n in range(CHUNK)], None),
+        (["n", "x"], [(n, n / 7.0) for n in range(CHUNK + 1)], None),
         # A column of floats in the first chunk holding None, then a string.
         (["x", "y"], [(n / 3.0, n / 3.0) for n in range(CHUNK)]
-         + [(None, "tail"), (2.5, None)]),
+         + [(None, "tail"), (2.5, None)], None),
+        # Tables csv.writer would quote are refused instead.
         (["name", "note"], [("a,b", 'say "hi"'), ("line\nbreak", "cr\rlf"),
-                            ('"', ","), ("", "plain")]),
-        (["only"], [("",), ("x",), ("",)]),
-        (["only"], [(None,), (1.5,)]),
-        (["a,b", 'q"'], [(1, True), (-2, False)]),
+                            ('"', ","), ("", "plain")], "'a,b' would need"),
+        (["only"], [("",), ("x",), ("",)], "at least two columns"),
+        (["only"], [(None,), (1.5,)], "at least two columns"),
+        (["a,b", 'q"'], [(1, True), (-2, False)], "'a,b' would need"),
     ], ids=["no-rows", "one-chunk", "chunk-plus-one", "mixed-second-chunk",
             "quoted-strings", "one-column-empty", "one-column-none",
             "quoted-header"])
-    def test_csv_cases_match_per_row_writer(self, tmp_path, header, rows):
+    def test_csv_cases_match_per_row_writer(self, tmp_path, header, rows,
+                                            refusal):
+        if refusal is not None:
+            with pytest.raises(ValueError, match=refusal):
+                cli._write_csv(tmp_path / "new.csv", header, iter(rows))
+            return
         cli._write_csv(tmp_path / "new.csv", header, iter(rows))
         reference_write_csv(tmp_path / "ref.csv", header, rows)
         assert (tmp_path / "new.csv").read_bytes() \
             == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("cell", ["a,b", 'q"', "cr\r", "lf\n"],
+                             ids=["comma", "quote", "cr", "lf"])
+    def test_csv_field_needing_quotes_is_refused(self, tmp_path, cell):
+        # In any column, past the first chunk, and in the header.
+        rows = [(n, n / 3.0) for n in range(CHUNK + 1)] + [(1, cell)]
+        with pytest.raises(ValueError, match="would need quoting"):
+            cli._write_csv(tmp_path / "new.csv", ["n", "x"], rows)
+        with pytest.raises(ValueError, match="would need quoting"):
+            cli._write_csv(tmp_path / "new.csv", ["n", cell], [])
+
+    @pytest.mark.parametrize("header", [[], ["tau"]], ids=["none", "one"])
+    def test_csv_table_of_fewer_than_two_columns_is_refused(self, tmp_path,
+                                                            header):
+        with pytest.raises(ValueError, match="at least two columns"):
+            cli._write_csv(tmp_path / "new.csv", header, [(1.0,)] * 3)
+        assert not (tmp_path / "new.csv").exists()
 
     def test_csv_rows_from_a_one_shot_generator(self, tmp_path):
         rows = [(n, n * 0.1, str(n)) for n in range(2 * CHUNK + 5)]
@@ -735,9 +776,12 @@ class TestImports:
             "def scipy():\n"
             "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
             "seen = {'import': scipy()}\n"
-            "for exp in ('validate', 'kijowski-wave', 'laplace-check',\n"
-            "            'continuum'):\n"
-            "    seen[exp] = [cli.main([exp, '--output-dir', exp]), scipy()]\n"
+            "for argv in (['validate'], ['kijowski-wave'],\n"
+            "             ['laplace-check'], ['continuum'],\n"
+            "             ['metric-compare', '--lambda', '1']):\n"
+            "    exp = ' '.join(argv)\n"
+            "    seen[exp] = [cli.main(argv + ['--output-dir', argv[0]]),\n"
+            "                 scipy()]\n"
             "print(json.dumps(seen))",
             cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
@@ -745,4 +789,5 @@ class TestImports:
         assert seen == {"import": [], "validate": [EXIT_OK, []],
                         "kijowski-wave": [EXIT_OK, []],
                         "laplace-check": [EXIT_OK, []],
-                        "continuum": [EXIT_OK, []]}
+                        "continuum": [EXIT_OK, []],
+                        "metric-compare --lambda 1": [EXIT_OK, []]}

@@ -11,8 +11,7 @@ import pytest
 from scipy.integrate import quad
 
 from toalab.detectors import (ArrivalDistribution, MsConfig, _SPREAD,
-                              _detector_current, _ms_absorb,
-                              _phase_power_sums,
+                              _detector_current, _phase_power_sums,
                               default_tau_grid, kijowski_bullet_stats,
                               kijowski_curve, kijowski_wave_density_origin,
                               kijowski_wave_norm,
@@ -176,6 +175,23 @@ def reference_ms_evolve(x, psi0, cfg, m=1.0):
         norm *= 1.0 - P
         survival_scale *= math.sqrt(1.0 - P)
     return detected, full[:n_half] * survival_scale
+
+
+def reference_ms_absorb(pkt, lam, epsilon, steps):
+    """The grid-free Marchewka-Schuss recursion per step, kept as the
+    oracle for its closed form: with the hard-wall derivative
+    2 dphi/dx(0, tau_n) at tau_n = (n + 1) epsilon, absorb
+    P_n = (epsilon lam / 2 pi m) |2 dphi/dx|^2 N_n of the norm N_n, from
+    N_0 = 1.  Returns the detected probability per step."""
+    taus = (np.arange(steps) + 1.0) * epsilon
+    r = np.abs(2.0 * space_amplitude_dx(pkt, 0.0, taus)) ** 2
+    absorb_coeff = epsilon * lam / (2.0 * math.pi * pkt.mass)
+    detected = np.zeros(steps)
+    norm = 1.0
+    for n, rn in enumerate(r.tolist()):
+        detected[n] = absorb_coeff * rn * norm * norm
+        norm -= detected[n]
+    return detected
 
 
 class TestArrivalDistribution:
@@ -599,10 +615,13 @@ class TestSqmDetectionCurve:
 
 class TestMarchewkaSchuss:
     def test_step_algebra_rejects_bad_probability(self):
-        # P_0 = (epsilon lam / 2 pi) |2|^2 = 1.5 > 1 at unit norm.
-        cfg = MsConfig(lam=1.5 * math.pi / 2.0, epsilon=1.0, steps=1)
+        # psi0 = x e^(-x^2/2) has dpsi/dx(0) = 1, so after one short step
+        # P_0 = (epsilon lam / 2 pi) |dpsi/dx(0)|^2 is about 16 > 1.
+        x = np.linspace(-10.0, 0.0, 1025)
+        psi0 = (x * np.exp(-x * x / 2.0)).astype(complex)
         with pytest.raises(NumericalError, match="> 1 at step 0"):
-            _ms_absorb(np.array([2.0]), cfg, 1.0, 1.0)
+            marchewka_schuss_evolve(x, psi0, MsConfig(lam=1e4, epsilon=0.01,
+                                                      steps=5))
 
     @staticmethod
     def _setup(L=64.0, n=1025, d=16.0, sigma=2.0, p0=1.0):
@@ -650,9 +669,7 @@ class TestMarchewkaSchuss:
         cfg = MsConfig(lam=1.0, epsilon=0.02, steps=1200)
         res = marchewka_schuss_evolve(x, psi0, cfg)
         pkt = SpacePacket(x0=-16.0, p0=1.0, sigma_x=2.0, mass=1.0)
-        taus = (np.arange(cfg.steps) + 1.0) * cfg.epsilon
-        detected, _ = _ms_absorb(2.0 * space_amplitude_dx(pkt, 0.0, taus),
-                                 cfg, pkt.mass, 1.0)
+        detected = reference_ms_absorb(pkt, cfg.lam, cfg.epsilon, cfg.steps)
         assert np.max(np.abs(res.detected - detected)) \
             <= 5e-3 * np.max(detected)
 

@@ -12,10 +12,12 @@ from toalab.experiments import (discrete_continuum_experiment, gated_source,
                                 metric_comparison, single_slit_sqm,
                                 single_slit_sweep)
 from toalab.detectors import sqm_detection_curve
-from toalab.kernels import first_arrival_kernel
+from toalab.kernels import NumericalError, first_arrival_kernel
 from toalab.tqm import (TqmPacket, sqm_limit_curve, tqm_arrival_distribution,
                         tqm_detection_density, tqm_dispersion_budget)
 from toalab.wavepacket import SpacePacket, TimePacket, space_amplitude
+
+from test_detectors import BULLET, reference_ms_absorb
 
 # tau_bar = 1e4, v sigma_x = 1
 BASE = SpacePacket(x0=-100.0, p0=0.01, sigma_x=100.0, mass=1.0)
@@ -65,6 +67,16 @@ def assert_first_arrival_row_matches_quadrature(comp, pkt):
     ref = reference_first_arrival_row(pkt)
     assert row["mean"] == pytest.approx(ref.mean, rel=1e-10)
     assert row["uncertainty"] == pytest.approx(ref.uncertainty, rel=1e-10)
+
+
+def reference_ms_row(pkt, lam, steps_per_tau_bar):
+    """(mean, uncertainty, norm) of the per-step Marchewka-Schuss recursion
+    at epsilon = tau_bar / steps_per_tau_bar over (0, 2 tau_bar]."""
+    eps = (pkt.d / pkt.v0) / steps_per_tau_bar
+    steps = 2 * steps_per_tau_bar
+    detected = reference_ms_absorb(pkt, lam, eps, steps)
+    ms = ArrivalDistribution((np.arange(steps) + 1.0) * eps, detected / eps)
+    return ms.mean, ms.uncertainty, float(detected.sum())
 
 
 def _tqm(space):
@@ -262,6 +274,66 @@ class TestMetricComparison:
         assert ms["norm"] > 0.1
         assert ms["mean"] == pytest.approx(2000.0, rel=1e-2)
         assert ms["uncertainty"] == pytest.approx(14.14, rel=5e-2)
+
+    @pytest.mark.parametrize("lam", [0.1, 1.0, 10.0])
+    def test_marchewka_schuss_row_is_the_recursion_limit(self, lam):
+        # The recursion's error is O(epsilon): the row lies within the
+        # change from epsilon = tau_bar/10^4 to tau_bar/40 000 of the
+        # finer one.
+        ms = metric_comparison(BULLET, lam=lam).rows["marchewka_schuss"]
+        coarse = reference_ms_row(BULLET, lam, 10**4)
+        fine = reference_ms_row(BULLET, lam, 4 * 10**4)
+        for key, c, f in zip(("mean", "uncertainty", "norm"), coarse, fine):
+            assert abs(ms[key] - f) <= abs(c - f), key
+
+    @pytest.mark.parametrize("pkt", [
+        BULLET, SpacePacket(x0=-100.0, p0=1.0, sigma_x=10.0, mass=1.0),
+        # An arrival 8e-4 tau_bar wide, which G(inf)'s window must resolve.
+        SpacePacket(x0=-2.0e4, p0=30.0, sigma_x=30.0, mass=1.0)],
+        ids=["bullet", "slow", "narrow"])
+    @pytest.mark.parametrize("lam", [0.1, 1.0, 10.0])
+    def test_marchewka_schuss_norm_is_exact(self, pkt, lam):
+        # kappa G(inf) = (lam / 2 pi m) 4 m p0 erf(p0 sigma_x), by Parseval,
+        # for packets with no weight at the detector or at p < 0 (p0 sigma_x
+        # = 1 misses it by 22%, so the row integrates G(inf) itself).
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")      # the slow packet's regime
+            ms = metric_comparison(pkt, lam=lam).rows["marchewka_schuss"]
+        kappa_g = 2.0 * lam * pkt.p0 * math.erf(pkt.p0 * pkt.sigma_x) / math.pi
+        assert ms["norm"] == pytest.approx(1.0 - 1.0 / (1.0 + kappa_g),
+                                           rel=1e-10)
+
+    def test_marchewka_schuss_small_absorption_keeps_its_digits(self):
+        # 1 - 1/(1 + kappa G) would round to 0 at kappa G = 6e-20; the row
+        # keeps norm = kappa G(inf) and the moments of the rate kappa r.
+        ms = metric_comparison(BULLET, lam=1e-20).rows["marchewka_schuss"]
+        kappa_g = 2e-20 * BULLET.p0 * math.erf(BULLET.p0 * BULLET.sigma_x) \
+            / math.pi
+        assert ms["norm"] == pytest.approx(kappa_g, rel=1e-10)
+        assert ms["mean"] == pytest.approx(2000.0, rel=1e-6)
+
+    def test_marchewka_schuss_window_missing_g_is_numerical_error(self):
+        # sigma_x = 30 at tau_bar = 100: the bullet-sized grid holds 0.73
+        # of G(inf) = 4 m p0 erf(p0 sigma_x) = 4.
+        pkt = SpacePacket(x0=-100.0, p0=1.0, sigma_x=30.0, mass=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(NumericalError,
+                               match=r"G = 2\.92156 .* G\(inf\) = 4;"):
+                metric_comparison(pkt, lam=1.0)
+
+    def test_marchewka_schuss_without_absorption_checks_no_window(self):
+        # lam = 0 detects nothing whatever G is, so the grid that misses
+        # G(inf) above still gives the null row.
+        pkt = SpacePacket(x0=-100.0, p0=1.0, sigma_x=30.0, mass=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ms = metric_comparison(pkt, lam=0.0).rows["marchewka_schuss"]
+        assert ms == {"mean": None, "uncertainty": None, "norm": 0.0}
+
+    def test_negative_absorption_rejected(self):
+        with pytest.raises(ValueError, match="lam must be >= 0"):
+            metric_comparison(BULLET, lam=-1.0)
 
     def test_out_of_regime_flagged(self):
         pkt = SpacePacket(x0=-100.0, p0=1.0, sigma_x=10.0, mass=1.0)

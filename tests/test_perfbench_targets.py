@@ -56,7 +56,7 @@ def small_calls(tmp_path):
         "kijowski_curve": ((pkt, np.linspace(90.0, 110.0, 5)), {}),
         "monte_carlo_first_arrival": ((2, 10, 100), {"seed": 1}),
         "main": ((["kijowski-wave", "--output-dir", str(tmp_path)],), {}),
-        "_write_csv": ((str(tmp_path / "t.csv"), ["a"], [(1,)]), {}),
+        "_write_csv": ((str(tmp_path / "t.csv"), ["a", "b"], [(1, 2)]), {}),
         "_write_json": ((str(tmp_path / "t.json"), {"a": 1}), {}),
     }
 
