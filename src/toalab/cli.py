@@ -33,9 +33,8 @@ import numpy as np
 
 from . import __version__
 from . import firstpassage as fp
-from .detectors import (ArrivalDistribution, MsConfig, _require_captured,
-                        default_tau_grid, kijowski_bullet_stats,
-                        kijowski_curve, kijowski_wave_density_origin,
+from .detectors import (ArrivalDistribution, MsConfig,
+                        _kijowski_window_curve, kijowski_wave_density_origin,
                         kijowski_wave_norm, marchewka_schuss_evolve,
                         sqm_detection_curve)
 from .experiments import (discrete_continuum_experiment, metric_comparison,
@@ -238,15 +237,7 @@ def _curve(dist: ArrivalDistribution) -> dict:
 
 
 def run_kijowski_bullet(p: dict) -> tuple:
-    pkt = _space_packet(p)
-    stats = kijowski_bullet_stats(pkt)
-    grid = default_tau_grid(stats.tau_bar, stats.uncertainty, n=1201,
-                            spread=10.0)
-    curve = kijowski_curve(pkt, grid)
-    # The Kijowski norm over all time is the weight at p > 0 (Parseval).
-    _require_captured(curve.norm, 0.5 * math.erfc(-pkt.p0 * pkt.sigma_x),
-                      "kijowski-bullet's window captures norm {:.6g} of the "
-                      "exact Kijowski norm {:.6g}")
+    stats, curve = _kijowski_window_curve(_space_packet(p))
     return EXIT_OK, {"tau_bar": stats.tau_bar,
                      "sigma_bar_tau": stats.sigma_bar_tau,
                      "closed_form_uncertainty": stats.uncertainty,
@@ -302,13 +293,7 @@ def run_continuum(p: dict) -> tuple:
 
 
 def run_sqm_detect(p: dict) -> tuple:
-    pkt = _space_packet(p)
-    curve = sqm_detection_curve(pkt)
-    # The exact flux: the weight moving right, less that already past.
-    _require_captured(curve.norm, 0.5 * (math.erfc(-pkt.p0 * pkt.sigma_x)
-                                         - math.erfc(pkt.d / pkt.sigma_x)),
-                      "sqm-detect's default window captures norm {:.6g} of "
-                      "the detector's total flux {:.6g}")
+    curve = sqm_detection_curve(_space_packet(p))
     return EXIT_OK, curve.summary(), _curve(curve)
 
 

@@ -344,18 +344,34 @@ def _window(lo: float, hi: float, n: int, centre: float, width: float):
     return grid
 
 
-def _require_captured(captured, exact, message: str, tol=1e-3) -> None:
-    """NumericalError unless what a window captured is within `tol` of the
-    exact total; `message` formats the two numbers."""
-    if abs(captured - exact) > tol:
+def _require_captured(captured, exact, message: str) -> None:
+    """NumericalError unless what a window captured is within 1e-3 of the
+    exact total, relative to it; `message` formats the two numbers."""
+    if abs(captured - exact) > 1e-3 * exact:
         raise NumericalError(message.format(captured, exact) + "; the window "
                              "is sized for a bullet packet, which this is not")
 
 
-def default_tau_grid(tau_bar: float, width: float, n: int = 2048,
-                     spread: float = 8.0) -> np.ndarray:
-    lo = max(tau_bar - spread * width, 1e-9 * tau_bar)
-    return _window(lo, tau_bar + spread * width, n, tau_bar, width)
+def _tau_ends(tau_bar: float, width: float) -> tuple:
+    """tau_bar +/- 10 widths, the lower end clamped at 1e-9 tau_bar."""
+    return max(tau_bar - 10.0 * width, 1e-9 * tau_bar), tau_bar + 10.0 * width
+
+
+def default_tau_grid(tau_bar: float, width: float) -> np.ndarray:
+    """The default tau window: 1201 points on `_tau_ends`."""
+    return _window(*_tau_ends(tau_bar, width), 1201, tau_bar, width)
+
+
+def _kijowski_window_curve(pkt: SpacePacket) -> tuple:
+    """(bullet stats, Kijowski curve on `default_tau_grid`) of pkt; the norm
+    must be the exact Kijowski norm, the weight at p > 0 (Parseval)."""
+    stats = kijowski_bullet_stats(pkt)
+    curve = kijowski_curve(pkt, default_tau_grid(stats.tau_bar,
+                                                 stats.uncertainty))
+    _require_captured(curve.norm, 0.5 * math.erfc(-pkt.p0 * pkt.sigma_x),
+                      "the Kijowski curve's tau window captures norm {:.6g} "
+                      "of the exact Kijowski norm {:.6g}")
+    return stats, curve
 
 
 def sqm_detection_curve(pkt: SpacePacket,
@@ -366,23 +382,25 @@ def sqm_detection_curve(pkt: SpacePacket,
     The rate is the probability current at the detector,
     `_detector_current`.  The summary metadata carries the closed forms of
     `BulletDispersions`: mean tau_bar = d/v0 and uncertainty
-    sigma_bar/sqrt(2).
+    sigma_bar/sqrt(2).  A `tau_grid` must bracket `_tau_ends`; on any grid
+    the norm must be the exact flux, erfc(-p0 sigma_x)/2 - erfc(d/sigma_x)/2.
     """
     disp = _bullet_dispersions(pkt)
     tau_bar, dtau = disp.tau_bar, disp.uncertainty
-    if tau_grid is None:
-        tau_grid = default_tau_grid(tau_bar, dtau)
-    else:
-        tau_grid = np.asarray(tau_grid, dtype=float)
-        # The default grid's own ends, so the same clamp at 1e-9 tau_bar.
-        lo, hi = default_tau_grid(tau_bar, dtau, n=2)
-        if tau_grid[0] > lo + 1e-12 * tau_bar \
-                or tau_grid[-1] < hi - 1e-12 * tau_bar:
-            raise ValueError("tau_grid must bracket tau_bar +/- 8 widths "
-                             "(clamped at 1e-9 tau_bar)")
-    return ArrivalDistribution(tau_grid, _detector_current(pkt, tau_grid),
-                               meta={"metric": "current", "tau_bar": tau_bar,
-                                     "closed_form_uncertainty": dtau})
+    lo, hi = _tau_ends(tau_bar, dtau)
+    tau_grid = default_tau_grid(tau_bar, dtau) if tau_grid is None \
+        else np.asarray(tau_grid, float)
+    if tau_grid[0] > lo + 1e-12 * tau_bar \
+            or tau_grid[-1] < hi - 1e-12 * tau_bar:
+        raise ValueError(f"tau_grid must bracket [{lo:.6g}, {hi:.6g}]")
+    curve = ArrivalDistribution(tau_grid, _detector_current(pkt, tau_grid),
+                                meta={"metric": "current", "tau_bar": tau_bar,
+                                      "closed_form_uncertainty": dtau})
+    _require_captured(curve.norm, 0.5 * (math.erfc(-pkt.p0 * pkt.sigma_x)
+                                         - math.erfc(pkt.d / pkt.sigma_x)),
+                      "the current's tau window captures norm {:.6g} of the "
+                      "detector's total flux {:.6g}")
+    return curve
 
 
 # ---------------------------------------------------------------------------
@@ -485,20 +503,19 @@ def marchewka_schuss_evolve(x, psi0, cfg: MsConfig,
                                  cfg.steps)
 
     # The absorbed run's boundary derivative at step n is the hard-wall one,
-    # dpsi_raw[n], times the survival scale prod_(j<n) sqrt(1 - P_j).
-    norm = float(np.trapezoid(np.abs(psi) ** 2, x))
-    absorb_coeff = cfg.epsilon * cfg.lam / (2.0 * math.pi * m)
-    detected = np.zeros(cfg.steps)
-    survival_scale = 1.0
-    for n, raw in enumerate(dpsi_raw.tolist()):
-        P = absorb_coeff * abs(raw * survival_scale) ** 2
+    # dpsi_raw[n], times sqrt(share): share = prod_(j<n) (1 - P_j) survives.
+    raw_p = (cfg.epsilon * cfg.lam / (2.0 * math.pi * m)
+             * np.abs(dpsi_raw) ** 2).tolist()
+    detected, share = np.zeros(cfg.steps), 1.0
+    for n, P in enumerate(raw_p):
+        P *= share
         if P > 1.0:
             raise NumericalError(
                 f"absorption probability {P:.3g} > 1 at step {n}; "
                 "reduce lam or epsilon")
-        detected[n] = P * norm
-        norm *= 1.0 - P
-        survival_scale *= math.sqrt(1.0 - P)
+        detected[n] = P * share
+        share *= 1.0 - P
+    detected *= float(np.trapezoid(np.abs(psi) ** 2, x))
     final_phase = np.exp(-1j * k * k * (cfg.epsilon * cfg.steps) / (2.0 * m))
-    psi_final = np.fft.ifft(spectrum * final_phase)[:n_half] * survival_scale
+    psi_final = np.fft.ifft(spectrum * final_phase)[:n_half] * math.sqrt(share)
     return MsResult(x=x, psi_final=psi_final, detected=detected, cfg=cfg)

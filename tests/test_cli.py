@@ -21,6 +21,7 @@ import toalab
 from toalab import cli, validation
 from toalab.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                         OUTPUT_DIR_ENV, main)
+from toalab.detectors import default_tau_grid
 from toalab.experiments import MetricComparison
 from toalab.kernels import LaplaceCheckReport
 
@@ -247,14 +248,18 @@ class TestExitCodes:
         assert not (out / "kijowski-bullet_summary.json").exists()
 
     @pytest.mark.parametrize("argv,norm,flux", [
-        (["--sigma-x", "30"], "0.622907", "0.999999"),
-        (["--sigma-x", "1e13"], "6.38363e-24", "0.5"),
-        (["--p0", "0.1"], "0.885247", "0.92135"),
-    ], ids=["sigma-x 30", "sigma-x 1e13", "p0 0.1"])
+        (["--sigma-x", "30"], "0.730385", "0.999999"),
+        (["--sigma-x", "1e13"], "7.97913e-24", "0.5"),
+        (["--p0", "0.1"], "0.892308", "0.92135"),
+        # A small flux erf(0.01): 1.6% of it, but only 1.8e-4, is missing.
+        (["--p0", "0.01", "--sigma-x", "1", "--d", "0.01"], "0.0111014",
+         "0.0112834"),
+    ], ids=["sigma-x 30", "sigma-x 1e13", "p0 0.1", "small flux"])
     def test_sqm_window_missing_the_flux_is_numerical_error(
             self, tmp_path, capsys, argv, norm, flux):
-        # The bullet-sized window (ROADMAP D9) misses part of the exact flux
-        # erfc(-p0 sigma_x)/2 - erfc(d/sigma_x)/2 through the detector.
+        # The bullet-sized window (ROADMAP D9) misses more than 1e-3 of the
+        # exact flux erfc(-p0 sigma_x)/2 - erfc(d/sigma_x)/2 through the
+        # detector.
         code, out = run(tmp_path, "sqm-detect", *argv)
         assert code == EXIT_NUMERICAL
         error = strict_json((out / "error.json").read_text())["error"]
@@ -279,6 +284,43 @@ class TestExitCodes:
         assert error in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == [
             "error.json", "kijowski-bullet_manifest.json"]
+
+    @pytest.mark.parametrize("argv", [
+        ["--p0", "1", "--sigma-x", "30", "--d", "100"], ["--d", "1e-8"]],
+        ids=["sigma-x 30", "d 1e-8"])
+    @pytest.mark.parametrize("name", [
+        "kijowski-bullet", "sqm-detect", "metric-compare"])
+    def test_window_refusals_agree_across_subcommands(self, tmp_path, name,
+                                                      argv):
+        # The window misses the exact total, Kijowski's or the flux, so each
+        # subcommand refuses the packet alike.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")      # outside the bullet regime
+            code, out = run(tmp_path, name, *argv)
+        assert code == EXIT_NUMERICAL
+        assert "captures norm" in strict_json(
+            (out / "error.json").read_text())["error"]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "error.json", f"{name}_manifest.json"]
+
+    def test_metric_compare_refuses_the_kijowski_norm_before_g(self,
+                                                               tmp_path):
+        # At d = 1e-8 the window holds 8e-11 of the Kijowski norm, which
+        # is refused before G(inf) is integrated.
+        code, out = run(tmp_path, "metric-compare", "--d", "1e-8",
+                        "--lambda", "1")
+        assert code == EXIT_NUMERICAL
+        assert "captures norm 7.97865e-11 of the exact Kijowski norm 1;" \
+            in strict_json((out / "error.json").read_text())["error"]
+
+    def test_sqm_and_kijowski_curves_share_one_window(self, tmp_path):
+        # At their shared default packet the two curves sit on one window.
+        taus = {}
+        for name in ("sqm-detect", "kijowski-bullet"):
+            assert run(tmp_path, name)[0] == EXIT_OK
+            with open(tmp_path / "out" / f"{name}_curve.csv") as fh:
+                taus[name] = [row[0] for row in csv.reader(fh)]
+        assert taus["sqm-detect"] == taus["kijowski-bullet"]
 
     def test_sqm_defaults_capture_the_flux(self, tmp_path):
         code, out = run(tmp_path, "sqm-detect")
@@ -341,7 +383,8 @@ class TestArtifacts:
         assert code == EXIT_OK
         lines = (out / "sqm-detect_curve.csv").read_text().strip().splitlines()
         assert lines[0] == "tau,rate"
-        assert len(lines) == 1 + 2048                # header + one row per tau
+        # The header, then one row per tau of the default window.
+        assert len(lines) == 1 + default_tau_grid(100.0, 1.0).size
         tau, rate = (float(v) for v in lines[1].split(","))
         assert tau > 0 and rate >= 0
 
@@ -391,7 +434,7 @@ class TestArtifacts:
         assert ms["mean"] == pytest.approx(2000.0, rel=1e-2)
 
     def test_metric_compare_takes_its_own_clamped_grid(self, tmp_path):
-        # 8 widths exceed tau_bar, so the default grid starts at the clamp
+        # 10 widths exceed tau_bar, so the default grid starts at the clamp
         # 1e-9 tau_bar; the current row must accept that grid (ROADMAP D9).
         with pytest.warns(UserWarning, match="outside the bullet regime"):
             code, out = run(tmp_path, "metric-compare", "--p0", "1",

@@ -146,8 +146,7 @@ def cli_grid(pkt):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # outside the bullet regime
         stats = kijowski_bullet_stats(pkt)
-    return default_tau_grid(stats.tau_bar, stats.uncertainty, n=1201,
-                            spread=10.0)
+    return default_tau_grid(stats.tau_bar, stats.uncertainty)
 
 
 def reference_ms_evolve(x, psi0, cfg, m=1.0):
@@ -366,7 +365,7 @@ class TestKijowskiBullet:
 
     def test_curve_moments_match_closed_form(self):
         stats = kijowski_bullet_stats(BULLET)
-        taus = default_tau_grid(stats.tau_bar, stats.uncertainty, n=1200)
+        taus = default_tau_grid(stats.tau_bar, stats.uncertainty)
         curve = kijowski_curve(BULLET, taus)
         assert curve.norm == pytest.approx(1.0, abs=1e-3)
         assert curve.mean == pytest.approx(stats.tau_bar, rel=1e-3)
@@ -599,13 +598,17 @@ class TestSqmDetectionCurve:
                                             mass=1))
 
     def test_window_below_float_spacing_is_numerical_error(self):
-        # Width 7e-13 at tau_bar = 100: 2048 points on 16 widths cannot
+        # Width 7e-13 at tau_bar = 100: 1201 points on 20 widths cannot
         # step past the float spacing 1.4e-14 there.
         wide = SpacePacket(x0=-100.0, p0=1.0, sigma_x=1e14)
         with pytest.raises(NumericalError, match="window at 100, width"):
             sqm_detection_curve(wide)
         with pytest.raises(NumericalError, match="float spacing"):
             default_tau_grid(100.0, 1e-15)
+        # A grid of the caller's own needs only the window's ends, and this
+        # one holds the flux erfc(-1e14)/2 - erfc(1e-12)/2 = 1/2.
+        curve = sqm_detection_curve(wide, np.linspace(0.0, 1e17, 200001))
+        assert curve.norm == pytest.approx(0.5, rel=1e-6)
 
     def test_user_grid_keeps_its_value_error(self):
         with pytest.raises(ValueError, match="strictly increasing") as info:

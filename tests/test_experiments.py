@@ -49,8 +49,7 @@ def reference_first_arrival_row(pkt):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         stats = kijowski_bullet_stats(pkt)
-    grid = default_tau_grid(stats.tau_bar, stats.uncertainty, n=1201,
-                            spread=10.0)
+    grid = default_tau_grid(stats.tau_bar, stats.uncertainty)
     x = np.linspace(pkt.x0 - 12.0 * pkt.sigma_x, pkt.x0 + 12.0 * pkt.sigma_x,
                     4001)
     phi0 = space_amplitude(pkt, x)
@@ -312,20 +311,33 @@ class TestMetricComparison:
         assert ms["norm"] == pytest.approx(kappa_g, rel=1e-10)
         assert ms["mean"] == pytest.approx(2000.0, rel=1e-6)
 
-    def test_marchewka_schuss_window_missing_g_is_numerical_error(self):
-        # sigma_x = 30 at tau_bar = 100: the bullet-sized grid holds 0.73
-        # of G(inf) = 4 m p0 erf(p0 sigma_x) = 4.
+    def test_marchewka_schuss_window_missing_g_is_numerical_error(
+            self, monkeypatch):
+        # sigma_x = 30 at tau_bar = 100: the bullet-sized grid holds 0.73 of
+        # the Kijowski norm 1, which is refused first, and 2.92 of G(inf) =
+        # 4 m p0 erf(p0 sigma_x) = 4, which the row refuses once the curves'
+        # own checks in `detectors` are passed over.
         pkt = SpacePacket(x0=-100.0, p0=1.0, sigma_x=30.0, mass=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
+            with pytest.raises(NumericalError, match=r"Kijowski curve's tau "
+                               r"window captures norm 0\.730253 of the exact "
+                               r"Kijowski norm 1;"):
+                metric_comparison(pkt, lam=1.0)
+            monkeypatch.setattr("toalab.detectors._require_captured",
+                                lambda *args: None)
             with pytest.raises(NumericalError,
                                match=r"G = 2\.92156 .* G\(inf\) = 4;"):
                 metric_comparison(pkt, lam=1.0)
 
-    def test_marchewka_schuss_without_absorption_checks_no_window(self):
+    def test_marchewka_schuss_without_absorption_checks_no_window(
+            self, monkeypatch):
         # lam = 0 detects nothing whatever G is, so the grid that misses
-        # G(inf) above still gives the null row.
+        # G(inf) above still gives the null row once the curves' own checks
+        # are passed over.
         pkt = SpacePacket(x0=-100.0, p0=1.0, sigma_x=30.0, mass=1.0)
+        monkeypatch.setattr("toalab.detectors._require_captured",
+                            lambda *args: None)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             ms = metric_comparison(pkt, lam=0.0).rows["marchewka_schuss"]
@@ -346,8 +358,9 @@ class TestMetricComparison:
         assert_first_arrival_row_matches_quadrature(comp, pkt)
 
     def test_packet_weight_at_detector_flags_first_arrival_row(self):
-        # d = 2 sigma_x: erfc(2)/2 = 2.3e-3 of the packet sits at x' >= 0.
-        pkt = SpacePacket(x0=-20.0, p0=1.0, sigma_x=10.0, mass=1.0)
+        # d = 3 sigma_x: erfc(3)/2 = 1.1e-5 of the packet sits at x' >= 0,
+        # while the window still holds the Kijowski norm and the flux.
+        pkt = SpacePacket(x0=-3.0, p0=5.0, sigma_x=1.0, mass=1.0)
         with pytest.warns(UserWarning, match="first_arrival_kernel row"):
             metric_comparison(pkt)
 
