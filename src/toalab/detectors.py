@@ -352,14 +352,11 @@ def _require_captured(captured, exact, message: str) -> None:
                              "is sized for a bullet packet, which this is not")
 
 
-def _tau_ends(tau_bar: float, width: float) -> tuple:
-    """tau_bar +/- 10 widths, the lower end clamped at 1e-9 tau_bar."""
-    return max(tau_bar - 10.0 * width, 1e-9 * tau_bar), tau_bar + 10.0 * width
-
-
 def default_tau_grid(tau_bar: float, width: float) -> np.ndarray:
-    """The default tau window: 1201 points on `_tau_ends`."""
-    return _window(*_tau_ends(tau_bar, width), 1201, tau_bar, width)
+    """The default tau window: 1201 points on tau_bar +/- 10 widths, the
+    lower end clamped at 1e-9 tau_bar."""
+    return _window(max(tau_bar - 10.0 * width, 1e-9 * tau_bar),
+                   tau_bar + 10.0 * width, 1201, tau_bar, width)
 
 
 def _kijowski_window_curve(pkt: SpacePacket) -> tuple:
@@ -374,26 +371,20 @@ def _kijowski_window_curve(pkt: SpacePacket) -> tuple:
     return stats, curve
 
 
-def sqm_detection_curve(pkt: SpacePacket,
-                        tau_grid=None) -> ArrivalDistribution:
+def sqm_detection_curve(pkt: SpacePacket) -> ArrivalDistribution:
     """Detection-rate curve of a black-box detector at the origin, pkt.d
     downstream of the packet center.
 
     The rate is the probability current at the detector,
-    `_detector_current`.  The summary metadata carries the closed forms of
-    `BulletDispersions`: mean tau_bar = d/v0 and uncertainty
-    sigma_bar/sqrt(2).  A `tau_grid` must bracket `_tau_ends`; on any grid
-    the norm must be the exact flux, erfc(-p0 sigma_x)/2 - erfc(d/sigma_x)/2.
+    `_detector_current`, on `default_tau_grid`.  The summary metadata
+    carries the closed forms of `BulletDispersions`: mean tau_bar = d/v0
+    and uncertainty sigma_bar/sqrt(2).  The norm must be the exact flux,
+    erfc(-p0 sigma_x)/2 - erfc(d/sigma_x)/2.
     """
     disp = _bullet_dispersions(pkt)
     tau_bar, dtau = disp.tau_bar, disp.uncertainty
-    lo, hi = _tau_ends(tau_bar, dtau)
-    tau_grid = default_tau_grid(tau_bar, dtau) if tau_grid is None \
-        else np.asarray(tau_grid, float)
-    if tau_grid[0] > lo + 1e-12 * tau_bar \
-            or tau_grid[-1] < hi - 1e-12 * tau_bar:
-        raise ValueError(f"tau_grid must bracket [{lo:.6g}, {hi:.6g}]")
-    curve = ArrivalDistribution(tau_grid, _detector_current(pkt, tau_grid),
+    taus = default_tau_grid(tau_bar, dtau)
+    curve = ArrivalDistribution(taus, _detector_current(pkt, taus),
                                 meta={"metric": "current", "tau_bar": tau_bar,
                                       "closed_form_uncertainty": dtau})
     _require_captured(curve.norm, 0.5 * (math.erfc(-pkt.p0 * pkt.sigma_x)

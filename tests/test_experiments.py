@@ -1,6 +1,7 @@
 """End-to-end experiments: slit in time, metric comparison, lattice limit."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from toalab.experiments import (discrete_continuum_experiment, gated_source,
                                 metric_comparison, single_slit_sqm,
                                 single_slit_sweep)
 from toalab.detectors import sqm_detection_curve
+from toalab import kernels
 from toalab.kernels import NumericalError, first_arrival_kernel
 from toalab.tqm import (TqmPacket, sqm_limit_curve, tqm_arrival_distribution,
                         tqm_detection_density, tqm_dispersion_budget)
@@ -40,6 +42,26 @@ def slit_uncertainties(pkt, W):
     """The library's (sqm, tqm) closed-form spreads at gate width W."""
     sweep = single_slit_sweep(pkt, [W])
     return float(sweep.sqm_uncertainty[0]), float(sweep.tqm_uncertainty[0])
+
+
+def reference_single_slit_sqm(pkt, W):
+    """The single slit by a fixed rule (test oracle): per tau of the
+    default window, the gate convolution on 1025 gate-time nodes.  Returns
+    the normalized rates."""
+    gated = gated_source(pkt, W)
+    disp = tqm_dispersion_budget(gated)
+    dtau_cf = disp.sigma_bar_tau / math.sqrt(2.0)
+    tau_grid = default_tau_grid(disp.tau_bar, dtau_cf)
+    tg = np.linspace(-10.0 * W, 10.0 * W, 1025)
+    gate = (math.pi * W**2) ** -0.25 * np.exp(-tg**2 / (2.0 * W**2))
+    source_phase = np.exp(-1j * pkt.p0**2 * tg / (2.0 * pkt.mass))
+    amp = np.empty(tau_grid.size, dtype=complex)
+    for i, tau in enumerate(tau_grid):
+        phi = space_amplitude(pkt, 0.0, tau - tg)
+        amp[i] = np.trapezoid(gate * source_phase * phi, tg)
+    rates = pkt.v0 * np.abs(amp) ** 2
+    rates /= np.trapezoid(rates, tau_grid)
+    return rates
 
 
 def reference_first_arrival_row(pkt):
@@ -193,6 +215,7 @@ class TestSlitCurves:
     # Deep frozen-dispersion regime: Delta tau / tau_bar ~ 5e-4, so the
     # numerical gate convolution tracks the closed form tightly.
     DEEP = SpacePacket(x0=-8.0e4, p0=25.0 * 0.8, sigma_x=1.0, mass=25.0)
+    MID = SpacePacket(x0=-1e4, p0=0.5, sigma_x=10.0, mass=1.0)
 
     def test_sqm_curve_matches_closed_form(self):
         curve = single_slit_sqm(self.DEEP, 10.0)
@@ -226,8 +249,51 @@ class TestSlitCurves:
 
     def test_wide_gate_warns(self):
         with pytest.warns(UserWarning, match="frozen-dispersion"):
-            single_slit_sqm(BASE, 0.2 * 1e4, tau_grid=np.linspace(
-                1.0, 1e5, 512))
+            single_slit_sqm(BASE, 0.2 * 1e4)
+
+    @pytest.mark.parametrize("pkt,W", [
+        (BASE, 0.05), (BASE, 1.0),
+        (MID, 1.0), (MID, 10.0),
+        (DEEP, 1e-3), (DEEP, 1.0), (DEEP, 10.0)],
+        ids=["base-0.05", "base-1", "mid-1", "mid-10", "deep-1e-3",
+             "deep-1", "deep-10"])
+    def test_gate_time_rule_matches_fixed_rule(self, pkt, W):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rates = single_slit_sqm(pkt, W).rates
+            ref = reference_single_slit_sqm(pkt, W)
+        assert np.max(np.abs(rates - ref)) <= 1e-10 * np.max(ref)
+
+    def test_outside_bullet_regime_warns(self):
+        with pytest.warns(UserWarning, match="outside the bullet regime"):
+            single_slit_sqm(BASE, 1.0)
+
+    def test_deep_packet_raises_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for W in (1e-3, 1.0, 10.0):
+                single_slit_sqm(self.DEEP, W)
+
+    def test_unconverged_rule_refuses(self, monkeypatch):
+        # BASE at W = 1 converges at 65 nodes; one halving stops at 33.
+        monkeypatch.setattr(kernels, "_TRAPEZOID_HALVINGS", 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(NumericalError, match="with 33 nodes"):
+                single_slit_sqm(BASE, 1.0)
+
+    def test_gate_nodes_summed_in_chunks(self, monkeypatch):
+        # A first level of 1023 gate nodes: summed at once, each temporary
+        # of 1201 taus x 1023 nodes would take 19.7 MB, 64 nodes 1.2 MB.
+        monkeypatch.setattr(kernels, "_TRAPEZOID_START", 1024)
+        single_slit_sqm(self.DEEP, 10.0)
+        tracemalloc.start()
+        try:
+            single_slit_sqm(self.DEEP, 10.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestSweep:

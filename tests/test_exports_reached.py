@@ -154,8 +154,6 @@ UNPASSED_EXEMPT = {
         "perfbench binds it (ROADMAP direction 4)",
     ("monte_carlo_first_arrival", "workers"):
         "perfbench binds it (ROADMAP direction 4)",
-    ("single_slit_sqm", "tau_grid"):
-        "single_slit_sqm itself is exempt above",
     ("main", "argv"): "the entry point; the console script passes none",
 }
 
