@@ -311,9 +311,10 @@ def run_slit_sweep(p: dict) -> tuple:
     monotone = bool(np.all(np.diff(ratio) <= 1e-12))  # W ascending
     return (EXIT_OK if monotone else EXIT_VALIDATION,
             {"W": sweep.W_values.tolist(), "ratio": ratio.tolist(),
-             "ratio_monotone_in_1_over_W": monotone},
+             "ratio_monotone_in_1_over_W": monotone,
+             "sqm_exact_refusal": sweep.sqm_exact_refusal},
             {"table.csv": (["W", "sqm_uncertainty", "tqm_uncertainty",
-                            "ratio"], sweep.rows())})
+                            "ratio", "sqm_exact_uncertainty"], sweep.rows())})
 
 
 def run_metric_compare(p: dict) -> tuple:

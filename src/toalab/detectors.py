@@ -14,12 +14,11 @@ Three detector models for the arrival of a packet at the origin:
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import NumericalError, _trapezoid
+from .kernels import NumericalError, _trapezoid, _warn
 from .wavepacket import (SpacePacket, _require_width, space_amplitude,
                          space_amplitude_dx, space_momentum_amplitude)
 
@@ -62,8 +61,8 @@ class ArrivalDistribution:
         object.__setattr__(self, "taus", taus)
         object.__setattr__(self, "rates", rates)
         if self.has_backflow:
-            warnings.warn("negative detection rates present (backflow); "
-                          "reported without clamping", stacklevel=2)
+            _warn("negative detection rates present (backflow); reported "
+                  "without clamping")
 
     @property
     def has_backflow(self) -> bool:
@@ -267,9 +266,50 @@ def kijowski_bullet_stats(pkt: SpacePacket) -> BulletDispersions:
                in zip(("sigma_p/p0", "m sigma_x^2/tau_bar"), ratios)
                if value > 0.1]
     if outside:
-        warnings.warn(f"{', '.join(outside)} > 0.1: outside the bullet "
-                      "regime, closed form is approximate", stacklevel=2)
+        _warn(f"{', '.join(outside)} > 0.1: outside the bullet regime, "
+              "closed form is approximate")
     return disp
+
+
+def _arrival_moments(pkt: SpacePacket, alpha: float, gate=None) -> tuple:
+    """Exact (mean, uncertainty) of |int_0^inf p^alpha phi(p) e^(-i p^2
+    tau/2m) dp|^2 for a left packet: Kijowski's density at alpha = 1/2,
+    |psi|^2 at the detector at alpha = 0.  tau acts as -i d/dE, so with
+    a = (p - p0)/sigma_p^2 and weight p^(2 alpha - 1) |phi|^2 on p > 0,
+    <tau> = m d <1/p> and <tau^2> = m^2 <(d^2 + ((alpha - 1)/p - a)^2)/p^2>
+    (Kijowski, Rep. Math. Phys. 6, 361 (1974); Muga & Leavens, Phys. Rep.
+    338, 353 (2000)).  A gate of clock-time width W multiplies phi by
+    e^(-W^2 (E - E0)^2/2), E = p^2/2m: the weight gains e^(-W^2 (E - E0)^2)
+    and a gains W^2 (E - E0) p/m.  Each average is one trapezoid rule on
+    p0 +/- 6 s, the gated width s = sigma_p / hypot(1, W p0 sigma_p/m).
+    1/p^4 diverges at p = 0, so sigma_p/p0 > 1/8 raises ValueError (below
+    it the weight at p = 0 is e^-64 of the peak or less); a variance not
+    above 0 raises NumericalError.
+    """
+    p0, sp, m, d = pkt.p0, pkt.sigma_p, pkt.mass, pkt.d
+    if p0 <= 0 or sp > p0 / 8.0:
+        raise ValueError(f"sigma_p = {sp:.3g} exceeds p0/8 = {p0 / 8.0:.3g}: "
+                         "momentum content near p = 0 is not negligible, "
+                         "the moments diverge")
+    W = gate or 0.0
+    s = sp / math.hypot(1.0, W * p0 * sp / m)
+
+    def average(f):
+        def total(p):
+            e = (p * p - p0 * p0) / (2.0 * m)
+            a = (p - p0) / sp**2 + W * W * e * p / m
+            return np.sum(np.exp(-((p - p0) / sp) ** 2 - (W * e) ** 2)
+                          * p ** (2.0 * alpha - 1.0) * f(p, a))
+        return _trapezoid(total, p0 - 6.0 * s, p0 + 6.0 * s, 1e-12)[0]
+
+    weight = average(lambda p, a: 1.0)
+    mean = m * d * average(lambda p, a: 1.0 / p) / weight
+    var = m * m * average(lambda p, a: (d * d + ((alpha - 1.0) / p - a) ** 2)
+                          / p**2) / weight - mean * mean
+    if not var > 0.0:
+        raise NumericalError(f"arrival variance {var:.3g} at gate W = {W:g}:"
+                             f" the window p0 +/- {6 * s:.3g} is unresolved")
+    return mean, math.sqrt(var)
 
 
 def _require_wave(m: float, sigma_p: float) -> None:

@@ -17,24 +17,21 @@ without bound for narrow gates.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import firstpassage as fp
-from .detectors import (ArrivalDistribution, _kijowski_window_curve,
-                        _require_captured, default_tau_grid,
-                        kijowski_bullet_stats, sqm_detection_curve)
-from .kernels import _trapezoid
+from .detectors import (ArrivalDistribution, _arrival_moments,
+                        _kijowski_window_curve, _require_captured,
+                        sqm_detection_curve)
+from .kernels import _trapezoid, _warn
 from .tqm import TqmPacket, tqm_dispersion_budget
-from .wavepacket import (SpacePacket, TimePacket, space_amplitude,
-                         space_amplitude_dx)
+from .wavepacket import SpacePacket, TimePacket, space_amplitude_dx
 
 __all__ = [
     "gated_source",
     "SweepResult",
-    "single_slit_sqm",
     "single_slit_sweep",
     "MetricComparison",
     "metric_comparison",
@@ -57,81 +54,45 @@ def gated_source(pkt: SpacePacket, W: float) -> TqmPacket:
         space=replace(pkt, sigma_x=math.hypot(pkt.sigma_x, pkt.v0 * W)))
 
 
-def single_slit_sqm(pkt: SpacePacket, W: float) -> ArrivalDistribution:
-    """SQM single slit in time: gate convolution of the source amplitude.
-
-    The detector amplitude is the coherent gate average
-    psi_D(tau) = int dtau_G G(tau_G) e^(-i p0^2 tau_G / 2m)
-                 phi_(tau - tau_G)(0),
-    where G is the gate amplitude (|G|^2 of clock-time spread W) and the
-    explicit source phase cancels the carrier of phi, so the integrand is
-    smooth in tau_G: one `_trapezoid` call on [-10 W, 10 W] at rtol 1e-10
-    gives psi_D on all of `default_tau_grid`.  The rate is v0 |psi_D|^2,
-    normalized over the grid; the meta carries tau_bar and the closed form
-    sigma_bar/sqrt(2) of the gated source from `kijowski_bullet_stats`,
-    which warns outside the bullet regime.  Also warns when W > 0.1 tau_bar,
-    where the frozen-dispersion approximation behind it degrades.
-    """
-    gated = gated_source(pkt, W)
-    disp = kijowski_bullet_stats(gated.space)
-    if W > 0.1 * disp.tau_bar:
-        warnings.warn(
-            f"gate width W = {W:g} exceeds 0.1 tau_bar = "
-            f"{0.1 * disp.tau_bar:g}; the frozen-dispersion approximation "
-            "behind the closed forms degrades", stacklevel=2)
-    taus = default_tau_grid(disp.tau_bar, disp.uncertainty)
-
-    def amp_sum(tg):  # 64 nodes at a time, to bound the temporaries
-        total = np.zeros(taus.size, dtype=complex)
-        for start in range(0, tg.size, 64):
-            g = tg[start:start + 64]
-            # Gate of width parameter W (so it adds v0 W in quadrature to
-            # the spatial width) times the source phase.
-            w = (math.pi * W**2) ** -0.25 * np.exp(
-                -g**2 / (2.0 * W**2) - 1j * pkt.p0**2 * g / (2.0 * pkt.mass))
-            total += (space_amplitude(pkt, 0.0, taus[:, None] - g)
-                      * w).sum(axis=1)
-        return total
-
-    amp = _trapezoid(amp_sum, -10.0 * W, 10.0 * W, 1e-10)[0]
-    rates = pkt.v0 * np.abs(amp) ** 2
-    rates /= np.trapezoid(rates, taus)
-    return ArrivalDistribution(taus, rates, meta={
-        "metric": "sqm-slit", "W": W, "Sigma_x": gated.space.sigma_x,
-        "tau_bar": disp.tau_bar, "closed_form_uncertainty": disp.uncertainty})
-
-
 @dataclass(frozen=True)
 class SweepResult:
     W_values: np.ndarray
     sqm_uncertainty: np.ndarray
     tqm_uncertainty: np.ndarray
+    sqm_exact_uncertainty: tuple    # per W, None where refused
+    sqm_exact_refusal: str          # the first refusal's reason, or None
 
     @property
     def ratio(self) -> np.ndarray:
         return self.tqm_uncertainty / self.sqm_uncertainty
 
     def rows(self):
-        for i, W in enumerate(self.W_values):
-            yield (W, self.sqm_uncertainty[i], self.tqm_uncertainty[i],
-                   self.ratio[i])
+        return zip(self.W_values, self.sqm_uncertainty, self.tqm_uncertainty,
+                   self.ratio, self.sqm_exact_uncertainty)
 
 
 def single_slit_sweep(pkt: SpacePacket, W_values) -> SweepResult:
-    """Closed-form uncertainty sweep over gate widths.
+    """Uncertainty sweep over gate widths.
 
-    Per W, from the budget of `gated_source(pkt, W)`: the SQM spread
-    sigma_bar/sqrt(2) (non-increasing toward the free-packet floor as
-    W -> 0) and the TQM spread `uncertainty` (diverging as 1/W), with their
-    ratio growing without bound for narrow gates.
+    Per W, from the budget of `gated_source(pkt, W)`: the closed-form SQM
+    spread sigma_bar/sqrt(2) (non-increasing toward the free-packet floor
+    as W -> 0) and the TQM spread `uncertainty` (diverging as 1/W), with
+    their ratio growing without bound for narrow gates; and the exact SQM
+    spread of |psi_D|^2 behind the gate, or None where it is refused.
     """
     W_values = np.asarray(sorted(float(w) for w in W_values))
     budgets = [tqm_dispersion_budget(gated_source(pkt, W)) for W in W_values]
-    return SweepResult(
-        W_values=W_values,
-        sqm_uncertainty=np.array([b.sigma_bar_tau / math.sqrt(2.0)
-                                  for b in budgets]),
-        tqm_uncertainty=np.array([b.uncertainty for b in budgets]))
+    exact, refusal = [], None
+    for W in W_values:
+        try:
+            exact.append(_arrival_moments(pkt, 0.0, W)[1])
+        except ValueError as exc:
+            exact.append(None)
+            refusal = refusal or str(exc)
+    return SweepResult(W_values, np.array([b.sigma_bar_tau / math.sqrt(2.0)
+                                           for b in budgets]),
+                       np.array([b.uncertainty for b in budgets]),
+                       tuple(exact), refusal)
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +143,9 @@ def metric_comparison(pkt: SpacePacket,
     # the amplitude cancels).
     beyond = 0.5 * math.erfc(pkt.d / pkt.sigma_x)
     if beyond > 1e-9:
-        warnings.warn(f"first_arrival_kernel row: the packet has weight "
-                      f"{beyond:.2g} at x' >= 0, where the row's weight -x' "
-                      "differs from the kernel's |x'|", stacklevel=2)
+        _warn(f"first_arrival_kernel row: the packet has weight {beyond:.2g} "
+              "at x' >= 0, where the row's weight -x' differs from the "
+              "kernel's |x'|")
     fa = np.abs(space_amplitude_dx(pkt, 0.0, grid)) ** 2
     fa_curve = ArrivalDistribution(grid, fa / np.trapezoid(fa, grid),
                                    meta={"metric": "first-arrival"})
@@ -226,9 +187,9 @@ def metric_comparison(pkt: SpacePacket,
     consistent = all(max(v) - min(v) <= 0.01 * max(v) for v in (
         [t["uncertainty"] for t in trio], [t["mean"] for t in trio]))
     if not consistent:
-        warnings.warn("Kijowski-full, bullet closed form, and current-based "
-                      "statistics disagree beyond 1%; packet is outside the "
-                      "bullet regime m sigma_x^2 << tau_bar", stacklevel=2)
+        _warn("Kijowski-full, bullet closed form, and current-based "
+              "statistics disagree beyond 1%; packet is outside the bullet "
+              "regime m sigma_x^2 << tau_bar")
     return MetricComparison(rows=rows, consistent=consistent)
 
 

@@ -23,6 +23,8 @@ which the integrand decays to zero at both ends of the grid.  There it converges
 from __future__ import annotations
 
 import math
+import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +42,15 @@ _SQRT_MINUS_I = np.exp(-1j * math.pi / 4.0)  # principal sqrt of 1/i
 
 class NumericalError(ValueError):
     """A numerical path cannot resolve its input or left its valid range."""
+
+
+def _warn(message: str) -> None:
+    """warnings.warn(message) on the line of the first caller outside the
+    modules toalab and toalab.*, a dataclass-generated __init__ among them."""
+    f, level = sys._getframe(1), 2
+    while f and f"{f.f_globals.get('__name__')}.".startswith("toalab."):
+        f, level = f.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
 
 
 _TRAPEZOID_START = 16     # intervals on the first level

@@ -16,11 +16,11 @@ from fractions import Fraction
 import numpy as np
 
 from . import firstpassage as fp
-from .detectors import (_detector_current, _regime_ratios,
+from .detectors import (_arrival_moments, _detector_current, _regime_ratios,
                         kijowski_bullet_stats, kijowski_curve,
                         kijowski_wave_norm, marchewka_schuss_evolve, MsConfig)
 from .experiments import discrete_continuum_experiment, single_slit_sweep
-from .kernels import _trapezoid, laplace_first_arrival_check
+from .kernels import laplace_first_arrival_check
 from .tqm import TqmPacket, sqm_limit_curve, tqm_arrival_distribution, \
     tqm_dispersion_budget
 from .wavepacket import (SpacePacket, TimePacket, negative_energy_fraction,
@@ -55,41 +55,6 @@ def criterion_1():
                    {"norm": norm, "quad_error": err})
 
 
-def _kijowski_exact_moments(pkt: SpacePacket) -> tuple:
-    """Exact mean and spread of the Kijowski density of a left packet.
-
-    The Kijowski amplitude is the Fourier transform over energy of
-    g(E) = sqrt(m/p) phi(p) (Kijowski, Rep. Math. Phys. 6, 361 (1974)), so
-    tau acts on g as -i d/dE and the moments are momentum-space averages
-    over |phi(p)|^2 on p > 0:
-
-        <tau>   = m d <1/p>
-        <tau^2> = m^2 <(d^2 + (1/(2p) + (p - p0)/sigma_p^2)^2) / p^2>
-
-    Both are evaluated by the trapezoid rule over p0 +/- 6 sigma_p, where
-    |phi|^2 falls to e^-36 of its peak.  The averages of 1/p and 1/p^4
-    diverge at p = 0, so packets with sigma_p/p0 > 1/8 are refused: below
-    that the weight at p = 0 is at most e^-64 of the peak and the window
-    stays above p0/4.
-    """
-    p0, sp, m, d = pkt.p0, pkt.sigma_p, pkt.mass, pkt.d
-    if p0 <= 0 or sp > p0 / 8.0:
-        raise ValueError(f"sigma_p = {sp:.3g} exceeds p0/8 = {p0 / 8.0:.3g}: "
-                         "momentum content near p = 0 is not negligible, "
-                         "the moments diverge")
-
-    def average(f):
-        return _trapezoid(lambda p: np.sum(np.exp(-((p - p0) / sp) ** 2)
-                                           * f(p)),
-                          p0 - 6.0 * sp, p0 + 6.0 * sp, 1e-12)[0]
-
-    weight = average(lambda p: 1.0)
-    mean = m * d * average(lambda p: 1.0 / p) / weight
-    second = m * m * average(
-        lambda p: (d * d + (0.5 / p + (p - p0) / sp**2) ** 2) / p**2) / weight
-    return mean, math.sqrt(second - mean * mean)
-
-
 def criterion_2():
     """Moments of the full Kijowski quadrature at the bullet parameters.
 
@@ -103,7 +68,7 @@ def criterion_2():
     taus = np.linspace(100.0 - 90.0, 100.0 + 90.0, 1601)
     curve = kijowski_curve(pkt, taus)
     mean, dt = curve.mean, curve.uncertainty
-    exact_mean, exact_dt = _kijowski_exact_moments(pkt)
+    exact_mean, exact_dt = _arrival_moments(pkt, 0.5)
     bullet = kijowski_bullet_stats(pkt)
     ok = abs(mean - exact_mean) < 0.1 and abs(dt - exact_dt) / exact_dt < 0.01
     return _result(2, "Kijowski quadrature vs exact momentum-space moments: "

@@ -349,6 +349,24 @@ class TestErrorJson:
         assert not (tmp_path / "env" / "error.json").exists()
 
 
+# The closed-form columns of slit-sweep's table.csv, as written before the
+# exact column: at the defaults, and at a deep bullet packet.
+SLIT_SWEEP_COLUMNS = {
+    "defaults": [
+        b"W,sqm_uncertainty,tqm_uncertainty,ratio",
+        b"0.01,7071.0678118619389,500049.99750024982,70.717748832983929",
+        b"0.10000000000000001,7071.0678115119208,50497.524691760867,"
+        b"7.1414284288929188",
+        b"1,7071.0677765101364,8660.2540089768736,1.2247448734328306",
+        b"10,7071.0642763342203,7088.7199126534815,1.0024968852819442"],
+    "deep": [
+        b"W,sqm_uncertainty,tqm_uncertainty,ratio",
+        b"0.001,3535.5327745624313,2000003.1249955581,565.6864898510479",
+        b"1,2760.7881518711638,3409.0983000658975,1.2348279232346504",
+        b"10,438.52900965351461,481.98308300986275,1.0990905331227268"],
+}
+
+
 class TestArtifacts:
     def test_wave_norm_summary(self, tmp_path):
         code, out = run(tmp_path, "kijowski-wave")
@@ -395,6 +413,32 @@ class TestArtifacts:
         assert len(lines) == 3                      # header + 2 widths
         header = lines[0].split(",")
         assert header[0] == "W"
+
+    @pytest.mark.parametrize("argv,exact,refusal", [
+        ([], [None] * 4, "sigma_p = 0.01 exceeds p0/8"),
+        (["--m", "25", "--v0", "0.8", "--sigma-x", "1", "--d", "8e4",
+          "--W", "0.001,1,10"],
+         [3564.60332803, 2781.67120737, 438.73462381], None),
+    ], ids=["defaults", "deep"])
+    def test_slit_sweep_exact_column(self, tmp_path, argv, exact, refusal):
+        code, out = run(tmp_path, "slit-sweep", *argv)
+        assert code == EXIT_OK
+        lines = (out / "slit-sweep_table.csv").read_bytes().split(b"\r\n")
+        assert lines.pop() == b""
+        # The four closed-form columns keep the bytes they had before the
+        # exact column was added.
+        assert [line.rsplit(b",", 1)[0] for line in lines] == \
+            SLIT_SWEEP_COLUMNS["deep" if argv else "defaults"]
+        column = [line.rsplit(b",", 1)[1].decode() for line in lines]
+        assert column[0] == "sqm_exact_uncertainty"
+        assert [float(v) if v else None for v in column[1:]] == [
+            pytest.approx(v, rel=1e-9) if v else None for v in exact]
+        reason = strict_json((out / "slit-sweep_summary.json").read_text())[
+            "sqm_exact_refusal"]
+        if refusal is None:
+            assert reason is None
+        else:
+            assert refusal in reason and "near p = 0" in reason
 
     def test_ms_evolve_budget(self, tmp_path):
         code, out = run(tmp_path, "ms-evolve", "--lambda", "1",

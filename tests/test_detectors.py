@@ -11,6 +11,7 @@ import pytest
 from scipy.integrate import quad
 
 from toalab.detectors import (ArrivalDistribution, MsConfig, _SPREAD,
+                              _arrival_moments,
                               _detector_current, _phase_power_sums,
                               default_tau_grid, kijowski_bullet_stats,
                               kijowski_curve, kijowski_wave_density_origin,
@@ -18,7 +19,6 @@ from toalab.detectors import (ArrivalDistribution, MsConfig, _SPREAD,
                               marchewka_schuss_evolve,
                               probability_current, sqm_detection_curve)
 from toalab.kernels import NumericalError
-from toalab.validation import _kijowski_exact_moments
 from toalab.wavepacket import SpacePacket, space_amplitude, space_amplitude_dx, \
     space_momentum_amplitude
 
@@ -60,7 +60,8 @@ def _half_line_integral(phi, m, tau, sign):
 
 
 def reference_exact_moments(pkt):
-    """`_kijowski_exact_moments` by adaptive quadrature, its replaced path."""
+    """`_arrival_moments(pkt, 0.5)`, the Kijowski moments, by adaptive
+    quadrature: the path its trapezoid rule replaced."""
     p0, sp, m, d = pkt.p0, pkt.sigma_p, pkt.mass, pkt.d
 
     def average(f):
@@ -321,12 +322,12 @@ class TestKijowskiBullet:
         # <tau> = m d <1/p> = m d/p0 (1 + s^2/2 + 3 s^4/4 + ...), s = sigma_p/p0
         s = SLOW.sigma_p / SLOW.p0
         series = SLOW.mass * SLOW.d / SLOW.p0 * (1 + s**2 / 2 + 3 * s**4 / 4)
-        mean, _ = _kijowski_exact_moments(SLOW)
+        mean, _ = _arrival_moments(SLOW, 0.5)
         assert mean == pytest.approx(series, rel=1e-5)
 
     def test_exact_moments_match_closed_form_in_regime(self):
         stats = kijowski_bullet_stats(BULLET)
-        mean, dt = _kijowski_exact_moments(BULLET)
+        mean, dt = _arrival_moments(BULLET, 0.5)
         assert mean == pytest.approx(stats.tau_bar, rel=2e-3)
         assert dt == pytest.approx(stats.uncertainty, rel=2e-3)
 
@@ -339,7 +340,7 @@ class TestKijowskiBullet:
         # Oracle: the adaptive quad (epsrel 1e-12) the trapezoid rule
         # replaced.  The spread comes from <tau^2> - <tau>^2, which loses
         # up to two digits, so both moments are held to 1e-12 relative.
-        mean, dt = _kijowski_exact_moments(pkt)
+        mean, dt = _arrival_moments(pkt, 0.5)
         ref_mean, ref_dt = reference_exact_moments(pkt)
         assert mean == pytest.approx(ref_mean, rel=1e-12)
         assert dt == pytest.approx(ref_dt, rel=1e-12)
@@ -347,7 +348,7 @@ class TestKijowskiBullet:
     def test_exact_moments_refuse_content_near_zero(self):
         wide = SpacePacket(x0=-100.0, p0=1.0, sigma_x=2.0, mass=1.0)
         with pytest.raises(ValueError, match="near p = 0"):
-            _kijowski_exact_moments(wide)
+            _arrival_moments(wide, 0.5)
 
     def test_invalid_inputs(self):
         # d <= 0: test_experiments.py::test_packet_at_or_past_detector_rejected.

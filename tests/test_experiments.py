@@ -1,19 +1,17 @@
 """End-to-end experiments: slit in time, metric comparison, lattice limit."""
 
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from scipy.special import dawsn
 
-from toalab.detectors import (ArrivalDistribution, default_tau_grid,
-                              kijowski_bullet_stats)
+from toalab.detectors import (ArrivalDistribution, _arrival_moments,
+                              default_tau_grid, kijowski_bullet_stats)
 from toalab.experiments import (discrete_continuum_experiment, gated_source,
-                                metric_comparison, single_slit_sqm,
-                                single_slit_sweep)
+                                metric_comparison, single_slit_sweep)
 from toalab.detectors import sqm_detection_curve
-from toalab import kernels
 from toalab.kernels import NumericalError, first_arrival_kernel
 from toalab.tqm import (TqmPacket, sqm_limit_curve, tqm_arrival_distribution,
                         tqm_detection_density, tqm_dispersion_budget)
@@ -47,7 +45,7 @@ def slit_uncertainties(pkt, W):
 def reference_single_slit_sqm(pkt, W):
     """The single slit by a fixed rule (test oracle): per tau of the
     default window, the gate convolution on 1025 gate-time nodes.  Returns
-    the normalized rates."""
+    the normalized curve of the rate v0 |psi_D|^2."""
     gated = gated_source(pkt, W)
     disp = tqm_dispersion_budget(gated)
     dtau_cf = disp.sigma_bar_tau / math.sqrt(2.0)
@@ -60,8 +58,7 @@ def reference_single_slit_sqm(pkt, W):
         phi = space_amplitude(pkt, 0.0, tau - tg)
         amp[i] = np.trapezoid(gate * source_phase * phi, tg)
     rates = pkt.v0 * np.abs(amp) ** 2
-    rates /= np.trapezoid(rates, tau_grid)
-    return rates
+    return ArrivalDistribution(tau_grid, rates / np.trapezoid(rates, tau_grid))
 
 
 def reference_first_arrival_row(pkt):
@@ -98,6 +95,18 @@ def reference_ms_row(pkt, lam, steps_per_tau_bar):
     detected = reference_ms_absorb(pkt, lam, eps, steps)
     ms = ArrivalDistribution((np.arange(steps) + 1.0) * eps, detected / eps)
     return ms.mean, ms.uncertainty, float(detected.sum())
+
+
+def reference_ms_total(pkt):
+    """The Marchewka-Schuss hard-wall total G(inf) = int_0^inf |2 dphi/dx(0,
+    tau)|^2 dtau in closed form (test oracle).  With a = d/sigma_x,
+    b = p0 sigma_x and Dawson's function F,
+    G(inf) = 2 m p0 (erf a + erf b)
+             + (4 m a / (sqrt(pi) sigma_x)) (e^(-b^2) F(a) - e^(-a^2) F(b))."""
+    a, b, m = pkt.d / pkt.sigma_x, pkt.p0 * pkt.sigma_x, pkt.mass
+    return (2.0 * m * pkt.p0 * (math.erf(a) + math.erf(b))
+            + 4.0 * m * a / (math.sqrt(math.pi) * pkt.sigma_x)
+            * (math.exp(-b * b) * dawsn(a) - math.exp(-a * a) * dawsn(b)))
 
 
 def _tqm(space):
@@ -205,7 +214,7 @@ class TestSlitClosedForms:
     ], ids=["criterion_11", "cli_default"])
     def test_sweep_matches_reference_formulas(self, W):
         sweep = single_slit_sweep(BASE, W)
-        for w, sqm, tqm, _ in sweep.rows():
+        for w, sqm, tqm, *_ in sweep.rows():
             ref_sqm, ref_tqm = reference_slit_uncertainties(BASE, w)
             assert sqm == pytest.approx(ref_sqm, rel=2e-15, abs=0.0)
             assert tqm == pytest.approx(ref_tqm, rel=2e-15, abs=0.0)
@@ -213,28 +222,26 @@ class TestSlitClosedForms:
 
 class TestSlitCurves:
     # Deep frozen-dispersion regime: Delta tau / tau_bar ~ 5e-4, so the
-    # numerical gate convolution tracks the closed form tightly.
+    # exact moments of the gated packet track the closed form tightly.
     DEEP = SpacePacket(x0=-8.0e4, p0=25.0 * 0.8, sigma_x=1.0, mass=25.0)
     MID = SpacePacket(x0=-1e4, p0=0.5, sigma_x=10.0, mass=1.0)
 
     def test_sqm_curve_matches_closed_form(self):
-        curve = single_slit_sqm(self.DEEP, 10.0)
-        assert curve.norm == pytest.approx(1.0, abs=1e-6)
-        assert curve.uncertainty == pytest.approx(
-            curve.meta["closed_form_uncertainty"], rel=0.02)
-        assert curve.mean == pytest.approx(curve.meta["tau_bar"], rel=1e-3)
-        assert curve.meta["closed_form_uncertainty"] == pytest.approx(
-            reference_slit_uncertainties(self.DEEP, 10.0)[0], rel=2e-15,
-            abs=0.0)
+        mean, dt = _arrival_moments(self.DEEP, 0.0, 10.0)
+        closed = reference_slit_uncertainties(self.DEEP, 10.0)[0]
+        assert dt == pytest.approx(closed, rel=0.02)
+        assert mean == pytest.approx(self.DEEP.d / self.DEEP.v0, rel=1e-3)
+        assert slit_uncertainties(self.DEEP, 10.0)[0] == pytest.approx(
+            closed, rel=2e-15, abs=0.0)
 
     def test_sqm_narrow_gate_approaches_free_packet(self):
         free = self.DEEP
-        curve = single_slit_sqm(free, 1e-3)
         floor = free.d / free.v0 / (math.sqrt(2.0) * free.mass * free.v0
                                     * free.sigma_x)
-        assert curve.meta["closed_form_uncertainty"] == pytest.approx(
-            floor, rel=1e-6)
-        assert curve.uncertainty == pytest.approx(floor, rel=0.02)
+        assert slit_uncertainties(free, 1e-3)[0] == pytest.approx(floor,
+                                                                  rel=1e-6)
+        assert _arrival_moments(free, 0.0, 1e-3)[1] == pytest.approx(
+            floor, rel=0.02)
 
     def test_tqm_curve_matches_closed_form(self):
         curve = tqm_arrival_distribution(gated_source(self.DEEP, 10.0))
@@ -247,53 +254,31 @@ class TestSlitCurves:
             sqm, tqm = slit_uncertainties(self.DEEP, W)
             assert tqm >= sqm
 
-    def test_wide_gate_warns(self):
-        with pytest.warns(UserWarning, match="frozen-dispersion"):
-            single_slit_sqm(BASE, 0.2 * 1e4)
+    @pytest.mark.parametrize("W", [1e-3, 1.0, 10.0],
+                             ids=["deep-1e-3", "deep-1", "deep-10"])
+    def test_moments_match_fixed_rule(self, W):
+        # The gated density v0 |psi_D|^2 on the default window, by the
+        # 1025-node gate convolution, against its exact moments (alpha = 0).
+        ref = reference_single_slit_sqm(self.DEEP, W)
+        mean, dt = _arrival_moments(self.DEEP, 0.0, W)
+        assert mean == pytest.approx(ref.mean, rel=1e-10)
+        assert dt == pytest.approx(ref.uncertainty, rel=1e-10)
+
+    def test_wide_gate_spreads_the_arrival_by_the_gate(self):
+        # At W = 0.1 tau_bar the gate selects p0 to 1.25e-4 sigma_p, which
+        # the momentum window must follow; the arrival spread is then the
+        # gate's own, W/sqrt(2), while the closed form has left its regime.
+        W = 1e4
+        assert _arrival_moments(self.DEEP, 0.0, W)[1] == pytest.approx(
+            W / math.sqrt(2.0), rel=1e-6)
 
     @pytest.mark.parametrize("pkt,W", [
-        (BASE, 0.05), (BASE, 1.0),
-        (MID, 1.0), (MID, 10.0),
-        (DEEP, 1e-3), (DEEP, 1.0), (DEEP, 10.0)],
-        ids=["base-0.05", "base-1", "mid-1", "mid-10", "deep-1e-3",
-             "deep-1", "deep-10"])
-    def test_gate_time_rule_matches_fixed_rule(self, pkt, W):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rates = single_slit_sqm(pkt, W).rates
-            ref = reference_single_slit_sqm(pkt, W)
-        assert np.max(np.abs(rates - ref)) <= 1e-10 * np.max(ref)
-
-    def test_outside_bullet_regime_warns(self):
-        with pytest.warns(UserWarning, match="outside the bullet regime"):
-            single_slit_sqm(BASE, 1.0)
-
-    def test_deep_packet_raises_no_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for W in (1e-3, 1.0, 10.0):
-                single_slit_sqm(self.DEEP, W)
-
-    def test_unconverged_rule_refuses(self, monkeypatch):
-        # BASE at W = 1 converges at 65 nodes; one halving stops at 33.
-        monkeypatch.setattr(kernels, "_TRAPEZOID_HALVINGS", 1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(NumericalError, match="with 33 nodes"):
-                single_slit_sqm(BASE, 1.0)
-
-    def test_gate_nodes_summed_in_chunks(self, monkeypatch):
-        # A first level of 1023 gate nodes: summed at once, each temporary
-        # of 1201 taus x 1023 nodes would take 19.7 MB, 64 nodes 1.2 MB.
-        monkeypatch.setattr(kernels, "_TRAPEZOID_START", 1024)
-        single_slit_sqm(self.DEEP, 10.0)
-        tracemalloc.start()
-        try:
-            single_slit_sqm(self.DEEP, 10.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20
+        (BASE, 0.05), (BASE, 1.0), (MID, 1.0), (MID, 10.0)],
+        ids=["base-0.05", "base-1", "mid-1", "mid-10"])
+    def test_moments_refuse_content_near_zero(self, pkt, W):
+        # sigma_p/p0 = 1 and 0.2: the moments diverge at p = 0.
+        with pytest.raises(ValueError, match="near p = 0"):
+            _arrival_moments(pkt, 0.0, W)
 
 
 class TestSweep:
@@ -314,6 +299,33 @@ class TestSweep:
         rows = list(sweep.rows())
         assert [r[0] for r in rows] == [0.5, 1.0, 2.0]
         assert all(r[1] > 0 and r[2] >= r[1] for r in rows)
+
+    def test_exact_column_is_the_gated_moments(self):
+        deep = TestSlitCurves.DEEP
+        sweep = single_slit_sweep(deep, [10.0, 1e-3, 1.0])
+        assert sweep.sqm_exact_uncertainty == tuple(
+            _arrival_moments(deep, 0.0, W)[1] for W in (1e-3, 1.0, 10.0))
+        assert sweep.sqm_exact_refusal is None
+        assert [r[4] for r in sweep.rows()] == list(
+            sweep.sqm_exact_uncertainty)
+
+    def test_exact_column_refused_near_p_zero(self):
+        # BASE has sigma_p/p0 = 1: every W is refused, for one reason.
+        sweep = single_slit_sweep(BASE, [0.01, 1.0])
+        assert sweep.sqm_exact_uncertainty == (None, None)
+        assert "sigma_p = 0.01 exceeds p0/8" in sweep.sqm_exact_refusal
+        assert "near p = 0" in sweep.sqm_exact_refusal
+
+    def test_exact_column_refuses_an_unresolved_gate(self):
+        # At W = 1e30 the gated window p0 +/- 7.5e-30 is below the float
+        # spacing of p0 = 20: that W alone is refused, with its reason.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            sweep = single_slit_sweep(TestSlitCurves.DEEP, [1.0, 1e30])
+        assert sweep.sqm_exact_uncertainty[0] == pytest.approx(
+            2781.67120737, rel=1e-9)
+        assert sweep.sqm_exact_uncertainty[1] is None
+        assert "at gate W = 1e+30: the window" in sweep.sqm_exact_refusal
 
 
 class TestMetricComparison:
@@ -354,19 +366,23 @@ class TestMetricComparison:
     @pytest.mark.parametrize("pkt", [
         BULLET, SpacePacket(x0=-100.0, p0=1.0, sigma_x=10.0, mass=1.0),
         # An arrival 8e-4 tau_bar wide, which G(inf)'s window must resolve.
-        SpacePacket(x0=-2.0e4, p0=30.0, sigma_x=30.0, mass=1.0)],
-        ids=["bullet", "slow", "narrow"])
+        SpacePacket(x0=-2.0e4, p0=30.0, sigma_x=30.0, mass=1.0),
+        # Packets whose Dawson term is 7.9e-9, 3.9e-7 and -4.3e-6 of G(inf);
+        # the last has d/sigma_x < p0 sigma_x.
+        SpacePacket(x0=-1e4, p0=0.4, sigma_x=10.0, mass=1.0),
+        SpacePacket(x0=-400.0, p0=0.35, sigma_x=10.0, mass=1.0),
+        SpacePacket(x0=-3.0, p0=5.0, sigma_x=1.0, mass=1.0)],
+        ids=["bullet", "slow", "narrow", "far", "near", "close"])
     @pytest.mark.parametrize("lam", [0.1, 1.0, 10.0])
     def test_marchewka_schuss_norm_is_exact(self, pkt, lam):
-        # kappa G(inf) = (lam / 2 pi m) 4 m p0 erf(p0 sigma_x), by Parseval,
-        # for packets with no weight at the detector or at p < 0 (p0 sigma_x
-        # = 1 misses it by 22%, so the row integrates G(inf) itself).
+        # The norm is kappa G/(1 + kappa G), kappa = lam/(2 pi m), with the
+        # exact hard-wall total G(inf) of `reference_ms_total`.
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")      # the slow packet's regime
+            warnings.simplefilter("ignore")      # the packets' regimes
             ms = metric_comparison(pkt, lam=lam).rows["marchewka_schuss"]
-        kappa_g = 2.0 * lam * pkt.p0 * math.erf(pkt.p0 * pkt.sigma_x) / math.pi
-        assert ms["norm"] == pytest.approx(1.0 - 1.0 / (1.0 + kappa_g),
-                                           rel=1e-10)
+        kappa_g = lam / (2.0 * math.pi * pkt.mass) * reference_ms_total(pkt)
+        assert ms["norm"] == pytest.approx(kappa_g / (1.0 + kappa_g),
+                                           rel=1e-11)
 
     def test_marchewka_schuss_small_absorption_keeps_its_digits(self):
         # 1 - 1/(1 + kappa G) would round to 0 at kappa G = 6e-20; the row

@@ -23,7 +23,6 @@ TREES = {p.stem: ast.parse(p.read_text(), str(p))
 # Exported names no package code reaches yet, each with the reason it stays.
 EXEMPT = {
     "tqm_detection_density": "ROADMAP direction 1: the exact TQM law",
-    "single_slit_sqm": "ROADMAP direction 2: the numerical slit",
 }
 
 
