@@ -345,12 +345,10 @@ def run_ms_evolve(p: dict) -> tuple:
     res = marchewka_schuss_evolve(x, space_amplitude(pkt, x), cfg, m=p["m"])
     dist = res.arrival_distribution()
     budget = res.cumulative_detected + res.final_norm()
-    seen = res.cumulative_detected > 0
     summary = {"cumulative_detected": res.cumulative_detected,
                "final_norm": res.final_norm(), "budget": budget,
                "phase_per_sample": phase_per_sample,
-               "mean": dist.mean if seen else None,
-               "uncertainty": dist.uncertainty if seen else None}
+               "mean": dist.mean, "uncertainty": dist.uncertainty}
     code = EXIT_OK if abs(budget - 1.0) < 1e-4 else EXIT_VALIDATION
     return code, summary, _curve(dist)
 

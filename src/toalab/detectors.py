@@ -43,8 +43,9 @@ class ArrivalDistribution:
 
     Moments are computed after normalizing by the realized norm, so
     under-counting metrics (e.g. the Kijowski wave case with norm 1/4)
-    still report a well-defined mean and spread.  Negative rates (backflow)
-    are kept as-is and flagged.
+    still report a well-defined mean and spread; a curve of norm exactly 0
+    has none, and its mean and uncertainty are None.  Negative rates
+    (backflow) are kept as-is and flagged.
     """
 
     taus: np.ndarray
@@ -74,16 +75,16 @@ class ArrivalDistribution:
         return float(np.trapezoid(self.rates, self.taus))
 
     @property
-    def mean(self) -> float:
-        return float(np.trapezoid(self.taus * self.rates, self.taus)
-                     / self.norm)
+    def mean(self) -> float | None:
+        norm = self.norm
+        return None if norm == 0.0 else float(np.trapezoid(
+            self.taus * self.rates, self.taus) / norm)
 
     @property
-    def uncertainty(self) -> float:
+    def uncertainty(self) -> float | None:
         mu = self.mean
-        var = np.trapezoid((self.taus - mu) ** 2 * self.rates, self.taus) \
-            / self.norm
-        return float(math.sqrt(max(var, 0.0)))
+        return None if mu is None else float(math.sqrt(max(np.trapezoid(
+            (self.taus - mu) ** 2 * self.rates, self.taus) / self.norm, 0.0)))
 
     def summary(self) -> dict:
         return {"norm": self.norm, "mean": self.mean,
@@ -283,8 +284,9 @@ def _arrival_moments(pkt: SpacePacket, alpha: float, gate=None) -> tuple:
     and a gains W^2 (E - E0) p/m.  Each average is one trapezoid rule on
     p0 +/- 6 s, the gated width s = sigma_p / hypot(1, W p0 sigma_p/m).
     1/p^4 diverges at p = 0, so sigma_p/p0 > 1/8 raises ValueError (below
-    it the weight at p = 0 is e^-64 of the peak or less); a variance not
-    above 0 raises NumericalError.
+    it the weight at p = 0 is e^-64 of the peak or less); a weight not
+    above 0 raises NumericalError.  The variance is averaged as m^2 <(d
+    (1/p - <1/p>))^2 + (((alpha - 1)/p - a)/p)^2>, which cannot cancel.
     """
     p0, sp, m, d = pkt.p0, pkt.sigma_p, pkt.mass, pkt.d
     if p0 <= 0 or sp > p0 / 8.0:
@@ -303,13 +305,13 @@ def _arrival_moments(pkt: SpacePacket, alpha: float, gate=None) -> tuple:
         return _trapezoid(total, p0 - 6.0 * s, p0 + 6.0 * s, 1e-12)[0]
 
     weight = average(lambda p, a: 1.0)
-    mean = m * d * average(lambda p, a: 1.0 / p) / weight
-    var = m * m * average(lambda p, a: (d * d + ((alpha - 1.0) / p - a) ** 2)
-                          / p**2) / weight - mean * mean
-    if not var > 0.0:
-        raise NumericalError(f"arrival variance {var:.3g} at gate W = {W:g}:"
+    if not weight > 0.0:
+        raise NumericalError(f"arrival weight {weight:.3g} at gate W = {W:g}:"
                              f" the window p0 +/- {6 * s:.3g} is unresolved")
-    return mean, math.sqrt(var)
+    inv = average(lambda p, a: 1.0 / p)
+    var = m * m * average(lambda p, a: (d * (1.0 / p - inv / weight)) ** 2
+                          + (((alpha - 1.0) / p - a) / p) ** 2) / weight
+    return m * d * inv / weight, math.sqrt(var)
 
 
 def _require_wave(m: float, sigma_p: float) -> None:

@@ -159,13 +159,11 @@ def metric_comparison(pkt: SpacePacket,
             "current": row(cur, cur.norm),
             "first_arrival_kernel": row(fa_curve, 1.0)}
     if lam is not None:
-        rows["marchewka_schuss"] = {"mean": None, "uncertainty": None,
-                                    "norm": 0.0}
-    if lam:
         # Odd image: the hard-wall derivative is 2 dphi/dx(0, tau); r = 4 fa.
         kappa = lam / (2.0 * math.pi * pkt.mass)
         r = 4.0 * fa
         g = np.r_[0.0, np.cumsum(0.5 * (r[1:] + r[:-1]) * np.diff(grid))]
+        g_inf = 0.0
 
         def r_dtau(v):  # r dtau/dv summed over nodes v = log(tau/tau_bar)
             tau = stats.tau_bar * np.exp(v)
@@ -176,13 +174,14 @@ def metric_comparison(pkt: SpacePacket,
         # most 10: the peak v = 0 is a node of every level.
         s = min(10.0, 40.0 * math.hypot(stats.uncertainty / stats.tau_bar,
                                         pkt.sigma_x / pkt.d))
-        g_inf = float(_trapezoid(r_dtau, -3.0 * s, s, 1e-10)[0])
-        _require_captured(g[-1], g_inf, "metric-compare's window captures "
-                          "Marchewka-Schuss G = {:.6g} of G(inf) = {:.6g}")
-        norm = kappa * g_inf / (1.0 + kappa * g_inf)
-        if norm > 0:
-            rows["marchewka_schuss"] = row(ArrivalDistribution(
-                grid, kappa * r / (1.0 + kappa * g) ** 2), norm)
+        if lam:
+            g_inf = float(_trapezoid(r_dtau, -3.0 * s, s, 1e-10)[0])
+            _require_captured(g[-1], g_inf, "metric-compare's window "
+                              "captures Marchewka-Schuss G = {:.6g} of "
+                              "G(inf) = {:.6g}")
+        rows["marchewka_schuss"] = row(ArrivalDistribution(
+            grid, kappa * r / (1.0 + kappa * g) ** 2),
+            kappa * g_inf / (1.0 + kappa * g_inf))
     trio = [rows[k] for k in ("kijowski_full", "kijowski_bullet", "current")]
     consistent = all(max(v) - min(v) <= 0.01 * max(v) for v in (
         [t["uncertainty"] for t in trio], [t["mean"] for t in trio]))

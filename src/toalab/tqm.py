@@ -99,18 +99,18 @@ def _frozen_gaussian(pkt: TqmPacket, disp: BulletDispersions, t_grid):
     return t_grid, rho
 
 
-def tqm_arrival_distribution(pkt: TqmPacket,
-                             t_grid=None) -> ArrivalDistribution:
+def tqm_arrival_distribution(pkt: TqmPacket) -> ArrivalDistribution:
     """Frozen arrival distribution in coordinate time t at distance d.
 
     rho(t) = int dtau Dbar(tau) rho~_tau(t), with Dbar the bullet arrival
     Gaussian and rho~ at its long-time width sigma_tilde drifting at E0/m,
-    is the Gaussian of `_frozen_gaussian`; for E0 = m its uncertainty is
-    sigma_tau/sqrt(2).  Valid while sigma_p/p0, m sigma_x^2/tau_bar and
-    m sigma_t^2/tau_bar are << 1; the metadata carries the three ratios.
+    is the Gaussian of `_frozen_gaussian` on its default grid; for E0 = m
+    its uncertainty is sigma_tau/sqrt(2).  Valid while sigma_p/p0,
+    m sigma_x^2/tau_bar and m sigma_t^2/tau_bar are << 1; the metadata
+    carries the three ratios.
     """
     disp = tqm_dispersion_budget(pkt)
-    t_grid, rho = _frozen_gaussian(pkt, disp, t_grid)
+    t_grid, rho = _frozen_gaussian(pkt, disp, None)
     return ArrivalDistribution(t_grid, rho, meta={
         "metric": "tqm",
         "tau_bar": disp.tau_bar,

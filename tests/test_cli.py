@@ -634,6 +634,18 @@ class TestArtifactFiles:
         assert summary["cumulative_detected"] == 0.0
         assert summary["mean"] is None and summary["uncertainty"] is None
 
+    def test_ms_evolve_one_step_has_null_moments(self, tmp_path):
+        # One step detects probability, but a one-point curve has no area,
+        # so no moment exists: null, with no 0/0 on the way.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out = run(tmp_path, "ms-evolve", "--lambda", "1",
+                            "--steps", "1")
+        assert code == EXIT_OK
+        summary = strict_json((out / "ms-evolve_summary.json").read_text())
+        assert summary["cumulative_detected"] > 0.0
+        assert summary["mean"] is None and summary["uncertainty"] is None
+
 
 # The packet subcommands' tables as they were before `cli._packet` declared
 # the four packet flags once: the same flags, defaults and help text.

@@ -6,6 +6,7 @@ import tracemalloc
 import warnings
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -75,6 +76,25 @@ def reference_exact_moments(pkt):
     second = m * m * average(
         lambda p: (d * d + (0.5 / p + (p - p0) / sp**2) ** 2) / p**2) / weight
     return mean, math.sqrt(second - mean * mean)
+
+
+def reference_mpmath_moments(pkt):
+    """`_arrival_moments(pkt, 0.5)` by 40-digit mpmath quadrature over the
+    same window p0 +/- 6 sigma_p, the variance as <tau^2> - <tau>^2."""
+    with mpmath.workdps(40):
+        p0, sp, m, d = (mpmath.mpf(v) for v in (pkt.p0, pkt.sigma_p,
+                                                pkt.mass, pkt.d))
+
+        def average(f):
+            return mpmath.quad(lambda p: mpmath.exp(-((p - p0) / sp) ** 2)
+                               * f(p), [p0 - 6 * sp, p0, p0 + 6 * sp])
+
+        weight = average(lambda p: 1)
+        mean = m * d * average(lambda p: 1 / p) / weight
+        second = m * m * average(
+            lambda p: (d * d + (1 / (2 * p) + (p - p0) / sp**2) ** 2) / p**2
+        ) / weight
+        return float(mean), float(mpmath.sqrt(second - mean**2))
 
 
 def kijowski_density(phi_left, phi_right, m, tau):
@@ -213,6 +233,15 @@ class TestArrivalDistribution:
             dist = ArrivalDistribution(t, r)
         assert dist.has_backflow
 
+    def test_zero_area_has_no_moments(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dist = ArrivalDistribution(np.linspace(0.0, 1.0, 5), np.zeros(5))
+            summary = dist.summary()
+        assert dist.norm == 0.0
+        assert dist.mean is None and dist.uncertainty is None
+        assert summary["mean"] is None and summary["uncertainty"] is None
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             ArrivalDistribution(np.array([0.0, 0.0, 1.0]), np.zeros(3))
@@ -338,10 +367,20 @@ class TestKijowskiBullet:
     ], ids=["criterion_2", "sigma_p_1_100", "sigma_p_1_8"])
     def test_exact_moments_match_quad(self, pkt):
         # Oracle: the adaptive quad (epsrel 1e-12) the trapezoid rule
-        # replaced.  The spread comes from <tau^2> - <tau>^2, which loses
+        # replaced.  Its spread comes from <tau^2> - <tau>^2, which loses
         # up to two digits, so both moments are held to 1e-12 relative.
         mean, dt = _arrival_moments(pkt, 0.5)
         ref_mean, ref_dt = reference_exact_moments(pkt)
+        assert mean == pytest.approx(ref_mean, rel=1e-12)
+        assert dt == pytest.approx(ref_dt, rel=1e-12)
+
+    @pytest.mark.parametrize("ratio", [1e-3, 1e-6])
+    def test_exact_moments_match_mpmath(self, ratio):
+        # At sigma_p/p0 = ratio, <tau^2> - <tau>^2 cancels (p0/sigma_p)^2
+        # in floats; 40 digits leave the oracle 28 after it.
+        pkt = SpacePacket(x0=-1e4 / ratio, p0=1.0, sigma_x=1.0 / ratio)
+        mean, dt = _arrival_moments(pkt, 0.5)
+        ref_mean, ref_dt = reference_mpmath_moments(pkt)
         assert mean == pytest.approx(ref_mean, rel=1e-12)
         assert dt == pytest.approx(ref_dt, rel=1e-12)
 

@@ -8,7 +8,8 @@ import pytest
 from scipy.special import dawsn
 
 from toalab.detectors import (ArrivalDistribution, _arrival_moments,
-                              default_tau_grid, kijowski_bullet_stats)
+                              _kijowski_window_curve, default_tau_grid,
+                              kijowski_bullet_stats)
 from toalab.experiments import (discrete_continuum_experiment, gated_source,
                                 metric_comparison, single_slit_sweep)
 from toalab.detectors import sqm_detection_curve
@@ -320,7 +321,7 @@ class TestSweep:
         # At W = 1e30 the gated window p0 +/- 7.5e-30 is below the float
         # spacing of p0 = 20: that W alone is refused, with its reason.
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")
             sweep = single_slit_sweep(TestSlitCurves.DEEP, [1.0, 1e30])
         assert sweep.sqm_exact_uncertainty[0] == pytest.approx(
             2781.67120737, rel=1e-9)
@@ -445,6 +446,67 @@ class TestMetricComparison:
         pkt = SpacePacket(x0=-3.0, p0=5.0, sigma_x=1.0, mass=1.0)
         with pytest.warns(UserWarning, match="first_arrival_kernel row"):
             metric_comparison(pkt)
+
+
+def reference_current_uncertainty(pkt):
+    """The current's exact spread (test oracle): m^2 <(d^2 + a^2 + a/p)/
+    p^2> - <tau>^2 under the Kijowski weight |phi|^2, a = (p - p0)/
+    sigma_p^2, by a 20001-point trapezoid on p0 +/- 12 sigma_p."""
+    p0, sp, m, d = pkt.p0, pkt.sigma_p, pkt.mass, pkt.d
+    p = np.linspace(p0 - 12.0 * sp, p0 + 12.0 * sp, 20001)
+    w = np.exp(-((p - p0) / sp) ** 2)
+    a = (p - p0) / sp**2
+    weight = np.trapezoid(w, p)
+    mean = m * d * np.trapezoid(w / p, p) / weight
+    second = m * m * np.trapezoid(w * (d * d + a * a + a / p) / p**2,
+                                  p) / weight
+    return math.sqrt(second - mean**2)
+
+
+class TestRegimeMap:
+    """The 42-packet regime map (sigma_x = 10, m = 1): each default-window
+    builder refuses a packet or returns moments that match the exact ones
+    to 1e-4 relative wherever those exist (sigma_p/p0 <= 1/8).  The
+    refusal counts are pinned: a later change may lower them, but only by
+    returning checked numbers."""
+
+    P0_SIGMA_X = (1, 2, 4, 8, 16, 32, 64)    # sigma_p/p0 = 1/(p0 sigma_x)
+    D_OVER_SIGMA_X = (1.5, 3, 10, 1e2, 1e3, 1e4)
+    BUILDERS = {"kijowski": lambda pkt: _kijowski_window_curve(pkt)[1],
+                "current": sqm_detection_curve,
+                "compare": lambda pkt: metric_comparison(pkt, lam=1.0)}
+
+    def test_builders_refuse_or_match_exact_moments(self):
+        refused = {name: set() for name in self.BUILDERS}
+        worst = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            for b in self.P0_SIGMA_X:
+                for r in self.D_OVER_SIGMA_X:
+                    pkt = SpacePacket(x0=-10.0 * r, p0=b / 10.0,
+                                      sigma_x=10.0, mass=1.0)
+                    got = {}
+                    for name, build in self.BUILDERS.items():
+                        try:
+                            got[name] = build(pkt)
+                        except ValueError:   # NumericalError among them
+                            refused[name].add((b, r))
+                    if b < 8:    # sigma_p/p0 > 1/8: no moment exists
+                        continue
+                    mean, dt = _arrival_moments(pkt, 0.5)
+                    exact = {"kijowski": (mean, dt), "current": (
+                        mean, reference_current_uncertainty(pkt))}
+                    for name, (ref_mean, ref_dt) in exact.items():
+                        if name in got:
+                            worst = max(
+                                worst, abs(got[name].mean / ref_mean - 1.0),
+                                abs(got[name].uncertainty / ref_dt - 1.0))
+        narrow = {name: sum(b >= 8 for b, _ in keys)
+                  for name, keys in refused.items()}
+        assert (len(refused["kijowski"]), narrow["kijowski"]) == (26, 12)
+        assert (len(refused["current"]), narrow["current"]) == (23, 10)
+        assert refused["compare"] == refused["kijowski"]
+        assert worst < 1e-4
 
 
 class TestDiscreteContinuum:

@@ -200,17 +200,14 @@ class TestArrivalDistribution:
 
     def test_wide_time_packet_recovers_sqm_curve(self):
         pkt = make_packet(sigma_t=1e4 * 10.0)  # sigma_tilde << sigma_bar
-        t = np.linspace(100.0 - 8 * 10.1 * math.sqrt(2),
-                        100.0 + 8 * 10.1 * math.sqrt(2), 4001)
-        tqm = tqm_arrival_distribution(pkt, t_grid=t)
-        sqm = sqm_limit_curve(pkt, t)
+        tqm = tqm_arrival_distribution(pkt)
+        sqm = sqm_limit_curve(pkt, tqm.taus)
         assert np.abs(tqm.rates - sqm.rates).max() < 1e-4 * sqm.rates.max()
 
     def test_grid_must_bracket_arrival_window(self):
         pkt = make_packet()
         with pytest.raises(ValueError, match="bracket"):
-            tqm_arrival_distribution(pkt,
-                                     t_grid=np.linspace(90.0, 110.0, 64))
+            sqm_limit_curve(pkt, np.linspace(90.0, 110.0, 64))
 
     def test_window_below_float_spacing_is_numerical_error(self):
         pkt = make_packet(sigma_t=1e20, sigma_x=1e20)
