@@ -230,8 +230,8 @@ def discrete_continuum_experiment(
     if d_lattice < 1:
         raise ValueError("d_lattice must be >= 1")
     refinements = tuple(int(r) for r in refinements)
-    if any(r < 1 for r in refinements):
-        raise ValueError("refinement factors must be >= 1")
+    if any(a >= b for a, b in zip((0,) + refinements, refinements)):
+        raise ValueError("refinements must be >= 1 and strictly increasing")
     if any(r * d_lattice > _MAX_LATTICE_OFFSET for r in refinements):
         raise ValueError(f"refined lattice offsets r x d_lattice must be at "
                          f"most {_MAX_LATTICE_OFFSET}")

@@ -88,22 +88,29 @@ def _path_counts(n_top: int) -> tuple:
     Returns integer arrays (free, alive): free[n, k + n_top] walks are k
     sites from the start after n steps, and alive[n, d, k + n_top] of them
     have never been d or more sites to the right (d = 0..8), i.e. survive a
-    detector d sites away.  Every walk is counted once, in one histogram
-    over the key (n, min(running max, 9), position); because suffix steps
-    are free, the counts at step n < n_top are exact too.
+    detector d sites away.  Every walk is counted once per step in a
+    histogram over the key (n, min(running max, 9), position).  A walk is a
+    prefix (its first low = min(n_top, 12) steps) and a suffix: the 2^low
+    prefixes are histogrammed once and their counts shifted left by
+    n_top - low, since each starts 2^(n_top - low) walks; each suffix pattern
+    then adds one histogram of its steps over all prefix ends.  Temporaries
+    stay near 13 x 4096 intp values (~1.7 MiB traced in all).
     """
-    paths = np.arange(1 << n_top)
-    pos = np.zeros((n_top + 1, paths.size), dtype=np.int8)
-    for n in range(n_top):
-        pos[n + 1] = pos[n] + 2 * ((paths >> n) & 1) - 1
-    width = 2 * n_top + 1
-    key = np.maximum.accumulate(pos, axis=0).astype(np.intp)
-    np.minimum(key, 9, out=key)
-    key += 10 * np.arange(n_top + 1)[:, None]
-    key *= width
-    key += pos
-    key += n_top
-    joint = np.bincount(key.ravel(), minlength=(n_top + 1) * 10 * width)
+    low, width = min(n_top, 12), 2 * n_top + 1
+
+    def counts(n, top, pos):
+        key = (10 * n + np.minimum(top, 9)) * width + pos + n_top
+        return np.bincount(key.ravel(), minlength=(n_top + 1) * 10 * width)
+    pos = np.zeros((low + 1, 1 << low), dtype=np.intp)
+    np.cumsum(2 * ((np.arange(1 << low) >> np.arange(low)[:, None]) & 1) - 1,
+              axis=0, out=pos[1:])
+    top = np.maximum.accumulate(pos, axis=0)
+    joint = counts(np.arange(low + 1)[:, None], top, pos) << (n_top - low)
+    end, peak, n = pos[-1], top[-1], np.arange(low + 1, n_top + 1)[:, None]
+    for suffix in range(1 << (n_top - low)):
+        walk = np.cumsum(2 * ((suffix >> (n - low - 1)) & 1) - 1, axis=0)
+        joint += counts(n, np.maximum(peak, end + np.maximum.accumulate(walk)),
+                        end + walk)
     joint = joint.reshape(n_top + 1, 10, width)
     below = np.cumsum(joint, axis=1)      # below[n, h]: running max <= h
     alive = np.zeros((n_top + 1, 9, width), dtype=below.dtype)
@@ -114,36 +121,30 @@ def _path_counts(n_top: int) -> tuple:
 def criterion_3():
     """Exhaustive path enumeration and exact conservation.
 
-    All 2^16 walks are counted in one joint histogram over (step, running
-    maximum, position) (`_path_counts`).  Its sum over the maximum gives
-    the free-walk counts at every n <= 16, its cumulative sum the survivors
-    for every d <= 8, and the drop in survivors from step n - 1 to n the
+    `_path_counts` counts all 2^16 walks (2^12 shared prefixes x 16
+    suffixes, ~1.7 MiB traced) by step, running maximum and position.  The
+    sum over the maximum gives the free walks, the cumulative sum the
+    survivors for every d <= 8, and their drop from step n - 1 to n the
     first arrivals.  Each count over 2^16 must equal the library's exact
     Fraction; a first-arrival count also `first_arrival_counts`, scaled.
     """
-    n_top = 16
-    denom = 1 << n_top
+    n_top, denom = 16, 1 << 16
     free, alive = (a.tolist() for a in _path_counts(n_top))
-    mismatches = 0
-    for n in range(n_top + 1):
-        for m in range(-n, n + 1):
-            if fp.walk_probability(n, m) != \
-                    Fraction(free[n][m + n_top], denom):
-                mismatches += 1
+    mismatches = sum(fp.walk_probability(n, m)
+                     != Fraction(free[n][m + n_top], denom)
+                     for n in range(n_top + 1) for m in range(-n, n + 1))
     # Survivors and first arrivals (both routes) for every d <= 8, n <= 16;
     # survivor site m is m + d sites from the start.
     for d in range(1, 9):
         counts = fp.first_arrival_counts(n_top, d)
         for n in range(n_top + 1):
             row = alive[n][d]
-            for m in range(-n - d, 0):
-                if fp.surviving_probability(n, m, d) != \
-                        Fraction(row[m + d + n_top], denom):
-                    mismatches += 1
+            mismatches += sum(fp.surviving_probability(n, m, d)
+                              != Fraction(row[m + d + n_top], denom)
+                              for m in range(-n - d, 0))
             count_first = sum(alive[n - 1][d]) - sum(row) if n else 0
-            if fp.first_arrival_probability(n, d) != \
-                    Fraction(count_first, denom):
-                mismatches += 1
+            mismatches += (fp.first_arrival_probability(n, d)
+                           != Fraction(count_first, denom))
             mismatches += counts[n] << (n_top - n) != count_first
     # Exact conservation for d <= 10 at n = 0, 50, ..., 200.
     conserved = not any(any(fp.conservation_defects(range(0, 201, 50), d))

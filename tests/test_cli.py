@@ -127,6 +127,9 @@ class TestExitCodes:
         ["slit-sweep", "--W", "1,inf"],
         ["continuum", "--d-lattice", "1000"],
         ["continuum", "--refinements", "1,65"],
+        # The error falls from r = 2 to r = 4 whatever the order given.
+        ["continuum", "--refinements", "4,2"],
+        ["continuum", "--refinements", "1,1"],
         # Widths whose square or inverse square leaves the normal floats.
         ["kijowski-wave", "--sigma-p", "1e-200"],
         ["kijowski-wave", "--sigma-p", "1e200"],

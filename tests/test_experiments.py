@@ -522,6 +522,11 @@ class TestDiscreteContinuum:
         with pytest.raises(ValueError):
             discrete_continuum_experiment(refinements=(0, 1))
 
+    @pytest.mark.parametrize("refinements", [(4, 2), (1, 1), (1, 2, 2, 4)])
+    def test_refinements_not_strictly_increasing_rejected(self, refinements):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            discrete_continuum_experiment(refinements=refinements)
+
     @pytest.mark.parametrize("d_lattice", [0, -1])
     def test_invalid_lattice_offset_rejected(self, d_lattice):
         with pytest.raises(ValueError, match="d_lattice must be >= 1"):
