@@ -28,6 +28,7 @@ import math
 import os
 import sys
 from dataclasses import asdict
+from fractions import Fraction
 
 import numpy as np
 
@@ -259,7 +260,6 @@ def run_kijowski_wave(p: dict) -> tuple:
 
 
 def run_walk_validate(p: dict) -> tuple:
-    from fractions import Fraction
     d, n_max = p["d"], p["n-max"]
     if d < 1:
         raise ConfigError("walk-validate requires d >= 1")

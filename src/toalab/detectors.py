@@ -74,21 +74,29 @@ class ArrivalDistribution:
     def norm(self) -> float:
         return float(np.trapezoid(self.rates, self.taus))
 
+    def _moments(self) -> tuple:
+        """(mean, uncertainty), None at norm 0, on u = tau / 2^k (2^k the
+        scale of max |tau|): exact, and u * rate stays in the float range."""
+        if self.norm == 0.0:
+            return None, None
+        s = math.ldexp(1.0, math.frexp(float(np.max(np.abs(self.taus))))[1])
+        u = self.taus / s
+        norm = np.trapezoid(self.rates, u)
+        mu = np.trapezoid(u * self.rates, u) / norm
+        var = np.trapezoid((u - mu) ** 2 * self.rates, u) / norm
+        return float(mu * s), math.sqrt(max(var, 0.0)) * s
+
     @property
     def mean(self) -> float | None:
-        norm = self.norm
-        return None if norm == 0.0 else float(np.trapezoid(
-            self.taus * self.rates, self.taus) / norm)
+        return self._moments()[0]
 
     @property
     def uncertainty(self) -> float | None:
-        mu = self.mean
-        return None if mu is None else float(math.sqrt(max(np.trapezoid(
-            (self.taus - mu) ** 2 * self.rates, self.taus) / self.norm, 0.0)))
+        return self._moments()[1]
 
     def summary(self) -> dict:
-        return {"norm": self.norm, "mean": self.mean,
-                "uncertainty": self.uncertainty,
+        mean, uncertainty = self._moments()
+        return {"norm": self.norm, "mean": mean, "uncertainty": uncertainty,
                 "backflow": self.has_backflow, **self.meta}
 
 

@@ -20,8 +20,9 @@ bytes as raw Philox words, the same bytes Generator.integers would give;
 MC_BATCH chunks advance in lockstep, one pass over their concatenated bytes
 per 8-step column (column 0 reads the single table row of distance d).
 The batches run one after another in the calling thread, so at most
-MC_BATCH chunks are in memory.  The continuum limit (step dx in space,
-m dx^2 in clock time) is the diffusion first-passage density
+MC_BATCH chunks are in memory; numpy.random loads with the first chunk
+stream.  The continuum limit (step dx in space, m dx^2 in clock time) is
+the diffusion first-passage density
 D_tau = (d/tau) sqrt(m/2 pi tau) exp(-m d^2/2 tau).
 """
 
@@ -33,7 +34,6 @@ from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
-from numpy.random import Philox
 
 __all__ = [
     "walk_probability",
@@ -206,6 +206,9 @@ class _ByteStream:
     """
 
     def __init__(self, seed: int, chunk_index: int):
+        # Not at module load: numpy.random brings secrets, hmac and OpenSSL
+        # (about 6 MiB and 10 ms), and only a Monte Carlo draw needs it.
+        from numpy.random import Philox
         self._bitgen = Philox(key=[seed, chunk_index])
         self._carry = np.empty(0, dtype=np.uint8)
 

@@ -21,9 +21,11 @@ import toalab
 from toalab import cli, validation
 from toalab.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                         OUTPUT_DIR_ENV, main)
-from toalab.detectors import default_tau_grid
+from toalab.detectors import ArrivalDistribution, default_tau_grid
 from toalab.experiments import MetricComparison
 from toalab.kernels import LaplaceCheckReport
+
+from test_firstpassage import reference_byte_chunk
 
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -186,7 +188,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["sqm-detect", "--d", "1e300"],
-        ["tqm-detect", "--d", "1e300"],
         ["tqm-detect", "--v0", "1e-300"],
         ["laplace-check", "--s", "1e9"],
         # A default window narrower than the float spacing at its centre.
@@ -472,6 +473,19 @@ class TestArtifacts:
                     "m_sigma_t2_over_tau_bar"):
             assert summary[key] == pytest.approx(1.0, rel=1e-12)
 
+    def test_tqm_detect_far_detector_is_closed_form(self, tmp_path):
+        # At d = 1e300 the squared spread of the curve overflows on the tau
+        # axis; the moments are taken on a rescaled axis and come out at
+        # the deep-regime closed forms.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out = run(tmp_path, "tqm-detect", "--d", "1e300")
+        assert code == EXIT_OK
+        summary = strict_json((out / "tqm-detect_summary.json").read_text())
+        assert summary["mean"] == pytest.approx(summary["tau_bar"], rel=1e-12)
+        assert summary["uncertainty"] == pytest.approx(
+            summary["closed_form_uncertainty"], rel=1e-12)
+
     def test_metric_compare_lambda_row(self, tmp_path):
         code, out = run(tmp_path, "metric-compare", "--lambda", "0.1")
         assert code == EXIT_OK
@@ -648,6 +662,25 @@ class TestArtifactFiles:
         summary = strict_json((out / "ms-evolve_summary.json").read_text())
         assert summary["cumulative_detected"] > 0.0
         assert summary["mean"] is None and summary["uncertainty"] is None
+
+    @pytest.mark.parametrize("epsilon", ["1e-160", "1e-300"])
+    def test_ms_evolve_tiny_step_has_its_curve_moments(self, tmp_path,
+                                                       epsilon):
+        # tau * rate underflows at these steps; the summary still reports
+        # the moments of its own curve, read back and put on tau / epsilon.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out = run(tmp_path, "ms-evolve", "--lambda", "1",
+                            "--epsilon", epsilon, "--steps", "3")
+        assert code == EXIT_OK
+        summary = strict_json((out / "ms-evolve_summary.json").read_text())
+        taus, rates = np.loadtxt(out / "ms-evolve_curve.csv", delimiter=",",
+                                 skiprows=1, unpack=True)
+        eps = float(epsilon)
+        unit = ArrivalDistribution(taus / eps, rates * eps)
+        assert summary["mean"] == pytest.approx(unit.mean * eps, rel=1e-13)
+        assert summary["uncertainty"] == pytest.approx(
+            unit.uncertainty * eps, rel=1e-13)
 
 
 # The packet subcommands' tables as they were before `cli._packet` declared
@@ -893,3 +926,34 @@ class TestImports:
                         "laplace-check": [EXIT_OK, []],
                         "continuum": [EXIT_OK, []],
                         "metric-compare --lambda 1": [EXIT_OK, []]}
+
+    def test_numpy_random_loads_at_the_first_draw(self, tmp_path):
+        # numpy.random (with secrets, hmac and OpenSSL's _hashlib) is about
+        # 6 MiB of start-up that only a Monte Carlo draw needs.  No
+        # subcommand but validate draws, so none may load it; the sampler
+        # then loads it and draws the same Philox bytes as before.
+        proc = run_python(
+            "import json, sys, toalab.cli as cli\n"
+            "from toalab.firstpassage import monte_carlo_first_arrival\n"
+            "loaded = lambda: 'numpy.random' in sys.modules\n"
+            "seen = {'import': loaded()}\n"
+            "for name in cli.PARAMS:\n"
+            "    if name == 'validate':\n"
+            "        continue\n"
+            "    extra = ['--lambda', '1'] if name in ('ms-evolve',\n"
+            "                                          'metric-compare') else []\n"
+            "    seen[name] = [cli.main([name, *extra, '--output-dir', name]),\n"
+            "                  loaded()]\n"
+            "hist = monte_carlo_first_arrival(2, 20, 1000, seed=1)\n"
+            "seen['draw'] = [hist.counts.tolist(), hist.never_arrived,\n"
+            "                loaded()]\n"
+            "print(json.dumps(seen))",
+            cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout.splitlines()[-1])
+        counts, never, drawn = seen.pop("draw")
+        assert seen == {"import": False, **{
+            name: [EXIT_OK, False] for name in cli.PARAMS if name != "validate"}}
+        ref_counts, ref_never = reference_byte_chunk(2, 20, 1000, 1, 0)
+        assert drawn
+        assert counts == ref_counts.tolist() and never == ref_never

@@ -242,6 +242,25 @@ class TestArrivalDistribution:
         assert dist.mean is None and dist.uncertainty is None
         assert summary["mean"] is None and summary["uncertainty"] is None
 
+    @pytest.mark.parametrize("k", [540, -540])
+    def test_moments_at_extreme_clock_scales(self, k):
+        # The unit curve stretched by s = 2^k: tau * rate (k < 0) or
+        # (tau - mu)^2 * rate (k > 0) leaves the float range, yet the
+        # moments are the unit curve's times s, bit for bit.
+        t = np.linspace(1.0, 3.0, 201)
+        rho = np.exp(-(t - 2.0) ** 2 / 0.02)
+        unit = ArrivalDistribution(t, rho)
+        s = math.ldexp(1.0, k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dist = ArrivalDistribution(t * s, rho / s)
+            summary = dist.summary()
+        assert dist.norm == unit.norm
+        assert dist.mean == summary["mean"] == unit.mean * s
+        assert dist.uncertainty == summary["uncertainty"] \
+            == unit.uncertainty * s
+        assert unit.uncertainty == pytest.approx(0.1, rel=1e-6)
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             ArrivalDistribution(np.array([0.0, 0.0, 1.0]), np.zeros(3))
