@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import NumericalError, _trapezoid, _warn
+from .kernels import NumericalError, _log_tau_integral, _trapezoid, _warn
 from .wavepacket import (SpacePacket, _require_width, space_amplitude,
                          space_amplitude_dx, space_momentum_amplitude)
 
@@ -41,16 +41,21 @@ __all__ = [
 class ArrivalDistribution:
     """Sampled detection-rate curve over clock time.
 
-    Moments are computed after normalizing by the realized norm, so
-    under-counting metrics (e.g. the Kijowski wave case with norm 1/4)
-    still report a well-defined mean and spread; a curve of norm exactly 0
-    has none, and its mean and uncertainty are None.  Negative rates
-    (backflow) are kept as-is and flagged.
+    The norm and moments are integrated once, at construction.  Moments are
+    normalized by the realized norm, so under-counting metrics (e.g. the
+    Kijowski wave case, norm 1/4) still have a mean and spread; a curve of
+    norm exactly 0 has none (None).  They are taken on u = tau / 2^k (2^k
+    the scale of max |tau|): exact, and u * rate stays in the float range.
+    Negative rates (backflow) are kept as-is and flagged.
     """
 
     taus: np.ndarray
     rates: np.ndarray
     meta: dict = field(default_factory=dict)
+    norm: float = field(init=False)
+    mean: float | None = field(init=False)
+    uncertainty: float | None = field(init=False)
+    has_backflow: bool = field(init=False)
 
     def __post_init__(self):
         taus = np.asarray(self.taus, dtype=float)
@@ -59,44 +64,26 @@ class ArrivalDistribution:
             raise ValueError("taus and rates must be matching 1D arrays")
         if np.any(np.diff(taus) <= 0):
             raise ValueError("taus must be strictly increasing")
-        object.__setattr__(self, "taus", taus)
-        object.__setattr__(self, "rates", rates)
-        if self.has_backflow:
+        backflow = bool(np.any(rates < -1e-12 * np.max(np.abs(rates),
+                                                       initial=0.0)))
+        if backflow:
             _warn("negative detection rates present (backflow); reported "
                   "without clamping")
-
-    @property
-    def has_backflow(self) -> bool:
-        return bool(np.any(self.rates < -1e-12 * np.max(np.abs(self.rates),
-                                                        initial=0.0)))
-
-    @property
-    def norm(self) -> float:
-        return float(np.trapezoid(self.rates, self.taus))
-
-    def _moments(self) -> tuple:
-        """(mean, uncertainty), None at norm 0, on u = tau / 2^k (2^k the
-        scale of max |tau|): exact, and u * rate stays in the float range."""
-        if self.norm == 0.0:
-            return None, None
-        s = math.ldexp(1.0, math.frexp(float(np.max(np.abs(self.taus))))[1])
-        u = self.taus / s
-        norm = np.trapezoid(self.rates, u)
-        mu = np.trapezoid(u * self.rates, u) / norm
-        var = np.trapezoid((u - mu) ** 2 * self.rates, u) / norm
-        return float(mu * s), math.sqrt(max(var, 0.0)) * s
-
-    @property
-    def mean(self) -> float | None:
-        return self._moments()[0]
-
-    @property
-    def uncertainty(self) -> float | None:
-        return self._moments()[1]
+        norm = float(np.trapezoid(rates, taus))
+        mean = uncertainty = None
+        if norm != 0.0:
+            s = math.ldexp(1.0, math.frexp(float(np.max(np.abs(taus))))[1])
+            u = taus / s
+            unorm = np.trapezoid(rates, u)
+            mu = np.trapezoid(u * rates, u) / unorm
+            var = np.trapezoid((u - mu) ** 2 * rates, u) / unorm
+            mean, uncertainty = float(mu * s), math.sqrt(max(var, 0.0)) * s
+        vars(self).update(taus=taus, rates=rates, norm=norm, mean=mean,
+                          uncertainty=uncertainty, has_backflow=backflow)
 
     def summary(self) -> dict:
-        mean, uncertainty = self._moments()
-        return {"norm": self.norm, "mean": mean, "uncertainty": uncertainty,
+        return {"norm": self.norm, "mean": self.mean,
+                "uncertainty": self.uncertainty,
                 "backflow": self.has_backflow, **self.meta}
 
 
@@ -169,6 +156,14 @@ def _phase_power_sums(w, theta, steps: int) -> np.ndarray:
         np.exp(tau * k * k) * (math.sqrt(math.pi / tau) / size))
 
 
+def _require_phase(theta_max: float, steps: int) -> None:
+    """NumericalError unless max(steps, 1) ulp(theta_max) <= 1e-9 rad: A_n
+    of `_phase_power_sums` takes n times a float phase's rounding, ulp/2."""
+    if not max(steps, 1) * math.ulp(theta_max) <= 1e-9:
+        raise NumericalError(f"phase step {theta_max:.3g} rad: {max(steps, 1)}"
+                             f" x ulp {math.ulp(theta_max):.3g} > 1e-9 rad")
+
+
 # ---------------------------------------------------------------------------
 # Kijowski metric
 # ---------------------------------------------------------------------------
@@ -187,9 +182,9 @@ def kijowski_curve(pkt: SpacePacket, taus,
     sum_j b_j e^(-i k theta_j), theta_j = dtau p_j^2/2m, which
     `_phase_power_sums` forms by one FFT without a tau x nodes matrix.
     `taus` must be uniformly spaced (ValueError otherwise); one point or
-    none is allowed.  `nodes` is ignored.  The meta holds the intervals
-    used (`nodes`) and the max-norm difference of the last two levels
-    (`quad_error`).
+    none is allowed, and `_require_phase` checks dtau p^2/2m.  `nodes` is
+    ignored.  The meta holds the intervals used (`nodes`) and the max-norm
+    difference of the last two levels (`quad_error`).
     """
     taus = np.asarray(taus, dtype=float)
     dtau = 0.0
@@ -198,6 +193,8 @@ def kijowski_curve(pkt: SpacePacket, taus,
         if not np.allclose(step, step[0], rtol=1e-10):
             raise ValueError("taus must be uniformly spaced")
         dtau = (taus[-1] - taus[0]) / (taus.size - 1)
+    hi = pkt.p0 + 12.0 * pkt.sigma_p
+    _require_phase(dtau * (hi * hi / (2.0 * pkt.mass)), taus.size)
     # The sums start at n = 1, so the seed sits one step before tau_0.
     tau_seed = taus[0] - dtau if taus.size else 0.0
     evaluated = []  # nodes per call; their total is the intervals + 1
@@ -213,10 +210,9 @@ def kijowski_curve(pkt: SpacePacket, taus,
 
     amp, err = _trapezoid(node_sums,
                           math.sqrt(max(0.0, pkt.p0 - 12.0 * pkt.sigma_p)),
-                          math.sqrt(pkt.p0 + 12.0 * pkt.sigma_p), 1e-10)
+                          math.sqrt(hi), 1e-10)
     return ArrivalDistribution(taus, np.abs(amp) ** 2, meta={
-        "metric": "kijowski", "nodes": sum(evaluated) - 1,
-        "quad_error": float(err)})
+        "nodes": sum(evaluated) - 1, "quad_error": float(err)})
 
 
 @dataclass(frozen=True)
@@ -351,21 +347,22 @@ def kijowski_wave_norm(m: float, sigma_p: float) -> tuple:
     With tau = (m / sigma_p^2) e^v the integrand rho0(tau) tau falls as e^v
     for v -> -inf and e^(-v/2) for v -> +inf, and its nearest singularities
     sit at v = +/- i pi/2, so the trapezoid rule in v converges
-    exponentially.  The window v in [-40, 80] drops tails below 4e-18.
-    The error is the difference of the last two trapezoid levels.  A width
-    whose window end (m / sigma_p^2) e^80 overflows raises ValueError.
+    exponentially.  The window v in [-40, 80] drops tails below 4e-18.  The
+    error is the difference of the last two trapezoid levels.  A width
+    whose window end (m / sigma_p^2) e^80, m e^80 (m + i sigma_p^2 tau
+    there) or peak density rho0(0) overflows raises ValueError.
     """
     _require_wave(m, sigma_p)
     scale = m / sigma_p**2
     if not math.isfinite(scale * math.exp(80.0)):
         raise ValueError(f"sigma_p = {sigma_p:.6g} with m = {m:.6g}: the tau "
                          "window end (m / sigma_p^2) e^80 overflows")
-
-    def integrand(v):
-        tau = scale * np.exp(v)
-        return np.sum(kijowski_wave_density_origin(m, sigma_p, tau) * tau)
-
-    return _trapezoid(integrand, -40.0, 80.0, 1e-10)
+    if not math.isfinite(max(m * math.exp(80.0), sigma_p**2 / m)):
+        raise ValueError(f"sigma_p = {sigma_p:.6g} with m = {m:.6g}: m e^80 "
+                         "or the peak density ~ sigma_p^2 / m overflows")
+    return _log_tau_integral(
+        lambda tau: kijowski_wave_density_origin(m, sigma_p, tau), scale,
+        -40.0, 80.0)
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +477,7 @@ class MsResult:
 
     def arrival_distribution(self) -> ArrivalDistribution:
         taus = (np.arange(self.cfg.steps) + 1.0) * self.cfg.epsilon
-        return ArrivalDistribution(taus, self.detected / self.cfg.epsilon,
-                                   meta={"metric": "marchewka-schuss",
-                                         "lambda": self.cfg.lam})
+        return ArrivalDistribution(taus, self.detected / self.cfg.epsilon)
 
 
 def marchewka_schuss_evolve(x, psi0, cfg: MsConfig,
@@ -507,7 +502,7 @@ def marchewka_schuss_evolve(x, psi0, cfg: MsConfig,
 
     `x` must be a uniform increasing grid of at least two points ending
     exactly at 0 with the initial amplitude negligible at both ends.
-    Aborts if any P_n > 1 (lam or epsilon too large).
+    Aborts if a P_n > 1 (lam or epsilon too large) or `_require_phase` fails.
     """
     x = np.asarray(x, dtype=float)
     psi = np.asarray(psi0, dtype=complex)
@@ -540,6 +535,8 @@ def marchewka_schuss_evolve(x, psi0, cfg: MsConfig,
     j = np.arange(1, n_half - 1)
     w = ((-1.0) ** j * 1j * np.sin(math.pi * j / (n_half - 1))
          / (h * n_full)) * (spectrum[j] - spectrum[n_full - j])
+    k_max = float(np.max(k[j], initial=0.0))
+    _require_phase(k_max * k_max * cfg.epsilon / (2.0 * m), cfg.steps)
     dpsi_raw = _phase_power_sums(w, k[j] ** 2 * cfg.epsilon / (2.0 * m),
                                  cfg.steps)
 

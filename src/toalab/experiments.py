@@ -25,7 +25,7 @@ from . import firstpassage as fp
 from .detectors import (ArrivalDistribution, _arrival_moments,
                         _kijowski_window_curve, _require_captured,
                         sqm_detection_curve)
-from .kernels import _trapezoid, _warn
+from .kernels import _log_tau_integral, _warn
 from .tqm import TqmPacket, tqm_dispersion_budget
 from .wavepacket import SpacePacket, TimePacket, space_amplitude_dx
 
@@ -147,8 +147,7 @@ def metric_comparison(pkt: SpacePacket,
               "at x' >= 0, where the row's weight -x' differs from the "
               "kernel's |x'|")
     fa = np.abs(space_amplitude_dx(pkt, 0.0, grid)) ** 2
-    fa_curve = ArrivalDistribution(grid, fa / np.trapezoid(fa, grid),
-                                   meta={"metric": "first-arrival"})
+    fa_curve = ArrivalDistribution(grid, fa / np.trapezoid(fa, grid))
 
     def row(d, norm):
         return {"mean": d.mean, "uncertainty": d.uncertainty, "norm": norm}
@@ -164,18 +163,14 @@ def metric_comparison(pkt: SpacePacket,
         r = 4.0 * fa
         g = np.r_[0.0, np.cumsum(0.5 * (r[1:] + r[:-1]) * np.diff(grid))]
         g_inf = 0.0
-
-        def r_dtau(v):  # r dtau/dv summed over nodes v = log(tau/tau_bar)
-            tau = stats.tau_bar * np.exp(v)
-            return np.sum(np.abs(2.0 * space_amplitude_dx(pkt, 0.0, tau))
-                          ** 2 * tau)
-
-        # v on s [-3, 1], s = 40 arrival widths (momentum and position), at
-        # most 10: the peak v = 0 is a node of every level.
+        # tau = tau_bar e^v, v on s [-3, 1]: s = 40 arrival widths (momentum
+        # and position), at most 10; the peak v = 0 is a node of each level.
         s = min(10.0, 40.0 * math.hypot(stats.uncertainty / stats.tau_bar,
                                         pkt.sigma_x / pkt.d))
         if lam:
-            g_inf = float(_trapezoid(r_dtau, -3.0 * s, s, 1e-10)[0])
+            g_inf = float(_log_tau_integral(
+                lambda tau: np.abs(2.0 * space_amplitude_dx(pkt, 0.0, tau))
+                ** 2, stats.tau_bar, -3.0 * s, s)[0])
             _require_captured(g[-1], g_inf, "metric-compare's window "
                               "captures Marchewka-Schuss G = {:.6g} of "
                               "G(inf) = {:.6g}")

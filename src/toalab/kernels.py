@@ -87,6 +87,17 @@ def _trapezoid(f, lo: float, hi: float, rtol: float) -> tuple:
         f"|value| {np.max(np.abs(total), initial=0.0):.6g})")
 
 
+def _log_tau_integral(rate, scale, lo: float, hi: float) -> tuple:
+    """int rate(tau) dtau along tau = scale e^v, d tau = tau dv, for v in
+    [lo, hi], as the (value, error) of `_trapezoid` at rtol 1e-10.  `rate`
+    maps an array of tau to the rate there; `scale` may be complex (a ray)."""
+    def integrand(v):
+        tau = scale * np.exp(v)
+        return np.sum(rate(tau) * tau)
+
+    return _trapezoid(integrand, lo, hi, 1e-10)
+
+
 def _check_tau(tau):
     tau = np.asarray(tau)
     if not (np.all(np.isfinite(tau)) and np.all(tau.real > 0)):
@@ -155,13 +166,9 @@ def _ray_transform(kernel, m: float, x: float, s: float) -> complex:
         raise NumericalError(f"alpha = {alpha:.3g}, s = {s:.3g}: the "
                              f"transform window |tau| = {r:.3g} e^(+/-"
                              f"{edge:.3g}) leaves the float range")
-    ray = r * _SQRT_MINUS_I
-
-    def integrand(v):
-        tau = ray * np.exp(v)
-        return np.sum(kernel(m, x, 0.0, tau) * np.exp(-s * tau) * tau)
-
-    return _trapezoid(integrand, -edge, edge, 1e-10)[0]
+    return _log_tau_integral(
+        lambda tau: kernel(m, x, 0.0, tau) * np.exp(-s * tau),
+        r * _SQRT_MINUS_I, -edge, edge)[0]
 
 
 def laplace_transform_first_arrival(m: float, x: float, s: float) -> complex:

@@ -133,4 +133,4 @@ def sqm_limit_curve(pkt: TqmPacket, t_grid) -> ArrivalDistribution:
     """
     t_grid, rho = _frozen_gaussian(pkt, _bullet_dispersions(pkt.space),
                                    t_grid)
-    return ArrivalDistribution(t_grid, rho, meta={"metric": "sqm-limit"})
+    return ArrivalDistribution(t_grid, rho)

@@ -140,9 +140,21 @@ class TestExitCodes:
         ["kijowski-bullet", "--sigma-x", "1e-300"],
         ["tqm-detect", "--sigma-t", "1e-300"],
         ["slit-sweep", "--W", "1e-310"],
+        ["continuum", "--refinements", "1,x"],
+        ["walk-validate", "--d", "0"],
+        ["ms-evolve", "--lambda", "-1"],
+        ["ms-evolve", "--lambda", "1", "--epsilon", "0"],
+        ["ms-evolve", "--lambda", "1", "--steps", "-1"],
+        ["laplace-check", "--s", "-1"],
+        # The peak density ~ sigma_p^2 / m = 1e600, then sigma_p^2 tau =
+        # m e^80 at the window end: refused before numpy overflows.
+        ["kijowski-wave", "--m", "1e-300", "--sigma-p", "1e150"],
+        ["kijowski-wave", "--m", "1e300", "--sigma-p", "1e150"],
     ], ids=lambda argv: " ".join(argv))
     def test_unrunnable_input_is_config_error(self, tmp_path, capsys, argv):
-        code, out = run(tmp_path, *argv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out = run(tmp_path, *argv)
         assert code == EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err
         assert json.loads((out / "error.json").read_text())["error"]
@@ -206,6 +218,25 @@ class TestExitCodes:
             "error.json", f"{argv[0]}_manifest.json"]
         for path in out.glob("*.json"):
             strict_json(path.read_text())
+
+    @pytest.mark.parametrize("argv", [
+        ["ms-evolve", "--lambda", "0", "--epsilon", "3e12", "--steps", "3"],
+        ["ms-evolve", "--lambda", "1", "--epsilon", "1e150", "--steps", "3"],
+        # k^2 eps overflows.
+        ["ms-evolve", "--lambda", "1", "--epsilon", "1e306", "--steps", "3"],
+        # 10^4 steps of ulp(1.3e12 rad) = 2.4e-4 rad: 2.4 rad of phase.
+        ["ms-evolve", "--lambda", "0", "--epsilon", "1e9"],
+        ["kijowski-bullet", "--p0", "1", "--d", "1e300"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_phase_beyond_float_precision_is_numerical_error(
+            self, tmp_path, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out = run(tmp_path, *argv)
+        assert code == EXIT_NUMERICAL
+        assert "numerical error: phase step" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == [
+            "error.json", f"{argv[0]}_manifest.json"]
 
     def test_programming_error_is_not_numerical(self, tmp_path, monkeypatch):
         # Only NumericalError maps to exit 4; anything else propagates.
@@ -767,6 +798,15 @@ class TestConfigFile:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "nonsense" in err and "seed" in err
+
+    @pytest.mark.parametrize("line", ["d-lattice = 2.5", "d-lattice 2"])
+    def test_malformed_config_line_rejected(self, tmp_path, capsys, line):
+        # A value of the wrong type, and a line without '='.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code, _ = run(tmp_path, "continuum", "--config", str(cfg))
+        assert code == EXIT_CONFIG
+        assert "d-lattice" in capsys.readouterr().err
 
     def test_missing_config_file_rejected(self, tmp_path):
         code, _ = run(tmp_path, "slit-sweep", "--config",

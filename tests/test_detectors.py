@@ -14,6 +14,7 @@ from scipy.integrate import quad
 from toalab.detectors import (ArrivalDistribution, MsConfig, _SPREAD,
                               _arrival_moments,
                               _detector_current, _phase_power_sums,
+                              _require_phase,
                               default_tau_grid, kijowski_bullet_stats,
                               kijowski_curve, kijowski_wave_density_origin,
                               kijowski_wave_norm,
@@ -309,10 +310,15 @@ class TestKijowskiWaveCase:
             with pytest.raises(ValueError, match="normal float range"):
                 fn()
 
-    @pytest.mark.parametrize("m, sigma_p", [(1.0, 1e-150), (1e300, 1.0)])
+    # The window end, then the peak density ~ sigma_p^2 / m = 1e600, then
+    # sigma_p^2 tau = m e^80 at the window end.
+    @pytest.mark.parametrize("m, sigma_p", [(1.0, 1e-150), (1e300, 1.0),
+                                            (1e-300, 1e150), (1e300, 1e150)])
     def test_overflowing_window_names_the_width(self, m, sigma_p):
-        with pytest.raises(ValueError, match="sigma_p = .* overflows"):
-            kijowski_wave_norm(m, sigma_p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="sigma_p = .* overflows"):
+                kijowski_wave_norm(m, sigma_p)
 
     def test_monotone_decay(self):
         t = np.linspace(0.0, 50.0, 201)
@@ -565,6 +571,27 @@ class TestPhasePowerSums:
         # theta = 1000.3 is 159 turns: reduced by the float 2 pi alone it
         # is 4e-14 off, which n = 10^4 turns into a 4e-10 error.
         self._check(np.array([1.0 + 0j]), np.array([1000.3]), 10**4)
+        # |theta| from 1e6 up to the last float below the refusal bound
+        # steps ulp(theta) <= 1e-9 rad, against a 60-digit direct sum over
+        # the exact binary phases.
+        rng = np.random.default_rng(3)
+        for steps in (1, 2, 3):
+            # ulp(theta) = 2^(e - 52) on [2^e, 2^(e + 1)).
+            top = 2.0 ** (math.floor(math.log2(1e-9 / steps)) + 53)
+            mags = np.geomspace(1e6, np.nextafter(top, 0.0), 9)
+            theta = np.concatenate([mags, -mags])
+            w = rng.normal(size=theta.size) + 1j * rng.normal(size=theta.size)
+            with mpmath.workdps(60):
+                ref = [complex(mpmath.fsum(
+                    mpmath.mpc(complex(a)) * mpmath.expj(-n * mpmath.mpf(t))
+                    for a, t in zip(w.tolist(), theta.tolist())))
+                    for n in range(1, steps + 1)]
+            np.testing.assert_allclose(_phase_power_sums(w, theta, steps),
+                                       ref, rtol=0,
+                                       atol=1e-14 * np.abs(w).sum())
+            _require_phase(mags[-1], steps)
+            with pytest.raises(NumericalError, match="> 1e-9 rad"):
+                _require_phase(top, steps)
 
     def test_phases_at_the_grid_ends(self):
         # theta = 0 spreads onto both ends of the periodic grid; theta just
@@ -735,6 +762,19 @@ class TestMarchewkaSchuss:
         with pytest.raises(NumericalError, match="> 1"):
             marchewka_schuss_evolve(x, psi0, MsConfig(lam=1e6, epsilon=0.5,
                                                       steps=50))
+
+    # Refused before any phase is formed, so k^2 eps overflowing warns
+    # nothing.  No step is taken at steps = 0, but a phase step of 1.3e17
+    # rad carries a rounding of 16 rad.
+    @pytest.mark.parametrize("epsilon,steps", [(1e6, 3), (1e306, 3),
+                                               (1e14, 0)])
+    def test_step_phase_beyond_float_precision_aborts(self, epsilon, steps):
+        x, psi0 = self._setup()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="phase step"):
+                marchewka_schuss_evolve(x, psi0, MsConfig(
+                    lam=1.0, epsilon=epsilon, steps=steps))
 
     def test_grid_validation(self):
         x = np.linspace(-10.0, 1.0, 111)      # does not end at 0
