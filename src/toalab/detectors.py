@@ -221,12 +221,19 @@ class BulletDispersions:
 
     sigma_tau = hypot(sigma_bar, sigma_tilde): the space contribution
     sigma_bar = tau_bar/(m v0 sigma_x) and the time contribution
-    sigma_tilde = tau_bar/(m sigma_t), which is 0 in SQM.
+    sigma_tilde = tau_bar/(m sigma_t), which is 0 in SQM.  A law whose
+    tau_bar or sigma_tau overflows raises NumericalError.
     """
 
     tau_bar: float
     sigma_bar_tau: float            # space contribution
     sigma_tilde_tau: float = 0.0    # time contribution (TQM)
+
+    def __post_init__(self):
+        tau, sigma = self.tau_bar, self.sigma_tau
+        if not (math.isfinite(tau) and math.isfinite(sigma)):
+            raise NumericalError(f"frozen arrival law tau_bar = {tau:.3g}, "
+                                 f"sigma_tau = {sigma:.3g}")
 
     @property
     def sigma_tau(self) -> float:
@@ -383,7 +390,11 @@ def _detector_current(pkt: SpacePacket, tau):
 
 
 def _window(lo: float, hi: float, n: int, centre: float, width: float):
-    """n points on [lo, hi]; NumericalError unless strictly increasing."""
+    """n points on [lo, hi]; NumericalError unless hi - lo is finite and
+    the points strictly increase."""
+    if not math.isfinite(hi - lo):
+        raise NumericalError(f"default window at {centre:.17g}, width "
+                             f"{width:.3g}: its ends leave the float range")
     grid = np.linspace(lo, hi, n)
     if np.any(np.diff(grid) <= 0):
         raise NumericalError(f"default window at {centre:.17g}, width "
@@ -393,8 +404,9 @@ def _window(lo: float, hi: float, n: int, centre: float, width: float):
 
 def _require_captured(captured, exact, message: str) -> None:
     """NumericalError unless what a window captured is within 1e-3 of the
-    exact total, relative to it; `message` formats the two numbers."""
-    if abs(captured - exact) > 1e-3 * exact:
+    exact total, relative to it (so never when either is NaN); `message`
+    formats the two numbers."""
+    if not abs(captured - exact) <= 1e-3 * exact:
         raise NumericalError(message.format(captured, exact) + "; the window "
                              "is sized for a bullet packet, which this is not")
 

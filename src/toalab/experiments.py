@@ -124,7 +124,8 @@ def metric_comparison(pkt: SpacePacket,
     kappa G(inf)/(1 + kappa G(inf)); kappa = lam/(2 pi m), r = |2 dphi/dx(0,
     tau)|^2, G its integral from the grid's start.  lam < 0 raises
     ValueError; moments are None if it detects nothing (lam = 0); a grid
-    holding less than G(inf) to 1e-3 of it raises NumericalError.
+    that misses G(inf), or whose trapezoid of the rate misses its exact
+    kappa G/(1 + kappa G), by over 1e-3 of it raises NumericalError.
 
     The first-arrival row weights the free kernel by -x'/tau, which equals
     the kernel's |x'|/tau when the packet's amplitude at the detector is
@@ -174,6 +175,11 @@ def metric_comparison(pkt: SpacePacket,
             _require_captured(g[-1], g_inf, "metric-compare's window "
                               "captures Marchewka-Schuss G = {:.6g} of "
                               "G(inf) = {:.6g}")
+            n = 1.0 / (1.0 + kappa * g)   # no (1 + kappa g)^2 to overflow
+            _require_captured(np.trapezoid(kappa * r * n * n, grid),
+                              kappa * g[-1] * n[-1], "metric-compare's grid "
+                              "integrates the Marchewka-Schuss absorption "
+                              "front to {:.6g} of its exact {:.6g}")
         rows["marchewka_schuss"] = row(ArrivalDistribution(
             grid, kappa * r / (1.0 + kappa * g) ** 2),
             kappa * g_inf / (1.0 + kappa * g_inf))

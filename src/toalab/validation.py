@@ -21,8 +21,7 @@ from .detectors import (_arrival_moments, _detector_current, _regime_ratios,
                         kijowski_wave_norm, marchewka_schuss_evolve, MsConfig)
 from .experiments import discrete_continuum_experiment, single_slit_sweep
 from .kernels import laplace_first_arrival_check
-from .tqm import TqmPacket, sqm_limit_curve, tqm_arrival_distribution, \
-    tqm_dispersion_budget
+from .tqm import TqmPacket, tqm_arrival_distribution, tqm_dispersion_budget
 from .wavepacket import (SpacePacket, TimePacket, negative_energy_fraction,
                          space_amplitude)
 
@@ -268,8 +267,12 @@ def criterion_10():
                                      sigma_t=1e4 * sp.sigma_x * sp.v0),
                      space=sp)
     limit = tqm_arrival_distribution(wide)
-    sup = float(np.max(np.abs(limit.rates
-                              - sqm_limit_curve(wide, limit.taus).rates)))
+    # The SQM reference: the same Gaussian at sigma_tilde = 0 (t0 = 0).
+    center = limit.meta["drift"] * limit.meta["tau_bar"]
+    width = limit.meta["drift"] * limit.meta["sigma_bar_tau"]
+    sqm = np.exp(-((limit.taus - center) / width) ** 2) \
+        / (math.sqrt(math.pi) * width)
+    sup = float(np.max(np.abs(limit.rates - sqm)))
     ok = abs(sigma_obs - disp.sigma_tau) / disp.sigma_tau < 0.01 \
         and additivity < 0.01 and sup < 1e-3
     return _result(10, "TQM: sigma_tau = 100.50 +/- 1%, quadratic "

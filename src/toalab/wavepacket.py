@@ -40,6 +40,7 @@ def _require_width(name: str, w: float) -> None:
     """w > 0, with w^2 and 1/w^2 both normal floats."""
     if w <= 0:
         raise ValueError(f"{name} must be positive, got {w}")
+    w = float(w)    # a numpy scalar would warn as its square overflows
     if not _TINY <= w * w <= 1.0 / _TINY:
         raise ValueError(f"{name} = {w:.6g}: its square or inverse square "
                          "leaves the normal float range")

@@ -140,6 +140,7 @@ class TestExitCodes:
         ["kijowski-bullet", "--sigma-x", "1e-300"],
         ["tqm-detect", "--sigma-t", "1e-300"],
         ["slit-sweep", "--W", "1e-310"],
+        ["slit-sweep", "--W", "1e200"],
         ["continuum", "--refinements", "1,x"],
         ["walk-validate", "--d", "0"],
         ["ms-evolve", "--lambda", "-1"],
@@ -218,6 +219,35 @@ class TestExitCodes:
             "error.json", f"{argv[0]}_manifest.json"]
         for path in out.glob("*.json"):
             strict_json(path.read_text())
+
+    OVERFLOWS = [
+        # sigma_bar = tau_bar/(m v0 sigma_x) or sigma_tilde overflows.
+        (["sqm-detect", "--p0", "1e-200"], "frozen arrival law"),
+        (["kijowski-bullet", "--p0", "1e-200"], "frozen arrival law"),
+        (["metric-compare", "--p0", "1e-200"], "frozen arrival law"),
+        (["tqm-detect", "--v0", "1e-160"], "frozen arrival law"),
+        (["tqm-detect", "--d", "1e300", "--sigma-t", "1e-100"],
+         "frozen arrival law"),
+        (["slit-sweep", "--v0", "1e-300"], "frozen arrival law"),
+        # The law is finite, but tau_bar + 10 widths is not.
+        (["sqm-detect", "--d", "1.7e308"], "ends leave the float range"),
+        (["kijowski-bullet", "--d", "1.7e308"], "ends leave the float range"),
+        # The Marchewka-Schuss absorption front falls between grid points.
+        (["metric-compare", "--lambda", "1e12"], "front to 0.998539 of"),
+        (["metric-compare", "--lambda", "1e200"], "front to 2.2279e+173 of"),
+    ]
+
+    @pytest.mark.parametrize("argv,refusal", OVERFLOWS,
+                             ids=[" ".join(argv) for argv, _ in OVERFLOWS])
+    def test_overflowing_law_is_numerical_error(self, tmp_path, capsys,
+                                                argv, refusal):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out = run(tmp_path, *argv)
+        assert code == EXIT_NUMERICAL
+        assert refusal in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == [
+            "error.json", f"{argv[0]}_manifest.json"]
 
     @pytest.mark.parametrize("argv", [
         ["ms-evolve", "--lambda", "0", "--epsilon", "3e12", "--steps", "3"],

@@ -14,7 +14,7 @@ from toalab.experiments import (discrete_continuum_experiment, gated_source,
                                 metric_comparison, single_slit_sweep)
 from toalab.detectors import sqm_detection_curve
 from toalab.kernels import NumericalError, first_arrival_kernel
-from toalab.tqm import (TqmPacket, sqm_limit_curve, tqm_arrival_distribution,
+from toalab.tqm import (TqmPacket, tqm_arrival_distribution,
                         tqm_detection_density, tqm_dispersion_budget)
 from toalab.wavepacket import SpacePacket, TimePacket, space_amplitude
 
@@ -122,10 +122,9 @@ def _tqm(space):
     lambda sp: tqm_dispersion_budget(_tqm(sp)),
     lambda sp: tqm_detection_density(_tqm(sp), 1.0, 0.0),
     lambda sp: tqm_arrival_distribution(_tqm(sp)),
-    lambda sp: sqm_limit_curve(_tqm(sp), np.linspace(-1.0, 1.0, 8)),
 ], ids=["kijowski_bullet_stats", "sqm_detection_curve", "metric_comparison",
         "tqm_dispersion_budget", "tqm_detection_density",
-        "tqm_arrival_distribution", "sqm_limit_curve"])
+        "tqm_arrival_distribution"])
 @pytest.mark.parametrize("x0", [0.0, 5.0])
 def test_packet_at_or_past_detector_rejected(build, x0):
     # Every builder reads d = -x0 from the packet; d <= 0 is refused.
@@ -139,10 +138,8 @@ def test_packet_at_or_past_detector_rejected(build, x0):
     metric_comparison,
     lambda sp: tqm_dispersion_budget(_tqm(sp)),
     lambda sp: tqm_arrival_distribution(_tqm(sp)),
-    lambda sp: sqm_limit_curve(_tqm(sp), np.linspace(-1.0, 1.0, 8)),
 ], ids=["kijowski_bullet_stats", "sqm_detection_curve", "metric_comparison",
-        "tqm_dispersion_budget", "tqm_arrival_distribution",
-        "sqm_limit_curve"])
+        "tqm_dispersion_budget", "tqm_arrival_distribution"])
 @pytest.mark.parametrize("p0", [0.0, -1.0])
 def test_left_moving_packet_rejected(build, p0):
     # Every frozen-law builder refuses p0 <= 0 with one message.

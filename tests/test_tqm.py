@@ -9,10 +9,10 @@ import pytest
 from test_detectors import BULLET
 from test_wavepacket import (max_entropy_time_packet, time_amplitude_dt2,
                              time_dispersion_factor)
-from toalab.detectors import (kijowski_bullet_stats, probability_current,
-                              sqm_detection_curve)
+from toalab.detectors import (ArrivalDistribution, kijowski_bullet_stats,
+                              probability_current, sqm_detection_curve)
 from toalab.kernels import NumericalError
-from toalab.tqm import (TqmPacket, sqm_limit_curve, tqm_arrival_distribution,
+from toalab.tqm import (TqmPacket, tqm_arrival_distribution,
                         tqm_detection_density, tqm_dispersion_budget)
 from toalab.validation import criterion_10
 from toalab.wavepacket import (SpacePacket, TimePacket, space_amplitude,
@@ -93,6 +93,20 @@ def reference_frozen_convolution(pkt, t_grid):
     t_fine = pkt.time.t0 + drift * taus[0] + u_t[0] \
         + du * np.arange(conv.size)
     return np.interp(t_grid, t_fine, conv, left=0.0, right=0.0)
+
+
+def reference_sqm_limit(pkt, t):
+    """The sigma_t -> infinity arrival curve typed out (test oracle): the
+    bullet Gaussian exp(-((t - c)/S)^2)/(sqrt(pi) S) in coordinate time,
+    c = t0 + (E0/m) d/v0 and S = (E0/m) sigma_bar with sigma_bar =
+    (d/v0)/(m v0 sigma_x).  Shares no code with `toalab.tqm`."""
+    sp = pkt.space
+    drift = pkt.time.E0 / pkt.mass
+    tau_bar = sp.d / sp.v0
+    center = pkt.time.t0 + drift * tau_bar
+    width = drift * (tau_bar / (sp.mass * sp.v0 * sp.sigma_x))
+    return np.exp(-((t - center) / width) ** 2) \
+        / (math.sqrt(math.pi) * width)
 
 
 # tqm-detect defaults and criterion 10: p0 = m v0 = 0.1, sigma_x = sigma_t
@@ -201,13 +215,21 @@ class TestArrivalDistribution:
     def test_wide_time_packet_recovers_sqm_curve(self):
         pkt = make_packet(sigma_t=1e4 * 10.0)  # sigma_tilde << sigma_bar
         tqm = tqm_arrival_distribution(pkt)
-        sqm = sqm_limit_curve(pkt, tqm.taus)
-        assert np.abs(tqm.rates - sqm.rates).max() < 1e-4 * sqm.rates.max()
+        sqm = reference_sqm_limit(pkt, tqm.taus)
+        assert np.abs(tqm.rates - sqm).max() < 1e-4 * sqm.max()
 
-    def test_grid_must_bracket_arrival_window(self):
-        pkt = make_packet()
-        with pytest.raises(ValueError, match="bracket"):
-            sqm_limit_curve(pkt, np.linspace(90.0, 110.0, 64))
+    def test_criterion_10_measures_recovery_against_the_sqm_limit(self):
+        # Criterion 10's wide packet: its SQM reference is the oracle's
+        # curve bit for bit, so the sup-norm is the same number.
+        sp = SpacePacket(x0=-10.0, p0=0.1, sigma_x=10.0, mass=1.0)
+        wide = TqmPacket(time=TimePacket(t0=0.0, E0=1.0,
+                                         sigma_t=1e4 * sp.sigma_x * sp.v0),
+                         space=sp)
+        curve = tqm_arrival_distribution(wide)
+        sup = float(np.max(np.abs(curve.rates
+                                  - reference_sqm_limit(wide, curve.taus))))
+        assert criterion_10().observed["sqm_recovery_sup_norm"] == sup
+        assert sup == pytest.approx(2.8208186654554712e-11, rel=1e-6)
 
     def test_window_below_float_spacing_is_numerical_error(self):
         pkt = make_packet(sigma_t=1e20, sigma_x=1e20)
@@ -228,7 +250,8 @@ class TestArrivalDistribution:
         curve = tqm_arrival_distribution(pkt)
         assert curve.meta["drift"] == pytest.approx(math.sqrt(2.0))
         assert curve.mean == pytest.approx(100.0 * math.sqrt(2.0), rel=1e-4)
-        sqm = sqm_limit_curve(pkt, curve.taus)
+        sqm = ArrivalDistribution(curve.taus,
+                                  reference_sqm_limit(pkt, curve.taus))
         assert sqm.mean == pytest.approx(100.0 * math.sqrt(2.0), rel=1e-9)
         disp = tqm_dispersion_budget(pkt)
         span = 8.0 * math.hypot(math.sqrt(2.0) * disp.sigma_bar_tau,
