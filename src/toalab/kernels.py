@@ -143,16 +143,21 @@ _LAPLACE_TAIL = 45.0  # the window ends where the integrand is e^-45 of e^-c
 _TINY = np.finfo(float).tiny  # the smallest normal float
 
 
-def _ray_transform(kernel, m: float, x: float, s: float) -> complex:
-    """int_0^inf kernel(m, x, 0, tau) e^(-s tau) dtau, x != 0, s > 0.
+def _ray_transforms(m: float, x: float, s: float) -> tuple:
+    """(L[F](s), L[K](s)) for F_tau(x) = (|x|/tau) K_tau(x; 0) and the free
+    kernel K_tau(x; 0), s > 0, both integrated on one window.
 
-    On the ray tau = sqrt(alpha/s) e^v e^(-i pi/4), d tau = tau dv, and the
-    integrand kernel e^(-s tau) tau has modulus proportional to
-    exp(-c cosh v -/+ v/2), as F and K go as tau^(-3/2) and tau^(-1/2).
+    At x = 0, F collapses to an immediate arrival (L[F] = 1) and K is U.
+    Otherwise, on the ray tau = sqrt(alpha/s) e^v e^(-i pi/4), d tau =
+    tau dv, each integrand kernel e^(-s tau) tau has modulus proportional
+    to exp(-c cosh v -/+ v/2), as F and K go as tau^(-3/2) and tau^(-1/2).
     The window |v| <= V solves c (cosh V - 1) = 45 + V/2 (each fixed-point
     step shrinks the residual by 1 / (2 c sinh V) < 1/90), so the integrand
-    at its ends is e^-45 of its value at v = 0.
+    at its ends is e^-45 of its value at v = 0.  The kernels are looked up
+    at call time: a patched or traced kernel is the one transformed.
     """
+    if x == 0.0:
+        return 1.0 + 0.0j, laplace_transform_origin(m, s)
     alpha = 0.5 * m * x * x
     c = math.sqrt(2.0 * alpha * s)
     if c == 0.0:
@@ -166,24 +171,10 @@ def _ray_transform(kernel, m: float, x: float, s: float) -> complex:
         raise NumericalError(f"alpha = {alpha:.3g}, s = {s:.3g}: the "
                              f"transform window |tau| = {r:.3g} e^(+/-"
                              f"{edge:.3g}) leaves the float range")
-    return _log_tau_integral(
+    return tuple(_log_tau_integral(
         lambda tau: kernel(m, x, 0.0, tau) * np.exp(-s * tau),
         r * _SQRT_MINUS_I, -edge, edge)[0]
-
-
-def laplace_transform_first_arrival(m: float, x: float, s: float) -> complex:
-    """Numerical L[F](s) for F_tau(x) = (|x|/tau) K_tau(x; 0)."""
-    if x == 0.0:
-        # (|x|/tau) K collapses to an immediate arrival: L[F] = 1.
-        return 1.0 + 0.0j
-    return _ray_transform(first_arrival_kernel, m, x, s)
-
-
-def laplace_transform_free(m: float, x: float, s: float) -> complex:
-    """Numerical L[K](s) for the free kernel at separation x."""
-    if x == 0.0:
-        return laplace_transform_origin(m, s)
-    return _ray_transform(free_kernel_space, m, x, s)
+        for kernel in (first_arrival_kernel, free_kernel_space))
 
 
 def laplace_transform_origin(m: float, s: float) -> complex:
@@ -245,10 +236,9 @@ def laplace_first_arrival_check(m: float, x: float,
             raise NumericalError(
                 f"s = {s:.3g}: the closed form exp(-sqrt(m s) |x|) = "
                 f"{abs(cF):.3g} underflows the smallest normal float")
-        nF = laplace_transform_first_arrival(m, x, s)
+        nF, nK = _ray_transforms(m, x, s)
         mod_err.append(abs(abs(nF) - abs(cF)) / abs(cF))
         ph_err.append(abs(np.angle(nF / cF)))
-        nK = laplace_transform_free(m, x, s)
         fact.append(abs(nK - laplace_transform_origin(m, s) * nF))
     ok = max(mod_err) < 1e-3 and max(ph_err) < 1e-3 and max(fact) < 1e-3
     return LaplaceCheckReport(

@@ -9,12 +9,11 @@ import pytest
 from scipy.integrate import quad
 
 from toalab import kernels, validation
-from toalab.kernels import (NumericalError, _trapezoid,
+from toalab.kernels import (NumericalError, _ray_transforms, _trapezoid,
                             closed_form_laplace_first_arrival,
                             first_arrival_kernel, free_kernel_space,
                             laplace_first_arrival_check,
-                            laplace_transform_first_arrival,
-                            laplace_transform_free, laplace_transform_origin)
+                            laplace_transform_origin)
 from toalab.firstpassage import diffusion_density
 from toalab.wavepacket import (SpacePacket, TimePacket, space_amplitude,
                                time_amplitude)
@@ -290,7 +289,7 @@ class TestBulletArrivalAmplitude:
 
 class TestLaplace:
     def test_zero_distance_transform_is_one(self):
-        assert laplace_transform_first_arrival(1.0, 0.0, 2.0) == pytest.approx(1.0)
+        assert _ray_transforms(1.0, 0.0, 2.0)[0] == pytest.approx(1.0)
 
     def test_closed_form_modulus(self):
         # |exp((-1+i) sqrt(m s) |x|)| = exp(-sqrt(m s) |x|)
@@ -304,7 +303,7 @@ class TestLaplace:
         assert laplace_transform_origin(m, s) == pytest.approx(expect, rel=1e-10)
 
     def test_numerical_transform_matches_closed_form(self):
-        val = laplace_transform_first_arrival(1.0, 2.0, 0.5)
+        val = _ray_transforms(1.0, 2.0, 0.5)[0]
         assert val == pytest.approx(closed_form_laplace_first_arrival(1.0, 2.0, 0.5),
                                     abs=1e-8)
 
@@ -315,10 +314,10 @@ class TestLaplace:
         # |L[F]| = exp(-sqrt(m s)|x|) runs from 3.7e-44 to 0.998 over these
         # points; the agreement is relative at every one.
         closed = closed_form_laplace_first_arrival(m, x, s)
-        F = laplace_transform_first_arrival(m, x, s)
+        F, K = _ray_transforms(m, x, s)
         assert abs(F - closed) < 1e-10 * abs(closed)
         UF = laplace_transform_origin(m, s) * closed
-        assert abs(laplace_transform_free(m, x, s) - UF) < 1e-10 * abs(UF)
+        assert abs(K - UF) < 1e-10 * abs(UF)
         assert laplace_first_arrival_check(m, x, (s,)).converged is True
 
     @pytest.mark.parametrize("m,x,s", list(itertools.product(
@@ -327,19 +326,17 @@ class TestLaplace:
         # Oracle: the kernels' power-law form transformed by two quads, on
         # a grid spanning the stress points (sqrt(2 alpha s) from 4.5e-4 to
         # 316), held to the 1e-10 relative accuracy it was asked for.
-        new = (laplace_transform_first_arrival(m, x, s),
-               laplace_transform_free(m, x, s))
-        for a, b in zip(new, reference_transforms(m, x, s)):
+        for a, b in zip(_ray_transforms(m, x, s), reference_transforms(m, x, s)):
             assert abs(a - b) < 1e-10 * abs(b)
 
     def test_zero_separation_free_transform_is_origin(self):
-        assert laplace_transform_free(2.0, 0.0, 0.7) == \
+        assert _ray_transforms(2.0, 0.0, 0.7)[1] == \
             laplace_transform_origin(2.0, 0.7)
 
     def test_underflowing_window_raises(self):
         # m x^2 s = 1e-400 is 0 in floating point: there is no window.
         with pytest.raises(NumericalError, match="underflows"):
-            laplace_transform_free(1.0, 1e-200, 1.0)
+            _ray_transforms(1.0, 1e-200, 1.0)[1]
 
     @pytest.mark.parametrize("x,s", [(1e-150, 1e300), (1e100, 1e-300),
                                      (1e-158, 1.0)])
@@ -348,7 +345,7 @@ class TestLaplace:
         # sqrt(m s)|x| = 1; or it is 7e-159 and the window reaches
         # |tau| = 7e-159 e^-370, below the normal floats.
         with pytest.raises(NumericalError, match="float range"):
-            laplace_transform_free(1.0, x, s)
+            _ray_transforms(1.0, x, s)[1]
 
     @pytest.mark.parametrize("name,perturbed", [
         ("first_arrival_kernel",
@@ -402,7 +399,5 @@ class TestLaplace:
         assert rep.converged
         assert rep.max_modulus_error < 1e-4
         # free transform = origin transform x first-arrival transform
-        lhs = laplace_transform_free(1.0, 2.0, 0.5)
-        rhs = (laplace_transform_origin(1.0, 0.5)
-               * laplace_transform_first_arrival(1.0, 2.0, 0.5))
-        assert abs(lhs - rhs) < 1e-8
+        F, K = _ray_transforms(1.0, 2.0, 0.5)
+        assert abs(K - laplace_transform_origin(1.0, 0.5) * F) < 1e-8
