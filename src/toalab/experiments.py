@@ -25,7 +25,7 @@ from . import firstpassage as fp
 from .detectors import (ArrivalDistribution, _arrival_moments,
                         _kijowski_window_curve, _require_captured,
                         sqm_detection_curve)
-from .kernels import _log_tau_integral, _warn
+from .kernels import NumericalError, _log_tau_integral, _warn
 from .tqm import TqmPacket, tqm_dispersion_budget
 from .wavepacket import SpacePacket, TimePacket, space_amplitude_dx
 
@@ -123,9 +123,9 @@ def metric_comparison(pkt: SpacePacket,
     rate kappa r/(1 + kappa G)^2 on the grid and norm 1 - N(inf), taken as
     kappa G(inf)/(1 + kappa G(inf)); kappa = lam/(2 pi m), r = |2 dphi/dx(0,
     tau)|^2, G its integral from the grid's start.  lam < 0 raises
-    ValueError; moments are None if it detects nothing (lam = 0); a grid
-    that misses G(inf), or whose trapezoid of the rate misses its exact
-    kappa G/(1 + kappa G), by over 1e-3 of it raises NumericalError.
+    ValueError; moments are None if it detects nothing (lam = 0);
+    NumericalError if kappa r or kappa G overflows, or if the grid misses
+    G(inf), or its rate misses its exact kappa G/(1 + kappa G), by over 1e-3.
 
     The first-arrival row weights the free kernel by -x'/tau, which equals
     the kernel's |x'|/tau when the packet's amplitude at the detector is
@@ -175,6 +175,11 @@ def metric_comparison(pkt: SpacePacket,
             _require_captured(g[-1], g_inf, "metric-compare's window "
                               "captures Marchewka-Schuss G = {:.6g} of "
                               "G(inf) = {:.6g}")
+            top = max(float(g[-1]), g_inf, float(r.max()))  # r may top G
+            if not math.isfinite(kappa * top):
+                raise NumericalError(f"Marchewka-Schuss kappa = {kappa:.6g} "
+                                     "times its largest rate or total "
+                                     f"{top:.6g} overflows (lambda {lam:.6g})")
             n = 1.0 / (1.0 + kappa * g)   # no (1 + kappa g)^2 to overflow
             _require_captured(np.trapezoid(kappa * r * n * n, grid),
                               kappa * g[-1] * n[-1], "metric-compare's grid "

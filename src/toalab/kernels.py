@@ -196,7 +196,7 @@ class LaplaceCheckReport:
     s_values: tuple
     modulus_rel_errors: tuple
     phase_errors: tuple          # radians
-    factorization_residuals: tuple  # |L[K] - L[U] L[F]|
+    factorization_residuals: tuple  # |L[K] - L[U] L[F]| / |L[U] cF|
     converged: bool
 
     @property
@@ -217,12 +217,13 @@ def laplace_first_arrival_check(m: float, x: float,
     """Compare numerical L[F] with its closed form; verify L[K] = L[U] L[F].
 
     Returns a report with, per s: the modulus relative error, the phase
-    error (radians), and the factorization residual.  The
-    ``converged`` flag records whether every residual beat 1e-3.  A
-    transform whose quadrature does not converge raises NumericalError
-    instead of entering the report, and so does an s at which the closed
-    form falls below the smallest normal float, as no relative error can
-    be formed there.
+    error (radians), and the factorization residual, relative to
+    |L[U] cF| with cF the closed-form L[F], since |L[K]| spans hundreds
+    of decades over s.  The ``converged`` flag records whether every
+    residual beat 1e-3.  A transform whose quadrature does not converge
+    raises NumericalError instead of entering the report, and so does an
+    s at which cF or |L[U] cF| leaves the normal floats, as no relative
+    error can be formed there.
     """
     if m <= 0:
         raise ValueError("m must be positive")
@@ -232,14 +233,16 @@ def laplace_first_arrival_check(m: float, x: float,
     mod_err, ph_err, fact = [], [], []
     for s in s_values:
         cF = closed_form_laplace_first_arrival(m, x, s)
-        if abs(cF) < _TINY:
+        U = laplace_transform_origin(m, s)
+        UF = abs(U) * abs(cF)  # |L[U] L[F]|, formed without a warning
+        if not (_TINY <= min(abs(cF), UF) and UF < math.inf):
             raise NumericalError(
-                f"s = {s:.3g}: the closed form exp(-sqrt(m s) |x|) = "
-                f"{abs(cF):.3g} underflows the smallest normal float")
+                f"s = {s:.3g}: L[F] = exp(-sqrt(m s) |x|) = {abs(cF):.3g} or "
+                f"|L[U] L[F]| = {UF:.3g} leaves the normal floats")
         nF, nK = _ray_transforms(m, x, s)
         mod_err.append(abs(abs(nF) - abs(cF)) / abs(cF))
         ph_err.append(abs(np.angle(nF / cF)))
-        fact.append(abs(nK - laplace_transform_origin(m, s) * nF))
+        fact.append(abs(nK - U * nF) / UF)
     ok = max(mod_err) < 1e-3 and max(ph_err) < 1e-3 and max(fact) < 1e-3
     return LaplaceCheckReport(
         s_values=s_values, modulus_rel_errors=tuple(mod_err),

@@ -394,6 +394,37 @@ class TestLaplace:
             with pytest.raises(NumericalError, match="s = 1e\\+09"):
                 laplace_first_arrival_check(1.0, 1.0, (0.5, 1e9))
 
+    def test_check_reports_scaled_free_kernel_as_not_converged(
+            self, monkeypatch):
+        # At m = x = 1, s = 100, |L[K]| = 3.2e-6: a free kernel 1% off is
+        # 3.2e-8 off in absolute terms, but 1e-2 relative.  F keeps the
+        # unscaled kernel, so its own transform stays exact.
+        free = kernels.free_kernel_space
+        monkeypatch.setattr(kernels, "first_arrival_kernel",
+                            lambda m, x2, x1, tau: (abs(x2 - x1) / tau
+                                                    * free(m, x2, x1, tau)))
+        monkeypatch.setattr(kernels, "free_kernel_space",
+                            lambda *args: 1.01 * free(*args))
+        rep = laplace_first_arrival_check(1.0, 1.0, (100.0,))
+        assert rep.converged is False
+        assert rep.max_modulus_error < 1e-10
+        assert rep.max_factorization_residual == pytest.approx(0.01,
+                                                               rel=1e-9)
+
+    @pytest.mark.parametrize("m,x,s,size", [
+        (1e-300, 3.7e151, 100.0, "1.45e-312"), (1e-320, 0.0, 1e300, "0"),
+        (1e308, 0.0, 1e-300, "inf")])
+    def test_check_refuses_product_outside_normal_floats(self, m, x, s,
+                                                         size):
+        # |L[U] L[F]| = sqrt(m/2s) exp(-sqrt(m s)|x|) is subnormal, 0 or
+        # inf, though the closed form alone is a normal float: no relative
+        # residual exists, so the check refuses before any warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError,
+                               match=rf"\|L\[U\] L\[F\]\| = {size} leaves"):
+                laplace_first_arrival_check(m, x, (s,))
+
     def test_factorization_report(self):
         rep = laplace_first_arrival_check(1.0, 2.0, (0.5,))
         assert rep.converged
