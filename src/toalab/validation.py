@@ -87,30 +87,21 @@ def _path_counts(n_top: int) -> tuple:
     Returns integer arrays (free, alive): free[n, k + n_top] walks are k
     sites from the start after n steps, and alive[n, d, k + n_top] of them
     have never been d or more sites to the right (d = 0..8), i.e. survive a
-    detector d sites away.  Every walk is counted once per step in a
-    histogram over the key (n, min(running max, 9), position).  A walk is a
-    prefix (its first low = min(n_top, 12) steps) and a suffix: the 2^low
-    prefixes are histogrammed once and their counts shifted left by
-    n_top - low, since each starts 2^(n_top - low) walks; each suffix pattern
-    then adds one histogram of its steps over all prefix ends.  Temporaries
-    stay near 13 x 4096 intp values (~1.7 MiB traced in all).
+    detector d sites away.  joint[n, h, k + n_top] counts the walks at
+    site k after n steps whose running maximum, capped at 9, is h.  Each
+    step sends half of every class left, keeping h, and half right, raising
+    h by one where the walk stands on its maximum (k = h < 9).
     """
-    low, width = min(n_top, 12), 2 * n_top + 1
-
-    def counts(n, top, pos):
-        key = (10 * n + np.minimum(top, 9)) * width + pos + n_top
-        return np.bincount(key.ravel(), minlength=(n_top + 1) * 10 * width)
-    pos = np.zeros((low + 1, 1 << low), dtype=np.intp)
-    np.cumsum(2 * ((np.arange(1 << low) >> np.arange(low)[:, None]) & 1) - 1,
-              axis=0, out=pos[1:])
-    top = np.maximum.accumulate(pos, axis=0)
-    joint = counts(np.arange(low + 1)[:, None], top, pos) << (n_top - low)
-    end, peak, n = pos[-1], top[-1], np.arange(low + 1, n_top + 1)[:, None]
-    for suffix in range(1 << (n_top - low)):
-        walk = np.cumsum(2 * ((suffix >> (n - low - 1)) & 1) - 1, axis=0)
-        joint += counts(n, np.maximum(peak, end + np.maximum.accumulate(walk)),
-                        end + walk)
-    joint = joint.reshape(n_top + 1, 10, width)
+    width = 2 * n_top + 1
+    joint = np.zeros((n_top + 1, 10, width), dtype=np.int64)
+    joint[0, 0, n_top] = 1 << n_top
+    h = np.arange(10)[:, None]
+    up = (h == np.arange(-n_top, n_top + 1)) & (h < 9)
+    for n in range(n_top):
+        half = joint[n] >> 1
+        joint[n + 1, :, :-1] = half[:, 1:]
+        joint[n + 1, :, 1:] += np.where(up, 0, half)[:, :-1]
+        joint[n + 1, 1:, 1:] += np.where(up, half, 0)[:-1, :-1]
     below = np.cumsum(joint, axis=1)      # below[n, h]: running max <= h
     alive = np.zeros((n_top + 1, 9, width), dtype=below.dtype)
     alive[:, 1:] = below[:, :8]
@@ -120,8 +111,8 @@ def _path_counts(n_top: int) -> tuple:
 def criterion_3():
     """Exhaustive path enumeration and exact conservation.
 
-    `_path_counts` counts all 2^16 walks (2^12 shared prefixes x 16
-    suffixes, ~1.7 MiB traced) by step, running maximum and position.  The
+    `_path_counts` counts all 2^16 walks by step, running maximum and
+    position with a one-step recursion, enumerating none of them.  The
     sum over the maximum gives the free walks, the cumulative sum the
     survivors for every d <= 8, and their drop from step n - 1 to n the
     first arrivals.  Each count over 2^16 must equal the library's exact

@@ -25,6 +25,6 @@ def test_criterion(cid, capsys):
     assert result.passed, (
         f"criterion {cid} ({result.title}) failed; observed: {result.observed}")
     # The largest working set sets validate's peak RSS; cold, criterion 8
-    # traces 2.14 MiB, criterion 9 1.85 and criterion 3 1.69.
+    # traces 2.14 MiB, criterion 9 1.85 and criterion 3 0.16.
     assert peak < 2.5 * 2**20, (
         f"criterion {cid} traced {peak / 2**20:.2f} MiB, above 2.5 MiB")
