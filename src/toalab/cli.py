@@ -34,10 +34,9 @@ import numpy as np
 
 from . import __version__
 from . import firstpassage as fp
-from .detectors import (ArrivalDistribution, MsConfig,
-                        _kijowski_window_curve, kijowski_wave_density_origin,
-                        kijowski_wave_norm, marchewka_schuss_evolve,
-                        sqm_detection_curve)
+from .detectors import (MsConfig, _kijowski_window_curve,
+                        kijowski_wave_density_origin, kijowski_wave_norm,
+                        marchewka_schuss_evolve, sqm_detection_curve)
 from .experiments import (discrete_continuum_experiment, metric_comparison,
                           single_slit_sweep)
 from .kernels import NumericalError, laplace_first_arrival_check
@@ -231,10 +230,9 @@ def _space_packet(p: dict) -> SpacePacket:
     return SpacePacket(x0=-p["d"], p0=p0, sigma_x=p["sigma-x"], mass=p["m"])
 
 
-def _curve(dist: ArrivalDistribution) -> dict:
-    """The curve.csv table of an arrival distribution."""
-    return {"curve.csv": (["tau", "rate"],
-                          zip(dist.taus.tolist(), dist.rates.tolist()))}
+def _curve(taus, rates) -> dict:
+    """The curve.csv table of a rate curve."""
+    return {"curve.csv": (["tau", "rate"], zip(taus.tolist(), rates.tolist()))}
 
 
 def run_kijowski_bullet(p: dict) -> tuple:
@@ -245,18 +243,18 @@ def run_kijowski_bullet(p: dict) -> tuple:
                      "norm": curve.norm, "mean": curve.mean,
                      "uncertainty": curve.uncertainty,
                      "nodes": curve.meta["nodes"],
-                     "quad_error": curve.meta["quad_error"]}, _curve(curve)
+                     "quad_error": curve.meta["quad_error"]}, \
+        _curve(curve.taus, curve.rates)
 
 
 def run_kijowski_wave(p: dict) -> tuple:
     m, sp = p["m"], p["sigma-p"]
     norm, err = kijowski_wave_norm(m, sp)
     taus = np.linspace(0.0, 50.0 * (m / sp**2), 2001)
-    curve = ArrivalDistribution(taus,
-                                kijowski_wave_density_origin(m, sp, taus))
+    rates = kijowski_wave_density_origin(m, sp, taus)
     code = EXIT_OK if abs(norm - 0.25) < 1e-4 else EXIT_VALIDATION
     return code, {"norm": norm, "quad_error": err,
-                  "tau0_value": float(curve.rates[0])}, _curve(curve)
+                  "tau0_value": float(rates[0])}, _curve(taus, rates)
 
 
 def run_walk_validate(p: dict) -> tuple:
@@ -265,6 +263,15 @@ def run_walk_validate(p: dict) -> tuple:
         raise ConfigError("walk-validate requires d >= 1")
     if n_max < 0:
         raise ConfigError("walk-validate requires n-max >= 0")
+    # Each row prints a fraction over 2^n, which has more than the
+    # interpreter's int-to-str digit limit (0: none) beyond n = top.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    top = int(limit * math.log2(10))
+    if limit and n_max > top:
+        raise ConfigError(
+            f"walk-validate --n-max {n_max} prints fractions over 2^{n_max},"
+            f" beyond Python's {limit}-digit limit for int-to-str"
+            f" conversion; the largest n-max accepted is {top}")
     steps = range(n_max + 1)
     rows = [(n, str(Fraction(c, 2**n)), str(1 + Fraction(defect, 2**n)),
              defect == 0)
@@ -294,7 +301,7 @@ def run_continuum(p: dict) -> tuple:
 
 def run_sqm_detect(p: dict) -> tuple:
     curve = sqm_detection_curve(_space_packet(p))
-    return EXIT_OK, curve.summary(), _curve(curve)
+    return EXIT_OK, curve.summary(), _curve(curve.taus, curve.rates)
 
 
 def run_tqm_detect(p: dict) -> tuple:
@@ -302,7 +309,7 @@ def run_tqm_detect(p: dict) -> tuple:
     curve = tqm_arrival_distribution(TqmPacket(
         time=TimePacket(t0=0.0, E0=m, sigma_t=p["sigma-t"], mass=m),
         space=_space_packet(p)))
-    return EXIT_OK, curve.summary(), _curve(curve)
+    return EXIT_OK, curve.summary(), _curve(curve.taus, curve.rates)
 
 
 def run_slit_sweep(p: dict) -> tuple:
@@ -341,16 +348,24 @@ def run_ms_evolve(p: dict) -> tuple:
         raise NumericalError(
             f"ms-evolve grid under-resolves the packet: {phase_per_sample:.3g}"
             " rad per sample exceeds pi/4; raise n-grid or shrink box")
+    # |psi|^2 has width sigma_x/sqrt 2: this is its weight outside the box.
+    outside = 0.5 * (math.erfc(p["d"] / p["sigma-x"])
+                     + math.erfc((p["box"] - p["d"]) / p["sigma-x"]))
+    if outside > 1e-4:
+        raise NumericalError(
+            f"ms-evolve box [-{p['box']:g}, 0] does not hold the packet:"
+            f" {outside:.3g} of its weight lies outside; move d or widen box")
     cfg = MsConfig(lam=p["lambda"], epsilon=p["epsilon"], steps=p["steps"])
     res = marchewka_schuss_evolve(x, space_amplitude(pkt, x), cfg, m=p["m"])
     dist = res.arrival_distribution()
-    budget = res.cumulative_detected + res.final_norm()
+    final_norm = res.final_norm()
+    budget = res.cumulative_detected + final_norm
     summary = {"cumulative_detected": res.cumulative_detected,
-               "final_norm": res.final_norm(), "budget": budget,
+               "final_norm": final_norm, "budget": budget,
                "phase_per_sample": phase_per_sample,
                "mean": dist.mean, "uncertainty": dist.uncertainty}
     code = EXIT_OK if abs(budget - 1.0) < 1e-4 else EXIT_VALIDATION
-    return code, summary, _curve(dist)
+    return code, summary, _curve(dist.taus, dist.rates)
 
 
 def run_validate(p: dict) -> tuple:

@@ -295,8 +295,9 @@ def _arrival_moments(pkt: SpacePacket, alpha: float, gate=None) -> tuple:
     and a gains W^2 (E - E0) p/m.  Each average is one trapezoid rule on
     p0 +/- 6 s, the gated width s = sigma_p / hypot(1, W p0 sigma_p/m).
     1/p^4 diverges at p = 0, so sigma_p/p0 > 1/8 raises ValueError (below
-    it the weight at p = 0 is e^-64 of the peak or less); a weight not
-    above 0 raises NumericalError.  The variance is averaged as m^2 <(d
+    it the weight at p = 0 is e^-64 of the peak or less); a window whose
+    top p0 + 6 s squares past the float range, or a weight not above 0,
+    raises NumericalError.  The variance is averaged as m^2 <(d
     (1/p - <1/p>))^2 + (((alpha - 1)/p - a)/p)^2>, which cannot cancel.
     """
     p0, sp, m, d = pkt.p0, pkt.sigma_p, pkt.mass, pkt.d
@@ -306,6 +307,9 @@ def _arrival_moments(pkt: SpacePacket, alpha: float, gate=None) -> tuple:
                          "the moments diverge")
     W = gate or 0.0
     s = sp / math.hypot(1.0, W * p0 * sp / m)
+    top = p0 + 6.0 * s
+    if not math.isfinite(top * top):
+        raise NumericalError(f"p0 + 6 s = {top:.3g}: its square overflows")
 
     def average(f):
         def total(p):

@@ -104,6 +104,25 @@ class TestExitCodes:
         assert not (out / "walk-validate_report.csv").exists()
         assert not (out / "walk-validate_summary.json").exists()
 
+    def test_walk_n_max_beyond_the_digit_limit_is_config_error(
+            self, tmp_path, capsys, monkeypatch):
+        # 2^2127 has 641 digits, one more than the interpreter's smallest
+        # int-to-str limit; the refusal comes before any count.
+        monkeypatch.setattr(cli.fp, "first_arrival_counts", None)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out = run(tmp_path, "walk-validate", "--n-max", "2300")
+            assert code == EXIT_CONFIG
+            assert "largest n-max accepted is 2126" in capsys.readouterr().err
+            assert not (out / "walk-validate_report.csv").exists()
+            monkeypatch.undo()
+            code, out = run(tmp_path, "walk-validate", "--n-max", "2126")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == EXIT_OK
+        assert (out / "walk-validate_report.csv").exists()
+
     @pytest.mark.parametrize("argv", [["continuum", "--refinements", ","],
                                       ["slit-sweep", "--W", ","],
                                       ["laplace-check", "--s", ","]],
@@ -297,6 +316,20 @@ class TestExitCodes:
         assert code == EXIT_NUMERICAL
         assert "pi/4" in capsys.readouterr().err
         assert "pi/4" in json.loads((out / "error.json").read_text())["error"]
+
+    @pytest.mark.parametrize("d", ["10", "250", "300"])
+    def test_ms_box_missing_the_packet_is_numerical_error(
+            self, tmp_path, capsys, monkeypatch, d):
+        # The budget counts the packet's norm on the grid, so a packet that
+        # [-256, 0] does not hold is refused before the first step.
+        monkeypatch.setattr(cli, "marchewka_schuss_evolve", None)
+        code, out = run(tmp_path, "ms-evolve", "--lambda", "1", "--d", d)
+        assert code == EXIT_NUMERICAL
+        assert "does not hold the packet" in capsys.readouterr().err
+        assert "does not hold the packet" in json.loads(
+            (out / "error.json").read_text())["error"]
+        assert not (out / "ms-evolve_summary.json").exists()
+        assert not list(out.glob("*.csv"))
 
     def test_unconverged_quadrature_is_numerical_error(self, tmp_path,
                                                       monkeypatch, capsys):
@@ -512,6 +545,17 @@ class TestArtifacts:
             assert reason is None
         else:
             assert refusal in reason and "near p = 0" in reason
+
+    def test_slit_sweep_records_an_overflowing_window(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out = run(tmp_path, "slit-sweep", "--m", "1e160",
+                            "--sigma-x", "1", "--v0", "0.01", "--d", "100",
+                            "--W", "0.01,1")
+        assert code == EXIT_OK
+        summary = strict_json((out / "slit-sweep_summary.json").read_text())
+        assert summary["sqm_exact_refusal"] == (
+            "p0 + 6 s = 1e+158: its square overflows")
 
     def test_ms_evolve_budget(self, tmp_path):
         code, out = run(tmp_path, "ms-evolve", "--lambda", "1",

@@ -541,7 +541,7 @@ class TestEnumeration:
 
     def test_criterion_3_peak_memory(self):
         # 0.16 MiB traced: the 17 x 10 x 33 recursion table and its
-        # cumulative sum (the prefix x suffix enumeration took 1.69).
+        # cumulative sum.
         tracemalloc.start()
         try:
             assert validation.criterion_3().passed
