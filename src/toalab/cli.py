@@ -28,7 +28,6 @@ import math
 import os
 import sys
 from dataclasses import asdict
-from fractions import Fraction
 
 import numpy as np
 
@@ -257,6 +256,13 @@ def run_kijowski_wave(p: dict) -> tuple:
                   "tau0_value": float(rates[0])}, _curve(taus, rates)
 
 
+def _dyadic(num: int, n: int) -> str:
+    """num / 2^n in lowest terms, printed as str(Fraction(num, 2**n))."""
+    shift = min(n, (num & -num).bit_length() - 1) if num else n
+    num >>= shift
+    return str(num) if shift == n else f"{num}/{1 << (n - shift)}"
+
+
 def run_walk_validate(p: dict) -> tuple:
     d, n_max = p["d"], p["n-max"]
     if d < 1:
@@ -273,8 +279,7 @@ def run_walk_validate(p: dict) -> tuple:
             f" beyond Python's {limit}-digit limit for int-to-str"
             f" conversion; the largest n-max accepted is {top}")
     steps = range(n_max + 1)
-    rows = [(n, str(Fraction(c, 2**n)), str(1 + Fraction(defect, 2**n)),
-             defect == 0)
+    rows = [(n, _dyadic(c, n), _dyadic((1 << n) + defect, n), defect == 0)
             for n, c, defect in zip(steps, fp.first_arrival_counts(n_max, d),
                                     fp.conservation_defects(steps, d))]
     all_exact = all(row[3] for row in rows)

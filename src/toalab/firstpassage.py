@@ -11,11 +11,12 @@ with probability 1/2 each.  All step-n probabilities are dyadic rationals
 
 with F_0 = 1 if d = 0 else 0 and integer path counts c_n.  The survivor
 mass is the reflection formula summed over all sites m < 0, which
-telescopes to the free-walk probability P(-d <= X_n <= d-1): O(d) binomials
-at any n.  The Monte Carlo sampler
-draws one random byte per 8 steps and advances each walker with two
-256-entry tables (net move; first step that reaches the detector), so a
-walker costs one table lookup per 8 steps.  Each chunk of walkers reads its
+telescopes to the free-walk probability P(-d <= X_n <= d-1): a window of
+at most d binomials, carried from step to step.  The Monte Carlo sampler
+draws one random byte per 8 steps and advances each walker with one code
+table per column length (the first step that reaches the detector, or the
+net move), so a walker costs one table lookup per 8 steps; distances are
+int16 while d + n_max + 16 <= 32767, int64 beyond.  Each chunk reads its
 bytes as raw Philox words, the same bytes Generator.integers would give;
 MC_BATCH chunks advance in lockstep, one pass over their concatenated bytes
 per 8-step column (column 0 reads the single table row of distance d).
@@ -78,11 +79,31 @@ def surviving_probability(n: int, m: int, d: int) -> Fraction:
     return walk_probability(n, m + d) - walk_probability(n, m - d)
 
 
-def _survivor_count(n: int, d: int) -> int:
-    """2^n S_{n,d}: the walks from -d that have not reached 0 by step n."""
-    lo = max(-d, -n)
-    lo += (n + lo) % 2
-    return sum(math.comb(n, (n + k) // 2) for k in range(lo, min(d, n + 1), 2))
+def _survivor_counts(steps, d: int) -> dict:
+    """2^n S_{n,d} at each given step n, as a dict keyed by n.
+
+    The telescoped sum is the window C(n, j), ceil((n-d)/2) <= j <=
+    floor((n+d-1)/2), clipped to [0, n].  Its first binomial is carried
+    from row to row by one exact multiply and divide; each given row walks
+    its window by C(n, j+1) = C(n, j)(n - j)/(j + 1), at most d terms.
+    """
+    out = {}
+    n = None
+    for m in sorted(set(steps)):
+        if n is None:
+            n, j0 = m, max(0, (m - d + 1) // 2)
+            c = math.comb(n, j0)
+        while n < m:
+            n += 1
+            j = max(0, (n - d + 1) // 2)
+            c = c * n // (j if j > j0 else n - j0)
+            j0 = j
+        total, term = 0, c
+        for j in range(j0, min(n, (n + d - 1) // 2) + 1):
+            total += term
+            term = term * (n - j) // (j + 1)
+        out[n] = total
+    return out
 
 
 def first_arrival_probability(n: int, d: int) -> Fraction:
@@ -131,15 +152,17 @@ def first_arrival_probability_float(n, d: int):
 def conservation_defects(steps, d: int) -> list:
     """2^n (S_{n,d} + sum_{k<=n} F_{k,d} - 1) at each given step n, as ints.
 
-    Survivors are the binomial sum of `_survivor_count`; A_n = 2 A_{n-1} + c_n
-    counts the walks absorbed by step n.  Zero iff conserved exactly.
+    Survivors are the carried binomial windows of `_survivor_counts`;
+    A_n = 2 A_{n-1} + c_n counts the walks absorbed by step n.  Zero iff
+    conserved exactly.
     """
     steps = list(steps)
     if d < 0 or any(n < 0 for n in steps):
         raise ValueError("steps and d must be >= 0")
     arrived = list(accumulate(first_arrival_counts(max(steps, default=0), d),
                               lambda a, c: 2 * a + c))
-    return [_survivor_count(n, d) + arrived[n] - (1 << n) for n in steps]
+    survivors = _survivor_counts(steps, d)
+    return [survivors[n] + arrived[n] - (1 << n) for n in steps]
 
 
 # ---------------------------------------------------------------------------
@@ -178,22 +201,25 @@ class FirstArrivalHistogram:
         return (self.frequencies() - p) / se
 
 
-def _byte_tables() -> tuple:
-    """Per-byte walk tables; bit i of a byte is step i + 1, 1 = toward 0.
+def _code_tables() -> np.ndarray:
+    """Per-byte walk codes; bit i of a byte is step i + 1, 1 = toward 0.
 
-    net[b] is the byte's net move toward the detector.  first[r * 256 + b]
-    is the first step (1-8) at which a walker r sites away reaches the
-    detector, or 9 if it does not within the byte; rows r = 0..9, where
-    row 9 (r >= 9) never arrives and row 0 is never looked up.
+    codes[left - 1, r * 256 + b] covers the byte's first `left` steps (1-8)
+    for a walker r sites away: 32 + k if it reaches the detector first at
+    step k <= left, else its net move toward the detector plus 8 (0..16).
+    Rows r = 0..9, where row 9 (r >= 9) never arrives and row 0 is never
+    looked up.
     """
     bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
     reach = np.cumsum(2 * bits - 1, axis=1)
     hit = reach == np.arange(10)[:, None, None]
     first = np.where(hit.any(axis=2), hit.argmax(axis=2) + 1, 9)
-    return reach[:, -1].astype(np.int32), first.astype(np.uint8).ravel()
+    codes = np.where(first <= np.arange(1, 9)[:, None, None], 32 + first,
+                     8 + reach.T[:, None, :])
+    return codes.astype(np.uint8).reshape(8, 2560)
 
 
-_BYTE_NET, _BYTE_FIRST = _byte_tables()
+_CODES = _code_tables()
 
 
 class _ByteStream:
@@ -201,8 +227,10 @@ class _ByteStream:
     Generator(Philox(key=[seed, chunk_index])), read as raw Philox words.
 
     Each such call reads ceil(n / 4) uint32 words, the low and then the high
-    half of each raw uint64, and drops the unused bytes of its last word; a
-    call that ends on a low half leaves the high half's 4 bytes to the next.
+    half of each raw uint64, and drops the unused bytes of its last word: a
+    call takes n bytes of the little-endian raw stream, and the next call
+    starts at the following multiple of 4.  Raw words are read ahead in
+    blocks of at least MC_CHUNK bytes, which later calls share.
     """
 
     def __init__(self, seed: int, chunk_index: int):
@@ -210,17 +238,20 @@ class _ByteStream:
         # (about 6 MiB and 10 ms), and only a Monte Carlo draw needs it.
         from numpy.random import Philox
         self._bitgen = Philox(key=[seed, chunk_index])
-        self._carry = np.empty(0, dtype=np.uint8)
+        self._bytes = np.empty(0, dtype=np.uint8)
+        self._pos = 0
 
     def draw(self, n: int) -> np.ndarray:
-        words = -(-n // 4)
-        fresh = words - self._carry.size // 4   # words past the carried half
-        raw = self._bitgen.random_raw(max(0, -(-fresh // 2)))
-        data = raw.astype("<u8", copy=False).view(np.uint8)
-        if self._carry.size:
-            data = np.concatenate((self._carry, data))
-        self._carry = data[4 * words:].copy()
-        return data[:n]
+        end = self._pos + n
+        if end > self._bytes.size:
+            words = max(-(-(end - self._bytes.size) // 8), MC_CHUNK // 8)
+            raw = self._bitgen.random_raw(words).astype("<u8", copy=False)
+            self._bytes = np.concatenate((self._bytes[self._pos:],
+                                          raw.view(np.uint8)))
+            self._pos, end = 0, n
+        data = self._bytes[self._pos:end]
+        self._pos += -(-n // 4) * 4
+        return data
 
 
 def _mc_batch(d: int, n_max: int, chunks, seed: int) -> tuple:
@@ -235,30 +266,36 @@ def _mc_batch(d: int, n_max: int, chunks, seed: int) -> tuple:
         counts[0] = sum(live)
         return counts, 0
     streams = [_ByteStream(seed, i) for i, _ in chunks]
+    # Survivors stay within d + n_max sites; 16 leaves room for r += 8.
+    dtype = np.int16 if d + n_max + 16 <= 32767 else np.int64
     r = None                                    # distance of each live walker
     for start in range(0, n_max, 8):
         if not any(live):
             break
         left = min(8, n_max - start)            # the last byte may be partial
+        table = _CODES[left - 1]
         b = np.concatenate([s.draw(k) for s, k in zip(streams, live)])
         if r is None:                           # all walkers start d away
             row = 256 * min(d, 9)
-            first = _BYTE_FIRST[row:row + 256].take(b)
+            code = table[row:row + 256].take(b)
         else:
-            idx = np.minimum(r, 9)
+            idx = np.minimum(r, nine[:r.size])
             idx <<= 8
             idx |= b
-            first = _BYTE_FIRST.take(idx)
+            code = table.take(idx)
         # A column starts after a multiple of 8 steps, so r has the parity of
-        # d and arrivals fall only on steps k = d (mod 2); steps past `left`
-        # (and 9, no arrival) are the walkers that stay.
+        # d and arrivals fall only on steps k = d (mod 2).
         for k in range(2 - d % 2, left + 1, 2):
-            counts[start + k] += np.count_nonzero(first == k)
-        keep = first > left
+            counts[start + k] += np.count_nonzero(code == 32 + k)
+        keep = code < 32
         if r is None:
-            r = d - _BYTE_NET.take(b.compress(keep))
+            r = np.subtract(d + 8, code.compress(keep), dtype=dtype)
+            # numpy's minimum is several times faster against an array
+            # than against a scalar.
+            nine = np.full(r.size, 9, dtype=dtype)
         else:
-            r -= _BYTE_NET.take(b)
+            r += 8
+            r -= code
             r = r.compress(keep)
         ends = list(accumulate(live))
         live = [int(np.count_nonzero(keep[e - k:e]))
@@ -272,8 +309,9 @@ def monte_carlo_first_arrival(d: int, n_max: int, trials: int, seed: int,
 
     Trials run in fixed chunks of MC_CHUNK with counter-based per-chunk
     streams, so the result depends only on (d, n_max, trials, seed).
-    Each chunk draws one byte per live walker per 8 steps (see
-    _byte_tables) and drops walkers as they arrive.  The chunks run
+    Each chunk draws one byte per live walker per 8 steps, looks up its
+    code (see _code_tables) and drops walkers as they arrive; distances
+    are int16 while d + n_max + 16 <= 32767, else int64.  The chunks run
     MC_BATCH at a time in the calling thread.  `workers` is checked and
     otherwise unused (only the benchmark workloads still pass it): no
     thread is started, and neither the memory nor the result depends on it.

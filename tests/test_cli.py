@@ -11,6 +11,7 @@ import sys
 import tracemalloc
 import warnings
 from dataclasses import fields
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -501,6 +502,14 @@ class TestArtifacts:
         code, out = run(tmp_path, "walk-validate", "--d", "2", "--n-max", "40")
         assert code == EXIT_OK
         assert (out / "walk-validate_summary.json").exists()
+
+    def test_walk_validate_prints_fractions_in_lowest_terms(self):
+        # The report's cells are num / 2^n as str(Fraction) prints them,
+        # also for negative and zero numerators.
+        for n in range(70):
+            for num in (*range(-40, 300), 1 << n, 3 << n, -(5 << n),
+                        (1 << 80) - 1, -(7 << 75)):
+                assert cli._dyadic(num, n) == str(Fraction(num, 2**n))
 
     def test_curve_csv_format(self, tmp_path):
         code, out = run(tmp_path, "sqm-detect")

@@ -16,8 +16,7 @@ import toalab.firstpassage as fp
 from toalab import validation
 from toalab.cli import EXIT_OK, main
 from toalab.firstpassage import (MC_CHUNK,
-                                 FirstArrivalHistogram, _survivor_count,
-                                 conservation_defects,
+                                 FirstArrivalHistogram, conservation_defects,
                                  diffusion_density, diffusion_detection_rate,
                                  first_arrival_counts,
                                  first_arrival_probability,
@@ -39,7 +38,15 @@ def survivor_mass(n: int, d: int) -> Fraction:
     """
     if n < 0 or d < 0:
         raise ValueError("n and d must be >= 0")
-    return Fraction(_survivor_count(n, d), 2**n)
+    return Fraction(fp._survivor_counts([n], d)[n], 2**n)
+
+
+def reference_survivor_count(n: int, d: int) -> int:
+    """Oracle: 2^n S_{n,d} as fresh binomials, C(n, (n+k)/2) over the
+    k in [-d, d-1] of n's parity with |k| <= n."""
+    lo = max(-d, -n)
+    lo += (n + lo) % 2
+    return sum(math.comb(n, (n + k) // 2) for k in range(lo, min(d, n + 1), 2))
 
 
 def reference_survivor_mass(n: int, d: int) -> Fraction:
@@ -105,28 +112,33 @@ def reference_mc_chunk(d: int, n_max: int, trials: int, seed: int,
 
 def reference_byte_chunk(d: int, n_max: int, trials: int, seed: int,
                          chunk_index: int) -> tuple:
-    """Oracle: the byte-table sampler with a boolean mask per 8-step column.
+    """Oracle: the byte sampler with each byte's steps read from its bits.
 
-    Same Philox draws and tables as `fp._mc_batch` on a batch of one chunk,
-    which must match it bit for bit; here hits are masked out for the
-    histogram and the survivors are selected by fancy indexing.
+    Same Philox draws as `fp._mc_batch` on a batch of one chunk, which must
+    match it bit for bit, but none of its tables: bit i of a byte is step
+    i + 1 (1 = toward the detector), a walker's path through the column is
+    the cumulative sum of its steps, hits are masked out for the histogram
+    and the survivors are selected by fancy indexing.
     """
     rng = np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
     counts = np.zeros(n_max + 1, dtype=np.int64)
     if d == 0:
         counts[0] = trials
         return counts, 0
-    r = np.full(trials, d, dtype=np.int32)
+    r = np.full(trials, d, dtype=np.int64)
     for start in range(0, n_max, 8):
         if not r.size:
             break
         left = min(8, n_max - start)
         b = rng.integers(0, 256, size=r.size, dtype=np.uint8)
-        first = fp._BYTE_FIRST[np.minimum(r, 9) * 256 + b]
-        hit = first <= left
+        bits = (b[:, None].astype(np.int64) >> np.arange(left)) & 1
+        reach = np.cumsum(2 * bits - 1, axis=1)
+        hit = reach == r[:, None]
+        arrived = hit.any(axis=1)
+        first = hit.argmax(axis=1) + 1
         counts[start + 1:start + left + 1] += np.bincount(
-            first[hit], minlength=9)[1:left + 1]
-        r = (r - fp._BYTE_NET[b])[~hit]
+            first[arrived], minlength=left + 1)[1:]
+        r = (r - reach[:, -1])[~arrived]
     return counts, int(r.size)
 
 
@@ -302,6 +314,15 @@ class TestCountsAndConservation:
         with pytest.raises(ValueError):
             first_arrival_counts(4, -1)
 
+    @pytest.mark.parametrize("d", [0, 1, 2, 3, 5, 8, 13, 40])
+    def test_survivor_counts_match_fresh_binomials(self, d):
+        # Every step, then sparse step lists that start the carry far out.
+        got = fp._survivor_counts(range(301), d)
+        assert got == {n: reference_survivor_count(n, d) for n in range(301)}
+        for steps in ([1200], range(0, 201, 50), [400, 0, 77, 77], [3]):
+            assert fp._survivor_counts(steps, d) == \
+                {n: reference_survivor_count(n, d) for n in steps}, steps
+
     @pytest.mark.parametrize("d", range(0, 17))
     def test_conservation_holds_exactly(self, d):
         assert conservation_defects(range(401), d) == [0] * 401
@@ -416,7 +437,7 @@ class TestMonteCarlo:
         assert not hist.counts[hist.exact_reference() == 0].any()
 
     @pytest.mark.parametrize("n_max", [0, 1, 7, 8, 9, 13, 100])
-    @pytest.mark.parametrize("d", [0, 1, 2, 8, 9, 12])
+    @pytest.mark.parametrize("d", [0, 1, 2, 8, 9, 10, 12])
     def test_kernel_matches_masked_byte_sampler(self, d, n_max):
         for trials in (1, 1000, MC_CHUNK):
             for chunk_index in (0, 5):
@@ -427,6 +448,16 @@ class TestMonteCarlo:
                     d, n_max, trials, seed, chunk_index)
                 np.testing.assert_array_equal(counts, ref_counts)
                 assert never == ref_never
+
+    @pytest.mark.parametrize("d", [32735, 32736, 32760, 10**6])
+    def test_far_walkers_never_arrive_either_side_of_int16(self, d):
+        # Distances are int16 while d + n_max + 16 <= 32767 (d = 32735 here)
+        # and int64 past it; a distance that wrapped could count a false
+        # arrival.
+        counts, never = fp._mc_batch(d, 16, [(0, MC_CHUNK)], d)
+        ref_counts, ref_never = reference_byte_chunk(d, 16, MC_CHUNK, d, 0)
+        assert never == ref_never == MC_CHUNK
+        assert not counts.any() and not ref_counts.any()
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_histogram_matches_masked_byte_sampler(self, workers):
