@@ -25,7 +25,7 @@ from . import firstpassage as fp
 from .detectors import (ArrivalDistribution, _arrival_moments,
                         _kijowski_window_curve, _require_captured,
                         sqm_detection_curve)
-from .kernels import NumericalError, _log_tau_integral, _warn
+from .kernels import NumericalError, _peaked_tau_integral, _warn
 from .tqm import TqmPacket, tqm_dispersion_budget
 from .wavepacket import SpacePacket, TimePacket, space_amplitude_dx
 
@@ -122,7 +122,9 @@ def metric_comparison(pkt: SpacePacket,
     limit of the recursion N -= eps kappa r N^2, N = 1/(1 + kappa G), with
     rate kappa r/(1 + kappa G)^2 on the grid and norm 1 - N(inf), taken as
     kappa G(inf)/(1 + kappa G(inf)); kappa = lam/(2 pi m), r = |2 dphi/dx(0,
-    tau)|^2, G its integral from the grid's start.  lam < 0 raises
+    tau)|^2, G its integral from the grid's start, and G(inf) from
+    `_peaked_tau_integral` at the arrival width hypot(sigma_x,
+    tau_bar/(m sigma_x))/v0, which places the window.  lam < 0 raises
     ValueError; moments are None if it detects nothing (lam = 0);
     NumericalError if kappa r or kappa G overflows, or if the grid misses
     G(inf), or its rate misses its exact kappa G/(1 + kappa G), by over 1e-3.
@@ -164,14 +166,12 @@ def metric_comparison(pkt: SpacePacket,
         r = 4.0 * fa
         g = np.r_[0.0, np.cumsum(0.5 * (r[1:] + r[:-1]) * np.diff(grid))]
         g_inf = 0.0
-        # tau = tau_bar e^v, v on s [-3, 1]: s = 40 arrival widths (momentum
-        # and position), at most 10; the peak v = 0 is a node of each level.
-        s = min(10.0, 40.0 * math.hypot(stats.uncertainty / stats.tau_bar,
-                                        pkt.sigma_x / pkt.d))
         if lam:
-            g_inf = float(_log_tau_integral(
+            width = math.hypot(pkt.sigma_x, stats.tau_bar
+                               / (pkt.mass * pkt.sigma_x)) / pkt.v0
+            g_inf = float(_peaked_tau_integral(
                 lambda tau: np.abs(2.0 * space_amplitude_dx(pkt, 0.0, tau))
-                ** 2, stats.tau_bar, -3.0 * s, s)[0])
+                ** 2, stats.tau_bar, width)[0])
             _require_captured(g[-1], g_inf, "metric-compare's window "
                               "captures Marchewka-Schuss G = {:.6g} of "
                               "G(inf) = {:.6g}")

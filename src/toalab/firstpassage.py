@@ -119,34 +119,44 @@ def first_arrival_probability(n: int, d: int) -> Fraction:
     return Fraction(d, n) * walk_probability(n, d)
 
 
-def first_arrival_counts(n_max: int, d: int) -> list:
-    """First-arrival path counts c_n = 2^n F_{n,d} for n = 0..n_max, as ints.
+def _ballot_counts(n_max: int, d: int):
+    """Yield (n, c_n) for the c_n = 2^n F_{n,d} that are not 0, n <= n_max.
 
     c_d = 1 (the straight path) and, two steps on, the ballot-number
     recurrence c_{n+2} = c_n n (n+1) / ((k+1)(n+1-k)) with k = (n+d)/2,
     whose division is exact; every other c_n is 0.  For d = 0 the
-    recurrence gives c_0 = 1 and zeros after it.
+    recurrence gives c_0 = 1 and zeros after it.  One count is alive at
+    a time.
     """
     if n_max < 0 or d < 0:
         raise ValueError("n_max and d must be >= 0")
-    counts = [0] * (n_max + 1)
     c = 1
     for n in range(d, n_max + 1, 2):
-        counts[n] = c
+        yield n, c
         k = (n + d) // 2
         c = c * n * (n + 1) // ((k + 1) * (n + 1 - k))
+
+
+def first_arrival_counts(n_max: int, d: int) -> list:
+    """First-arrival path counts c_n = 2^n F_{n,d} for n = 0..n_max, as ints
+    (`_ballot_counts`)."""
+    counts = [0] * (n_max + 1)
+    for n, c in _ballot_counts(n_max, d):
+        counts[n] = c
     return counts
 
 
 def first_arrival_probability_float(n, d: int):
     """F_{n,d} as floats, vectorized over n (0 for n < 0).
 
-    c_n / 2^n in Python's int true division: the exact value, rounded once.
+    c_n / 2^n in Python's int true division: the exact value, rounded once,
+    as each count of `_ballot_counts` is produced.
     """
     n = np.asarray(n, dtype=np.int64)
-    counts = first_arrival_counts(int(n.max(initial=0)), d)
-    return np.array([counts[k] / (1 << k) if k >= 0 else 0.0
-                     for k in n.ravel().tolist()]).reshape(n.shape)
+    table = np.zeros(int(n.max(initial=0)) + 1)
+    for k, c in _ballot_counts(table.size - 1, d):
+        table[k] = c / (1 << k)
+    return np.where(n >= 0, table[np.maximum(n, 0)], 0.0)
 
 
 def conservation_defects(steps, d: int) -> list:

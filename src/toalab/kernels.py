@@ -17,7 +17,10 @@ cancels.
 Every integral the package refines to a tolerance uses _trapezoid: the
 uniform trapezoid rule, refined until two levels agree, on a variable in
 which the integrand decays to zero at both ends of the grid.  There it converges exponentially
-(Trefethen & Weideman, SIAM Rev. 56, 385 (2014)).
+(Trefethen & Weideman, SIAM Rev. 56, 385 (2014)).  A level that is exactly 0
+at every node missed its integrand and is refused.  The tau integral of a
+rate peaked at tau > 0 has one window rule, _peaked_tau_integral, so no
+caller sizes that window itself.
 """
 
 from __future__ import annotations
@@ -65,7 +68,9 @@ def _trapezoid(f, lo: float, hi: float, rtol: float) -> tuple:
     one; the result is returned as (value, max-norm of the difference of
     the last two levels) once that is at most rtol times the max-norm of
     the value.  Raises NumericalError when the levels have not converged
-    after _TRAPEZOID_HALVINGS halvings, or when a level is not finite.
+    after _TRAPEZOID_HALVINGS halvings, when a level is not finite, or when
+    a non-empty value on lo != hi converges to exactly 0: its nodes missed
+    the integrand.
     """
     n = _TRAPEZOID_START
     h = (hi - lo) / n
@@ -80,6 +85,10 @@ def _trapezoid(f, lo: float, hi: float, rtol: float) -> tuple:
         diff = np.max(np.abs(finer - total), initial=0.0)
         total = finer
         if diff <= rtol * np.max(np.abs(total), initial=0.0):
+            if hi != lo and np.size(total) and not np.any(total):
+                raise NumericalError(
+                    f"trapezoid rule on [{lo:.6g}, {hi:.6g}] is exactly 0 at "
+                    f"all {n + 1} nodes: the nodes missed the integrand")
             return total, diff
     raise NumericalError(
         f"trapezoid rule on [{lo:.6g}, {hi:.6g}] did not converge to rtol "
@@ -96,6 +105,25 @@ def _log_tau_integral(rate, scale, lo: float, hi: float) -> tuple:
         return np.sum(rate(tau) * tau)
 
     return _trapezoid(integrand, lo, hi, 1e-10)
+
+
+def _peaked_tau_integral(rate, tau_bar: float, width: float) -> tuple:
+    """int_0^inf rate(tau) dtau of a rate peaked at tau_bar about `width`
+    wide, as the (value, error) of `_trapezoid` at rtol 1e-10.
+
+    tau = tau_bar e^v and v = a sinh(u), a = width/tau_bar: near the peak
+    u spaces the nodes in units of the width, far out in powers of e.  u
+    runs over [-asinh(30/a), asinh(30/a)], so v over [-30, 30]; the window
+    is symmetric in u, so the peak v = 0 is a node of every level.
+    """
+    a = width / tau_bar
+    edge = math.asinh(30.0 / a)
+
+    def integrand(u):
+        tau = tau_bar * np.exp(a * np.sinh(u))
+        return np.sum(rate(tau) * tau * (a * np.cosh(u)))
+
+    return _trapezoid(integrand, -edge, edge, 1e-10)
 
 
 def _check_tau(tau):

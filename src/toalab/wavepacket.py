@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import _TINY
+from .kernels import _TINY, NumericalError
 
 __all__ = [
     "SpacePacket",
@@ -29,6 +29,9 @@ __all__ = [
     "NegativeEnergyReport",
     "negative_energy_fraction",
 ]
+
+
+_ROOT_MAX = math.sqrt(np.finfo(float).max)  # largest |shift| squared finitely
 
 
 def _require_finite(name: str, value) -> None:
@@ -120,16 +123,21 @@ def space_amplitude(pkt: SpacePacket, x, tau=0.0):
     phi_tau(x) = (pi sigma_x^2)^(-1/4) f^(-1/2)
                  exp(i p0 x - (x - x0 - v0 tau)^2 / (2 sigma_x^2 f)
                      - i p0^2 tau / (2 m))
-    with f = 1 + i tau / (m sigma_x^2).
+    with f = 1 + i tau / (m sigma_x^2).  NumericalError where
+    (x - x0 - v0 tau)^2 overflows.
     """
     x = np.asarray(x, dtype=float)
     _require_finite("x", x)
     _require_finite("tau", tau)
+    shift = x - pkt.x0 - pkt.v0 * tau
+    if not np.all(np.abs(shift) <= _ROOT_MAX):
+        raise NumericalError(f"|x - x0 - v0 tau| = {np.max(np.abs(shift)):.3g}"
+                             ": its square in the Gaussian exponent overflows")
     f = pkt.dispersion_factor(tau)
     norm = (math.pi * pkt.sigma_x**2) ** -0.25 / np.sqrt(f)
     arg = (
         1j * pkt.p0 * x
-        - (x - pkt.x0 - pkt.v0 * tau) ** 2 / (2.0 * pkt.sigma_x**2 * f)
+        - shift ** 2 / (2.0 * pkt.sigma_x**2 * f)
         - 1j * pkt.p0**2 * tau / (2.0 * pkt.mass)
     )
     return norm * np.exp(arg)

@@ -231,11 +231,7 @@ class TestExitCodes:
     ], ids=lambda argv: " ".join(argv))
     def test_non_finite_result_is_numerical_error(self, tmp_path, argv):
         with warnings.catch_warnings():
-            # Only sqm-detect --d 1e300 may warn: space_amplitude squares
-            # x - x0 - v0 tau in its exponent, which overflows before the
-            # current's window check refuses the run (CHANGES.md, FOUND).
-            warnings.simplefilter("ignore" if argv[1:] == ["--d", "1e300"]
-                                  else "error", RuntimeWarning)
+            warnings.simplefilter("error", RuntimeWarning)
             code, out = run(tmp_path, *argv)
         assert code == EXIT_NUMERICAL
         assert sorted(p.name for p in out.iterdir()) == [
@@ -402,7 +398,7 @@ class TestExitCodes:
         # The window misses the exact total, Kijowski's or the flux, so each
         # subcommand refuses the packet alike.
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")      # outside the bullet regime
+            warnings.simplefilter("ignore", UserWarning)  # outside the regime
             code, out = run(tmp_path, name, *argv)
         assert code == EXIT_NUMERICAL
         assert "captures norm" in strict_json(

@@ -166,7 +166,7 @@ def reference_phase_power_sums(w, z, steps):
 def cli_grid(pkt):
     """The Kijowski grid of `kijowski-bullet` and `metric-compare`."""
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # outside the bullet regime
+        warnings.simplefilter("ignore", UserWarning)  # outside the regime
         stats = kijowski_bullet_stats(pkt)
     return default_tau_grid(stats.tau_bar, stats.uncertainty)
 
@@ -799,7 +799,7 @@ class TestMarchewkaSchuss:
             x, space_amplitude(pkt, x, 0.0),
             MsConfig(lam=1.0, epsilon=0.01, steps=10_000))
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("ignore", UserWarning)
             dist = res.arrival_distribution()
             assert abs(dist.mean - 25.0) / 25.0 < 0.06
         assert res.cumulative_detected > 0.3

@@ -1,5 +1,6 @@
 """End-to-end experiments: slit in time, metric comparison, lattice limit."""
 
+import itertools
 import math
 import warnings
 
@@ -13,10 +14,12 @@ from toalab.detectors import (ArrivalDistribution, _arrival_moments,
 from toalab.experiments import (discrete_continuum_experiment, gated_source,
                                 metric_comparison, single_slit_sweep)
 from toalab.detectors import sqm_detection_curve
-from toalab.kernels import NumericalError, first_arrival_kernel
+from toalab.kernels import (NumericalError, _peaked_tau_integral,
+                            first_arrival_kernel)
 from toalab.tqm import (TqmPacket, tqm_arrival_distribution,
                         tqm_detection_density, tqm_dispersion_budget)
-from toalab.wavepacket import SpacePacket, TimePacket, space_amplitude
+from toalab.wavepacket import (SpacePacket, TimePacket, space_amplitude,
+                               space_amplitude_dx)
 
 from test_detectors import BULLET, reference_ms_absorb
 
@@ -67,7 +70,7 @@ def reference_first_arrival_row(pkt):
     for the derivative identity: |int dx' F_tau(0; x') phi_0(x')|^2 per tau
     on metric_comparison's grid, normalized over it."""
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", UserWarning)
         stats = kijowski_bullet_stats(pkt)
     grid = default_tau_grid(stats.tau_bar, stats.uncertainty)
     x = np.linspace(pkt.x0 - 12.0 * pkt.sigma_x, pkt.x0 + 12.0 * pkt.sigma_x,
@@ -108,6 +111,22 @@ def reference_ms_total(pkt):
     return (2.0 * m * pkt.p0 * (math.erf(a) + math.erf(b))
             + 4.0 * m * a / (math.sqrt(math.pi) * pkt.sigma_x)
             * (math.exp(-b * b) * dawsn(a) - math.exp(-a * a) * dawsn(b)))
+
+
+@pytest.mark.parametrize("sigma_x", [1.0, 10.0, 100.0])
+def test_peaked_tau_integral_is_the_ms_total(sigma_x):
+    # From next to the source to the far field, and from sigma_p/p0 = 2 to
+    # 1/64: the hard-wall total matches its closed form to 1e-12.
+    worst = 0.0
+    for b, a in itertools.product((0.5, 1, 2, 4, 8, 16, 32, 64),
+                                  (1.5, 3, 10, 100, 1e3, 1e4, 1e5)):
+        pkt = SpacePacket(x0=-a * sigma_x, p0=b / sigma_x, sigma_x=sigma_x)
+        tau_bar = pkt.d / pkt.v0
+        g = _peaked_tau_integral(
+            lambda tau: np.abs(2.0 * space_amplitude_dx(pkt, 0.0, tau)) ** 2,
+            tau_bar, math.hypot(sigma_x, tau_bar / sigma_x) / pkt.v0)[0]
+        worst = max(worst, abs(g / reference_ms_total(pkt) - 1.0))
+    assert worst <= 1e-12
 
 
 def _tqm(space):
@@ -376,7 +395,7 @@ class TestMetricComparison:
         # The norm is kappa G/(1 + kappa G), kappa = lam/(2 pi m), with the
         # exact hard-wall total G(inf) of `reference_ms_total`.
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")      # the packets' regimes
+            warnings.simplefilter("ignore", UserWarning)  # their regimes
             ms = metric_comparison(pkt, lam=lam).rows["marchewka_schuss"]
         kappa_g = lam / (2.0 * math.pi * pkt.mass) * reference_ms_total(pkt)
         assert ms["norm"] == pytest.approx(kappa_g / (1.0 + kappa_g),
@@ -399,7 +418,7 @@ class TestMetricComparison:
         # own checks in `detectors` are passed over.
         pkt = SpacePacket(x0=-100.0, p0=1.0, sigma_x=30.0, mass=1.0)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("ignore", UserWarning)
             with pytest.raises(NumericalError, match=r"Kijowski curve's tau "
                                r"window captures norm 0\.730253 of the exact "
                                r"Kijowski norm 1;"):
@@ -419,7 +438,7 @@ class TestMetricComparison:
         monkeypatch.setattr("toalab.detectors._require_captured",
                             lambda *args: None)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("ignore", UserWarning)
             ms = metric_comparison(pkt, lam=0.0).rows["marchewka_schuss"]
         assert ms == {"mean": None, "uncertainty": None, "norm": 0.0}
 

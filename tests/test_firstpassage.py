@@ -267,6 +267,17 @@ class TestSurvivingAndFirstArrival:
         np.testing.assert_array_equal(first_arrival_probability_float(n, d),
                                       exact)
 
+    def test_float_path_keeps_one_count_alive(self):
+        # The continuum's largest level, n <= 4097 at d = 32: all the counts
+        # as ints take about 0.9 MiB, the float table 32 KiB.
+        tracemalloc.start()
+        try:
+            first_arrival_probability_float(np.arange(4098), 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * 2**20
+
     @pytest.mark.parametrize("d", range(1, 17))
     def test_survivor_mass_matches_site_sum(self, d):
         for n in sorted({0, 1, 2, max(d - 1, 0), d, d + 1, 2 * d, 2 * d + 1,

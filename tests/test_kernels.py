@@ -14,6 +14,7 @@ from toalab.kernels import (NumericalError, _ray_transforms, _trapezoid,
                             first_arrival_kernel, free_kernel_space,
                             laplace_first_arrival_check,
                             laplace_transform_origin)
+from toalab.detectors import _detector_current
 from toalab.firstpassage import diffusion_density
 from toalab.wavepacket import (SpacePacket, TimePacket, space_amplitude,
                                time_amplitude)
@@ -93,6 +94,42 @@ class TestTrapezoid:
             with pytest.raises(NumericalError, match="did not converge"):
                 _trapezoid(lambda x: np.sum(1.0 / np.sqrt(x)), 0.0, 1.0,
                            1e-10)
+
+    def test_bump_between_the_first_nodes_is_refused(self):
+        # A bump 1e-3 wide at x = 0.25 on [0, 16]: the nodes of the first
+        # two levels (steps 1 and 1/2) all see exactly 0.
+        with pytest.raises(NumericalError, match="missed the integrand"):
+            _trapezoid(lambda x: np.sum(np.exp(-((x - 0.25) / 1e-3) ** 2)),
+                       0.0, 16.0, 1e-10)
+
+    def test_zero_width_and_empty_value_are_not_refused(self):
+        assert _trapezoid(lambda x: np.sum(np.exp(-x * x)), 2.0, 2.0,
+                          1e-10) == (0.0, 0.0)
+        val, err = _trapezoid(lambda x: np.zeros(0), 0.0, 1.0, 1e-10)
+        assert val.shape == (0,) and err == 0.0
+
+
+class TestPeakedTauIntegral:
+    # p0 = 1, sigma_x = 1000, d = 1e6: the current J is about
+    # w = hypot(sigma_x, tau_bar/(m sigma_x))/v0 = 1414 wide at tau_bar = 1e6.
+    FAR = SpacePacket(x0=-1e6, p0=1.0, sigma_x=1000.0, mass=1.0)
+
+    def test_plain_log_window_misses_the_peak(self):
+        # tau = tau_bar e^v on [-30, log(1 + 40 w/tau_bar)]: 33 nodes all
+        # miss J, so the level is refused rather than returned as 0.
+        pkt = self.FAR
+        a = math.hypot(pkt.sigma_x, pkt.d / pkt.sigma_x) / pkt.d
+        with pytest.raises(NumericalError, match="missed the integrand"):
+            kernels._log_tau_integral(lambda tau: _detector_current(pkt, tau),
+                                      pkt.d, -30.0, math.log1p(40.0 * a))
+
+    def test_current_of_a_far_packet_integrates_to_one(self):
+        pkt = self.FAR
+        width = math.hypot(pkt.sigma_x, pkt.d / pkt.sigma_x)
+        norm, err = kernels._peaked_tau_integral(
+            lambda tau: _detector_current(pkt, tau), pkt.d, width)
+        assert norm == pytest.approx(1.0, abs=1e-12)
+        assert err <= 1e-10 * norm
 
 
 class TestClosedForms:

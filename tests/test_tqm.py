@@ -155,7 +155,7 @@ class TestPacketAndBudget:
         # The bullet stats, the current curve's closed forms and the TQM
         # budget are one record: equal bit for bit.
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("ignore", UserWarning)
             stats = kijowski_bullet_stats(pkt.space)
         if pkt is TQM_DETECT:
             with pytest.raises(NumericalError, match="total flux"):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from toalab.kernels import NumericalError
 from toalab.wavepacket import (SpacePacket, TimePacket,
                                negative_energy_fraction, space_amplitude,
                                space_amplitude_dx, space_momentum_amplitude,
@@ -153,6 +154,19 @@ class TestSpacePacket:
     def test_width_within_the_floats_accepted(self, width):
         assert SpacePacket(0.0, 1.0, width).sigma_p == 1.0 / width
         assert TimePacket(0.0, 1.0, width).sigma_E == 1.0 / width
+
+    @pytest.mark.parametrize("x, tau", [(0.0, 7e299), (1e155, 0.0),
+                                        (np.array([0.0, 1e308]), 0.0)])
+    def test_overflowing_exponent_is_refused(self, x, tau):
+        # (x - x0 - v0 tau)^2 past the floats is refused before numpy
+        # squares it (a RuntimeWarning is an error here).
+        with pytest.raises(NumericalError, match="its square in the "
+                           "Gaussian exponent overflows"):
+            space_amplitude(SpacePacket(0.0, 1.0, 10.0), x, tau)
+
+    def test_largest_finite_square_is_accepted(self):
+        shift = math.sqrt(np.finfo(float).max)
+        assert space_amplitude(SpacePacket(0.0, 1.0, 1e100), shift) == 0.0
 
 
 class TestTimePacket:
