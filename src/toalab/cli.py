@@ -300,7 +300,8 @@ def run_continuum(p: dict) -> tuple:
              "conservation_exact": list(tab.conservation_exact)},
             {"table.csv": (["refinement", "d_lattice", "max_rel_error",
                             "conservation_exact"],
-                           zip(tab.refinements, tab.d_lattices,
+                           zip(tab.refinements, [r * p["d-lattice"] for r
+                                                 in tab.refinements],
                                tab.max_rel_errors, tab.conservation_exact))})
 
 

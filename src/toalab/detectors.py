@@ -192,7 +192,8 @@ def kijowski_curve(pkt: SpacePacket, taus,
         step = np.diff(taus)
         if not np.allclose(step, step[0], rtol=1e-10):
             raise ValueError("taus must be uniformly spaced")
-        dtau = (taus[-1] - taus[0]) / (taus.size - 1)
+        # A Python float, so dtau p^2/2m overflows to inf without a warning.
+        dtau = float(taus[-1] - taus[0]) / (taus.size - 1)
     hi = pkt.p0 + 12.0 * pkt.sigma_p
     _require_phase(dtau * (hi * hi / (2.0 * pkt.mass)), taus.size)
     # The sums start at n = 1, so the seed sits one step before tau_0.
@@ -411,8 +412,7 @@ def _require_captured(captured, exact, message: str) -> None:
     exact total, relative to it (so never when either is NaN); `message`
     formats the two numbers."""
     if not abs(captured - exact) <= 1e-3 * exact:
-        raise NumericalError(message.format(captured, exact) + "; the window "
-                             "is sized for a bullet packet, which this is not")
+        raise NumericalError(message.format(captured, exact))
 
 
 def default_tau_grid(tau_bar: float, width: float) -> np.ndarray:
@@ -430,7 +430,8 @@ def _kijowski_window_curve(pkt: SpacePacket) -> tuple:
                                                  stats.uncertainty))
     _require_captured(curve.norm, 0.5 * math.erfc(-pkt.p0 * pkt.sigma_x),
                       "the Kijowski curve's tau window captures norm {:.6g} "
-                      "of the exact Kijowski norm {:.6g}")
+                      "of the exact Kijowski norm {:.6g}; the window is sized "
+                      "for a bullet packet, which this is not")
     return stats, curve
 
 
@@ -453,7 +454,8 @@ def sqm_detection_curve(pkt: SpacePacket) -> ArrivalDistribution:
     _require_captured(curve.norm, 0.5 * (math.erfc(-pkt.p0 * pkt.sigma_x)
                                          - math.erfc(pkt.d / pkt.sigma_x)),
                       "the current's tau window captures norm {:.6g} of the "
-                      "detector's total flux {:.6g}")
+                      "detector's total flux {:.6g}; the window is sized for "
+                      "a bullet packet, which this is not")
     return curve
 
 

@@ -227,18 +227,6 @@ class LaplaceCheckReport:
     factorization_residuals: tuple  # |L[K] - L[U] L[F]| / |L[U] cF|
     converged: bool
 
-    @property
-    def max_modulus_error(self) -> float:
-        return max(self.modulus_rel_errors)
-
-    @property
-    def max_phase_error(self) -> float:
-        return max(self.phase_errors)
-
-    @property
-    def max_factorization_residual(self) -> float:
-        return max(self.factorization_residuals)
-
 
 def laplace_first_arrival_check(m: float, x: float,
                                 s_values) -> LaplaceCheckReport:

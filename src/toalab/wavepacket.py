@@ -12,6 +12,7 @@ t0 + (E0/m) tau.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -92,7 +93,15 @@ class SpacePacket:
         return -self.x0
 
     def dispersion_factor(self, tau) -> complex:
-        return 1.0 + 1j * np.asarray(tau) / (self.mass * self.sigma_x**2)
+        """f = 1 + i tau/(m sigma_x^2); NumericalError where it overflows."""
+        tau = np.asarray(tau)
+        scale = float(self.mass) * float(self.sigma_x) ** 2
+        top = float(np.max(np.abs(tau), initial=0.0))
+        if top > sys.float_info.max * scale:
+            raise NumericalError(f"|tau| = {top:.3g} over m sigma_x^2 = "
+                                 f"{scale:.3g} overflows the dispersion "
+                                 "factor")
+        return 1.0 + 1j * tau / scale
 
 
 @dataclass(frozen=True)

@@ -252,13 +252,19 @@ class TestExitCodes:
         (["sqm-detect", "--d", "1.7e308"], "ends leave the float range"),
         (["kijowski-bullet", "--d", "1.7e308"], "ends leave the float range"),
         # The Marchewka-Schuss absorption front falls between grid points.
-        (["metric-compare", "--lambda", "1e12"], "front to 0.998539 of"),
-        (["metric-compare", "--lambda", "1e200"], "front to 2.2279e+173 of"),
+        (["metric-compare", "--lambda", "1e12"],
+         "Marchewka-Schuss norm 0.998539 of"),
+        (["metric-compare", "--lambda", "1e200"],
+         "Marchewka-Schuss norm 2.2279e+173 of"),
         # kappa G(inf) overflows; then kappa r, where the peak rate tops G.
         (["metric-compare", "--lambda", "3e307"], "overflows (lambda"),
         (["metric-compare", "--lambda", "1.7e308"], "overflows (lambda"),
         (["metric-compare", "--p0", "100", "--sigma-x", "0.1", "--d", "100",
           "--lambda", "1e306"], "rate or total 2307.19 overflows"),
+        # tau/(m sigma_x^2) overflows, and so does the Kijowski phase step.
+        (["sqm-detect", "--sigma-x", "1e-120"], "overflows the dispersion"),
+        (["kijowski-bullet", "--sigma-x", "1e-120"], "phase step inf rad"),
+        (["metric-compare", "--sigma-x", "1e-120"], "phase step inf rad"),
     ]
 
     @pytest.mark.parametrize("argv,refusal", OVERFLOWS,

@@ -10,7 +10,7 @@ from scipy.special import dawsn
 
 from toalab.detectors import (ArrivalDistribution, _arrival_moments,
                               _kijowski_window_curve, default_tau_grid,
-                              kijowski_bullet_stats)
+                              kijowski_bullet_stats, kijowski_curve)
 from toalab.experiments import (discrete_continuum_experiment, gated_source,
                                 metric_comparison, single_slit_sweep)
 from toalab.detectors import sqm_detection_curve
@@ -410,12 +410,10 @@ class TestMetricComparison:
         assert ms["norm"] == pytest.approx(kappa_g, rel=1e-10)
         assert ms["mean"] == pytest.approx(2000.0, rel=1e-6)
 
-    def test_marchewka_schuss_window_missing_g_is_numerical_error(
-            self, monkeypatch):
+    def test_marchewka_schuss_window_missing_g_is_numerical_error(self):
         # sigma_x = 30 at tau_bar = 100: the bullet-sized grid holds 0.73 of
-        # the Kijowski norm 1, which is refused first, and 2.92 of G(inf) =
-        # 4 m p0 erf(p0 sigma_x) = 4, which the row refuses once the curves'
-        # own checks in `detectors` are passed over.
+        # the Kijowski norm 1 (and 2.92 of G(inf) = 4 m p0 erf(p0 sigma_x) =
+        # 4), and the Kijowski curve's check refuses it before any row.
         pkt = SpacePacket(x0=-100.0, p0=1.0, sigma_x=30.0, mass=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
@@ -423,11 +421,23 @@ class TestMetricComparison:
                                r"window captures norm 0\.730253 of the exact "
                                r"Kijowski norm 1;"):
                 metric_comparison(pkt, lam=1.0)
-            monkeypatch.setattr("toalab.detectors._require_captured",
-                                lambda *args: None)
-            with pytest.raises(NumericalError,
-                               match=r"G = 2\.92156 .* G\(inf\) = 4;"):
-                metric_comparison(pkt, lam=1.0)
+
+    @pytest.mark.parametrize("b,a", itertools.product((2.5, 3, 4),
+                                                      (1.5, 3, 10)))
+    def test_window_misses_less_of_g_than_of_the_kijowski_norm(self, b, a):
+        # On the default window the Kijowski curve's relative shortfall
+        # tops that of G(inf) (0.12-0.50 of it here), so a window that
+        # misses G by over 1e-3 is refused by the Kijowski check first.
+        pkt = SpacePacket(x0=-a * 10.0, p0=b / 10.0, sigma_x=10.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # their regimes
+            stats = kijowski_bullet_stats(pkt)
+        grid = default_tau_grid(stats.tau_bar, stats.uncertainty)
+        g = 4.0 * np.trapezoid(np.abs(space_amplitude_dx(pkt, 0.0, grid))
+                               ** 2, grid)
+        kij = kijowski_curve(pkt, grid).norm
+        assert 0.0 < 1.0 - g / reference_ms_total(pkt) \
+            < 1.0 - kij / (0.5 * math.erfc(-b))
 
     def test_marchewka_schuss_without_absorption_checks_no_window(
             self, monkeypatch):
@@ -528,7 +538,7 @@ class TestRegimeMap:
 class TestDiscreteContinuum:
     def test_refinement_errors_decrease_monotonically(self):
         table = discrete_continuum_experiment()
-        assert table.d_lattices == (2, 4, 8, 16)
+        assert table.refinements == (1, 2, 4, 8)
         assert table.monotone
         assert all(table.conservation_exact)
         assert table.max_rel_errors[0] == pytest.approx(0.2045, abs=2e-3)

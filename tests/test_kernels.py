@@ -406,8 +406,8 @@ class TestLaplace:
                             lambda m, x, s: 1.01 * closed(m, x, s))
         rep = laplace_first_arrival_check(1.0, 2.0, (0.5, 1.0))
         assert rep.converged is False
-        assert rep.max_modulus_error == pytest.approx(1.0 - 1.0 / 1.01,
-                                                      rel=1e-9)
+        assert max(rep.modulus_rel_errors) == pytest.approx(1.0 - 1.0 / 1.01,
+                                                            rel=1e-9)
 
     @pytest.mark.parametrize("m", [0.0, -1.0])
     def test_check_rejects_nonpositive_mass(self, m):
@@ -444,9 +444,9 @@ class TestLaplace:
                             lambda *args: 1.01 * free(*args))
         rep = laplace_first_arrival_check(1.0, 1.0, (100.0,))
         assert rep.converged is False
-        assert rep.max_modulus_error < 1e-10
-        assert rep.max_factorization_residual == pytest.approx(0.01,
-                                                               rel=1e-9)
+        assert max(rep.modulus_rel_errors) < 1e-10
+        assert max(rep.factorization_residuals) == pytest.approx(0.01,
+                                                                 rel=1e-9)
 
     @pytest.mark.parametrize("m,x,s,size", [
         (1e-300, 3.7e151, 100.0, "1.45e-312"), (1e-320, 0.0, 1e300, "0"),
@@ -465,7 +465,7 @@ class TestLaplace:
     def test_factorization_report(self):
         rep = laplace_first_arrival_check(1.0, 2.0, (0.5,))
         assert rep.converged
-        assert rep.max_modulus_error < 1e-4
+        assert max(rep.modulus_rel_errors) < 1e-4
         # free transform = origin transform x first-arrival transform
         F, K = _ray_transforms(1.0, 2.0, 0.5)
         assert abs(K - laplace_transform_origin(1.0, 0.5) * F) < 1e-8
