@@ -31,7 +31,6 @@ __all__ = [
     "kijowski_bullet_stats",
     "kijowski_wave_density_origin",
     "kijowski_wave_norm",
-    "probability_current",
     "sqm_detection_curve",
     "marchewka_schuss_evolve",
 ]
@@ -41,12 +40,14 @@ __all__ = [
 class ArrivalDistribution:
     """Sampled detection-rate curve over clock time.
 
-    The norm and moments are integrated once, at construction.  Moments are
-    normalized by the realized norm, so under-counting metrics (e.g. the
-    Kijowski wave case, norm 1/4) still have a mean and spread; a curve of
-    norm exactly 0 has none (None).  They are taken on u = tau / 2^k (2^k
-    the scale of max |tau|): exact, and u * rate stays in the float range.
-    Negative rates (backflow) are kept as-is and flagged.
+    The norm and moments are integrated once, at construction, on exact
+    copies u = tau / 2^k and r = rate / 2^j, 2^k and 2^j the binary scales
+    of max |tau| and max |rate|, so no product leaves the float range.  One
+    area of r over u gives the norm, area 2^(j + k), and normalizes the
+    moments, so under-counting metrics (e.g. the Kijowski wave case, norm
+    1/4) still have a mean and spread.  A curve of area 0, or whose largest
+    |rate| is below 2^-1038 (36 or fewer significant bits), has none
+    (None).  Negative rates (backflow) are kept as-is and flagged.
     """
 
     taus: np.ndarray
@@ -64,21 +65,23 @@ class ArrivalDistribution:
             raise ValueError("taus and rates must be matching 1D arrays")
         if np.any(np.diff(taus) <= 0):
             raise ValueError("taus must be strictly increasing")
-        backflow = bool(np.any(rates < -1e-12 * np.max(np.abs(rates),
-                                                       initial=0.0)))
+        peak = float(np.max(np.abs(rates), initial=0.0))
+        backflow = bool(np.any(rates < -1e-12 * peak))
         if backflow:
             _warn("negative detection rates present (backflow); reported "
                   "without clamping")
-        norm = float(np.trapezoid(rates, taus))
+        k = math.frexp(float(np.max(np.abs(taus), initial=0.0)))[1]
+        j = math.frexp(peak)[1]
+        u, r = np.ldexp(taus, -k), np.ldexp(rates, -j)
+        area = np.trapezoid(r, u)
         mean = uncertainty = None
-        if norm != 0.0:
-            s = math.ldexp(1.0, math.frexp(float(np.max(np.abs(taus))))[1])
-            u = taus / s
-            unorm = np.trapezoid(rates, u)
-            mu = np.trapezoid(u * rates, u) / unorm
-            var = np.trapezoid((u - mu) ** 2 * rates, u) / unorm
-            mean, uncertainty = float(mu * s), math.sqrt(max(var, 0.0)) * s
-        vars(self).update(taus=taus, rates=rates, norm=norm, mean=mean,
+        if area != 0.0 and peak >= math.ldexp(1.0, -1038):
+            mu = np.trapezoid(u * r, u) / area
+            var = np.trapezoid((u - mu) ** 2 * r, u) / area
+            mean = float(np.ldexp(mu, k))
+            uncertainty = float(np.ldexp(math.sqrt(max(var, 0.0)), k))
+        vars(self).update(taus=taus, rates=rates,
+                          norm=float(np.ldexp(area, j + k)), mean=mean,
                           uncertainty=uncertainty, has_backflow=backflow)
 
     def summary(self) -> dict:
@@ -382,16 +385,12 @@ def kijowski_wave_norm(m: float, sigma_p: float) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def probability_current(psi, dpsi_dx, m: float):
-    """Flux J = (1/m) Im(psi* dpsi/dx)."""
-    return (np.conj(psi) * dpsi_dx).imag / m
-
-
 def _detector_current(pkt: SpacePacket, tau):
-    """Probability current of pkt at the detector (the origin) at clock
-    time tau, from the analytic spatial derivative of the packet."""
-    return probability_current(space_amplitude(pkt, 0.0, tau),
-                               space_amplitude_dx(pkt, 0.0, tau), pkt.mass)
+    """Probability current J = (1/m) Im(psi* dpsi/dx) of pkt at the
+    detector (the origin) at clock time tau, from the analytic spatial
+    derivative of the packet."""
+    return (np.conj(space_amplitude(pkt, 0.0, tau))
+            * space_amplitude_dx(pkt, 0.0, tau)).imag / pkt.mass
 
 
 def _window(lo: float, hi: float, n: int, centre: float, width: float):

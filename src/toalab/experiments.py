@@ -43,7 +43,8 @@ __all__ = [
 def gated_source(pkt: SpacePacket, W: float) -> TqmPacket:
     """The source `pkt` behind a gate of clock-time width W: the spatial
     width widened to Sigma_x = hypot(sigma_x, v0 W), in direct product with
-    a time packet of width sigma_t = sqrt(2) W at E0 = m."""
+    a time packet of width sigma_t = sqrt(2) W at E0 = m.  With E0 = m and
+    hbar = c = 1, the refusal of v0 outside (0, 1) is v0 < c."""
     if W <= 0:
         raise ValueError(f"W must be positive, got {W}")
     if not 0.0 < pkt.v0 < 1.0:
@@ -142,15 +143,15 @@ def metric_comparison(pkt: SpacePacket,
     grid = kij.taus
     cur = sqm_detection_curve(pkt)
 
-    # First-arrival-kernel curve, normalized over the grid (the 1/m^2 of
-    # the amplitude cancels).
+    # First-arrival-kernel curve; its moments ignore fa's scale (the
+    # amplitude's 1/m^2), so the row reports the normalized law's norm, 1.
     beyond = 0.5 * math.erfc(pkt.d / pkt.sigma_x)
     if beyond > 1e-9:
         _warn(f"first_arrival_kernel row: the packet has weight {beyond:.2g} "
               "at x' >= 0, where the row's weight -x' differs from the "
               "kernel's |x'|")
     fa = np.abs(space_amplitude_dx(pkt, 0.0, grid)) ** 2
-    fa_curve = ArrivalDistribution(grid, fa / np.trapezoid(fa, grid))
+    fa_curve = ArrivalDistribution(grid, fa)
 
     def row(d, norm):
         return {"mean": d.mean, "uncertainty": d.uncertainty, "norm": norm}

@@ -31,6 +31,7 @@ import numpy as np
 from .detectors import (ArrivalDistribution, BulletDispersions,
                         _bullet_dispersions, _detector_current,
                         _regime_ratios, _window)
+from .kernels import NumericalError
 from .wavepacket import SpacePacket, TimePacket, time_amplitude
 
 __all__ = [
@@ -87,6 +88,8 @@ def tqm_arrival_distribution(pkt: TqmPacket) -> ArrivalDistribution:
     at 2048 points on c +/- 8 S (`_window`); for E0 = m its uncertainty is
     sigma_tau/sqrt(2).  Valid while sigma_p/p0, m sigma_x^2/tau_bar and
     m sigma_t^2/tau_bar are << 1; the metadata carries the three ratios.
+    A sampled mean that misses c by over 1e-9 |c| (c +/- 8 S rounded to a
+    window that has lost c) raises NumericalError.
     """
     disp = tqm_dispersion_budget(pkt)
     drift = pkt.time.E0 / pkt.mass
@@ -96,7 +99,7 @@ def tqm_arrival_distribution(pkt: TqmPacket) -> ArrivalDistribution:
                      center, width)
     rho = np.exp(-((t_grid - center) / width) ** 2) \
         / (math.sqrt(math.pi) * width)
-    return ArrivalDistribution(t_grid, rho, meta={
+    curve = ArrivalDistribution(t_grid, rho, meta={
         "metric": "tqm",
         "tau_bar": disp.tau_bar,
         "sigma_bar_tau": disp.sigma_bar_tau,
@@ -108,3 +111,9 @@ def tqm_arrival_distribution(pkt: TqmPacket) -> ArrivalDistribution:
         "m_sigma_t2_over_tau_bar":
             pkt.mass * pkt.time.sigma_t**2 / disp.tau_bar,
     })
+    if not abs(curve.mean - center) <= 1e-9 * abs(center):
+        raise NumericalError(f"the frozen TQM curve's mean {curve.mean} "
+                             f"misses its centre c = {center!r} by over 1e-9 "
+                             f"of it: c +/- 8 S (S = {width:.3g}) rounds to a "
+                             "window that does not carry c")
+    return curve

@@ -72,13 +72,15 @@ def reference_write_csv(path, header, rows):
                         for v in row])
 
 
-def run_python(code, cwd):
-    """Run `python -c code` in a fresh interpreter that imports this toalab."""
+def run_python(code, cwd, *options):
+    """Run `python *options -c code` in a fresh interpreter that imports
+    this toalab."""
     src = str(Path(toalab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, *options, "-c", code], cwd=cwd,
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
 
 
 class TestExitCodes:
@@ -265,6 +267,12 @@ class TestExitCodes:
         (["sqm-detect", "--sigma-x", "1e-120"], "overflows the dispersion"),
         (["kijowski-bullet", "--sigma-x", "1e-120"], "phase step inf rad"),
         (["metric-compare", "--sigma-x", "1e-120"], "phase step inf rad"),
+        # c +/- 8 S rounds to a window whose samples lose the centre c.
+        (["tqm-detect", "--sigma-t", "1e-16"], "mean 64.0 misses its centre"),
+        (["tqm-detect", "--sigma-t", "1e-20"],
+         "mean -1048576.0 misses its centre"),
+        (["tqm-detect", "--sigma-x", "1e-60"], "misses its centre c = 100.0"),
+        (["tqm-detect", "--sigma-x", "1e-120"], "mean 0.0 misses its centre"),
     ]
 
     @pytest.mark.parametrize("argv,refusal", OVERFLOWS,
@@ -1043,6 +1051,67 @@ class TestWarnings:
             cwd=tmp_path)
         assert proc.returncode == EXIT_OK, proc.stderr
         assert "bullet regime" in proc.stderr
+
+
+class TestTinyScales:
+    LAMBDAS = ["1e-300", "1e-305", "1e-310", "1e-315", "1e-318", "1e-320",
+               "1e-322"]
+    TQM_FLAGS = [["--sigma-t", "1e-16"], ["--sigma-t", "1e-20"],
+                 ["--sigma-x", "1e-60"], ["--sigma-x", "1e-120"]]
+
+    def test_tiny_scales_give_null_moments_or_refusals(self, tmp_path):
+        # Rates so small that they are subnormal floats: each run exits 0
+        # with the moments of lambda = 1e-100 or null, or 4, and never lets
+        # a numpy warning reach the user.  One fresh interpreter that turns
+        # RuntimeWarning into an error, as a user's -W flag would.
+        runs = [[exp, "--lambda", lam] for exp in ("metric-compare",
+                                                   "ms-evolve")
+                for lam in ["1e-100", *self.LAMBDAS]]
+        runs += [["tqm-detect", *flag] for flag in self.TQM_FLAGS]
+        proc = run_python(
+            "import json, toalab.cli as cli\n"
+            f"runs = {json.dumps(runs)}\n"
+            "seen = []\n"
+            "for i, argv in enumerate(runs):\n"
+            "    out = f'out{i}'\n"
+            "    try:\n"
+            "        code = cli.main(argv + ['--output-dir', out])\n"
+            "    except Exception as exc:\n"
+            "        code = repr(exc)\n"
+            "    summary = None\n"
+            "    if code == 0:\n"
+            "        with open(f'{out}/{argv[0]}_summary.json') as fh:\n"
+            "            summary = json.load(fh)\n"
+            "    seen.append([code, summary])\n"
+            "print(json.dumps(seen))",
+            tmp_path, "-W", "error::RuntimeWarning")
+        assert proc.returncode == 0, proc.stderr
+        assert "Warning" not in proc.stderr
+        seen = dict(zip(map(" ".join, runs),
+                        json.loads(proc.stdout.splitlines()[-1])))
+
+        def moments(exp, summary):
+            row = summary["rows"]["marchewka_schuss"] \
+                if exp == "metric-compare" else summary
+            return [row["mean"], row["uncertainty"]]
+
+        for exp in ("metric-compare", "ms-evolve"):
+            code, summary = seen[f"{exp} --lambda 1e-100"]
+            assert code == EXIT_OK
+            ref = moments(exp, summary)
+            for lam in self.LAMBDAS:
+                code, summary = seen[f"{exp} --lambda {lam}"]
+                assert code in (EXIT_OK, EXIT_NUMERICAL), (exp, lam, code)
+                if code == EXIT_OK:
+                    got = moments(exp, summary)
+                    assert got == [None, None] \
+                        or got == pytest.approx(ref, rel=1e-11), (exp, lam)
+        for flag in self.TQM_FLAGS:
+            code, summary = seen[" ".join(["tqm-detect", *flag])]
+            assert code in (EXIT_OK, EXIT_NUMERICAL), (flag, code)
+            if code == EXIT_OK:
+                assert summary["mean"] == pytest.approx(summary["tau_bar"],
+                                                        rel=1e-9)
 
 
 class TestImports:

@@ -10,7 +10,7 @@ from test_detectors import BULLET
 from test_wavepacket import (max_entropy_time_packet, time_amplitude_dt2,
                              time_dispersion_factor)
 from toalab.detectors import (ArrivalDistribution, kijowski_bullet_stats,
-                              probability_current, sqm_detection_curve)
+                              sqm_detection_curve)
 from toalab.kernels import NumericalError
 from toalab.tqm import (TqmPacket, tqm_arrival_distribution,
                         tqm_detection_density, tqm_dispersion_budget)
@@ -28,11 +28,11 @@ def tqm_amplitude(pkt, t, x, tau=0.0):
 def tqm_current(pkt, t, x, tau):
     """Probability current in x of the 4D amplitude at (t, x; tau).
 
-    Factorizes as the spatial current times the coordinate-time density.
+    Factorizes as the spatial current (1/m) Im(psi* dpsi/dx) times the
+    coordinate-time density.
     """
-    j_space = probability_current(space_amplitude(pkt.space, x, tau),
-                                  space_amplitude_dx(pkt.space, x, tau),
-                                  pkt.mass)
+    j_space = (np.conj(space_amplitude(pkt.space, x, tau))
+               * space_amplitude_dx(pkt.space, x, tau)).imag / pkt.mass
     return j_space * np.abs(time_amplitude(pkt.time, t, tau)) ** 2
 
 
@@ -235,6 +235,12 @@ class TestArrivalDistribution:
         pkt = make_packet(sigma_t=1e20, sigma_x=1e20)
         with pytest.raises(NumericalError, match="window at 100, width"):
             tqm_arrival_distribution(pkt)
+
+    @pytest.mark.parametrize("sigma_t", [10.0, 1e-3, 1e-6, 1e-10, 1e-14])
+    def test_sampled_mean_is_the_centre(self, sigma_t):
+        curve = tqm_arrival_distribution(make_packet(sigma_t=sigma_t, p0=0.1,
+                                                     d=10.0))
+        assert curve.mean == pytest.approx(100.0, rel=1e-15)
 
     def test_captured_norm_reported(self):
         curve = tqm_arrival_distribution(make_packet())
