@@ -14,8 +14,9 @@ command-line flags taking precedence over file values.  A non-finite number
 is a configuration error, and a summary that JSON cannot hold (NaN or
 Infinity) is a numerical one, raised before any table is written.
 
-Exit codes: 0 success, 2 validation failure, 3 configuration error,
-4 numerical non-convergence.
+Exit codes: 0 success, 2 validation failure, 3 configuration error (an
+output directory that cannot be created among them), 4 numerical
+non-convergence.
 """
 
 from __future__ import annotations
@@ -466,7 +467,7 @@ def main(argv=None) -> int:
         _write_json(prefix + "summary.json", summary)
     except NumericalError as exc:
         return _fail(args, file_cfg, "numerical", exc, EXIT_NUMERICAL)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         return _fail(args, file_cfg, "configuration", exc, EXIT_CONFIG)
     return code
 

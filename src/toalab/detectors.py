@@ -470,9 +470,9 @@ class MsConfig:
     steps: int
 
     def __post_init__(self):
-        if self.lam < 0:
+        if not self.lam >= 0:
             raise ValueError("lam must be >= 0")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be > 0")
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
@@ -518,8 +518,9 @@ def marchewka_schuss_evolve(x, psi0, cfg: MsConfig,
     for the per-step derivatives, one IFFT out.
 
     `x` must be a uniform increasing grid of at least two points ending
-    exactly at 0 with the initial amplitude negligible at both ends.
-    Aborts if a P_n > 1 (lam or epsilon too large) or `_require_phase` fails.
+    exactly at 0 with the initial amplitude negligible at both ends, and
+    `m` > 0 (ValueError otherwise).  Aborts if a P_n > 1 (lam or epsilon
+    too large) or `_require_phase` fails.
     """
     x = np.asarray(x, dtype=float)
     psi = np.asarray(psi0, dtype=complex)
@@ -532,6 +533,8 @@ def marchewka_schuss_evolve(x, psi0, cfg: MsConfig,
         raise ValueError("x must be uniformly spaced")
     if abs(x[-1]) > 1e-12 * abs(x[0]):
         raise ValueError("grid must end at the boundary x = 0")
+    if not m > 0:
+        raise ValueError(f"mass must be > 0, got {m}")
     h = float(dx[0])
     n_half = x.size
     n_full = 2 * (n_half - 1)

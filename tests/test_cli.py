@@ -2,6 +2,7 @@
 reproducibility."""
 
 import csv
+import errno
 import importlib.util
 import json
 import math
@@ -305,6 +306,34 @@ class TestExitCodes:
         assert "numerical error: phase step" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == [
             "error.json", f"{argv[0]}_manifest.json"]
+
+    @pytest.mark.parametrize("route", ["flag", "config", "env"])
+    def test_output_dir_that_is_a_file_is_config_error(
+            self, tmp_path, monkeypatch, capsys, route):
+        # os.makedirs raises FileExistsError on each route to the output
+        # directory; _fail reports it and skips the error.json it cannot
+        # write there.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+        blocker = tmp_path / "F"
+        blocker.write_text("kept\n")
+        argv = ["sqm-detect"]
+        if route == "flag":
+            argv += ["--output-dir", str(blocker)]
+        elif route == "config":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"output-dir = {blocker}\n")
+            argv += ["--config", str(cfg)]
+        else:
+            monkeypatch.setenv(OUTPUT_DIR_ENV, str(blocker))
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"configuration error: [Errno {errno.EEXIST}] File exists: " \
+            in err
+        assert "Traceback" not in err
+        assert blocker.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["F", *(["run.cfg"] if route == "config" else [])])
 
     def test_programming_error_is_not_numerical(self, tmp_path, monkeypatch):
         # Only NumericalError maps to exit 4; anything else propagates.
@@ -1095,13 +1124,17 @@ class TestTinyScales:
                 if exp == "metric-compare" else summary
             return [row["mean"], row["uncertainty"]]
 
+        # A metric-compare row without moments reports its exact norm, so
+        # no grid check can refuse it.
+        codes = {"metric-compare": (EXIT_OK,),
+                 "ms-evolve": (EXIT_OK, EXIT_NUMERICAL)}
         for exp in ("metric-compare", "ms-evolve"):
             code, summary = seen[f"{exp} --lambda 1e-100"]
             assert code == EXIT_OK
             ref = moments(exp, summary)
             for lam in self.LAMBDAS:
                 code, summary = seen[f"{exp} --lambda {lam}"]
-                assert code in (EXIT_OK, EXIT_NUMERICAL), (exp, lam, code)
+                assert code in codes[exp], (exp, lam, code)
                 if code == EXIT_OK:
                     got = moments(exp, summary)
                     assert got == [None, None] \
@@ -1112,6 +1145,48 @@ class TestTinyScales:
             if code == EXIT_OK:
                 assert summary["mean"] == pytest.approx(summary["tau_bar"],
                                                         rel=1e-9)
+
+
+class TestRobustness:
+    VALUES = ["1e-300", "1e-150", "1e-20", "1e20", "1e150", "1e300", "0",
+              "-1"]
+    BASES = [["kijowski-bullet"], ["sqm-detect"], ["tqm-detect"],
+             ["slit-sweep"], ["metric-compare"], ["laplace-check"],
+             ["kijowski-wave"],
+             ["ms-evolve", "--lambda", "1", "--steps", "200"]]
+
+    def test_every_float_flag_exits_with_a_documented_code(self, tmp_path):
+        # Each float flag of each subcommand set in turn to a tiny, huge,
+        # zero or negative value, and an output directory that is a file:
+        # each run returns 0, 2, 3 or 4 and raises nothing, numpy's
+        # warnings included.  One fresh interpreter that turns
+        # RuntimeWarning into an error, as a user's -W flag would.
+        runs = [[*base, f"--{name}", value] for base in self.BASES
+                for name, (typ, _, _) in cli.PARAMS[base[0]].items()
+                if typ is float for value in self.VALUES]
+        outs = [f"out{i}" for i in range(len(runs))]
+        (tmp_path / "F").write_text("kept\n")
+        runs.append(["sqm-detect"])
+        outs.append("F")
+        proc = run_python(
+            "import json, toalab.cli as cli\n"
+            f"runs = {json.dumps(list(zip(runs, outs)))}\n"
+            "seen = []\n"
+            "for argv, out in runs:\n"
+            "    try:\n"
+            "        seen.append(cli.main(argv + ['--output-dir', out]))\n"
+            "    except Exception as exc:\n"
+            "        seen.append(repr(exc))\n"
+            "print(json.dumps(seen))",
+            tmp_path, "-W", "error::RuntimeWarning")
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout.splitlines()[-1])
+        odd = {" ".join(argv): code for argv, code in zip(runs, seen)
+               if code not in (EXIT_OK, EXIT_VALIDATION, EXIT_CONFIG,
+                               EXIT_NUMERICAL)}
+        assert odd == {}
+        assert seen[-1] == EXIT_CONFIG
+        assert (tmp_path / "F").read_text() == "kept\n"
 
 
 class TestImports:

@@ -812,6 +812,22 @@ class TestMarchewkaSchuss:
             marchewka_schuss_evolve(x, np.exp(-(x + 5) ** 2).astype(complex),
                                     MsConfig(lam=1.0, epsilon=0.01, steps=1))
 
+    @pytest.mark.parametrize("m", [0.0, -1.0, math.nan])
+    def test_mass_that_is_not_positive_rejected(self, m):
+        # m = 0 divided by zero, m = -1 returned a negative detected total
+        # and NaN returned NaN.
+        x, psi0 = self._setup(L=256.0, d=25.0, sigma=5.0)
+        with pytest.raises(ValueError, match="mass must be > 0"):
+            marchewka_schuss_evolve(x, psi0, MsConfig(lam=1.0, epsilon=0.01,
+                                                      steps=300), m=m)
+
+    @pytest.mark.parametrize("field,match", [("lam", "lam must be >= 0"),
+                                             ("epsilon", "epsilon must be > 0")])
+    @pytest.mark.parametrize("value", [-1.0, math.nan])
+    def test_config_refuses_negative_and_nan(self, field, match, value):
+        with pytest.raises(ValueError, match=match):
+            MsConfig(**{"lam": 1.0, "epsilon": 0.01, field: value}, steps=3)
+
     @pytest.mark.parametrize("x", [np.zeros(1), np.linspace(10.0, 0.0, 101)],
                              ids=["one-point", "decreasing"])
     def test_short_or_decreasing_grid_rejected(self, x):
